@@ -14,7 +14,8 @@ axes:
                     rotations do not commute
 * ``uniform``     - axial with one shared frequency (default 1)
 * ``liere``       - whole vector, ``exp(sum_m A_m p_m) @ z`` for learned skew
-                    generators ``A_m``
+                    generators ``A_m``; encoders of commuting generators
+                    apply it as pair rotations in one precomputed basis
 
 ``sinusoidal_ape`` (additive sin/cos features) is included as the non-rotary
 baseline.
@@ -42,6 +43,13 @@ SCHEMES = {
 }
 
 _TABLE_SCHEMES = ("rope1d", "axial", "mixed", "spherical", "uniform")
+
+# A liere encoder of commuting generators encodes through their joint
+# canonical form only when the off-block entries that form drops are at
+# roundoff level (relative to the generator norms, like as_skew's bound on
+# the symmetric part it drops), so it agrees with the per-position
+# exponential to roundoff; the theorem-reduction checks accept looser forms.
+_REDUCED_STRUCT_RTOL = 1e-12
 
 
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
@@ -256,6 +264,16 @@ def spherical_fast(z, p, table: FrequencyTable) -> np.ndarray:
     return zz.reshape(-1)
 
 
+def _liere_inputs(z, p, n: int, axes: int):
+    z = np.asarray(z, dtype=float)
+    if z.shape != (n,):
+        raise ValueError(f"token vector shape {z.shape} does not match generator size {n}")
+    p = _position(p, axes)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(p))):
+        raise ValueError("liere token vector and position must be finite")
+    return z, p
+
+
 def liere(z, p, generators) -> np.ndarray:
     """``exp(sum_m p_m * A_m) @ z`` for skew-symmetric generators ``A_m``."""
     gens = [np.asarray(g, dtype=float) for g in generators]
@@ -265,14 +283,20 @@ def liere(z, p, generators) -> np.ndarray:
     for g in gens:
         if g.shape != (n, n):
             raise ValueError("liere generators must share one square shape")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n,):
-        raise ValueError(f"token vector shape {z.shape} does not match generator size {n}")
-    p = _position(p, len(gens))
+    z, p = _liere_inputs(z, p, n, len(gens))
     total = np.zeros((n, n))
     for coord, g in zip(p, gens):
         total += coord * g
     return linalg.matrix_exp(total) @ z
+
+
+def _liere_reduced(z, p, basis: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``liere`` for commuting generators through their joint canonical form:
+    ``basis @ R(freqs @ p) @ basis.T @ z``, a trailing odd coordinate fixed."""
+    y = basis.T @ z
+    k2 = 2 * freqs.shape[0]
+    y[:k2] = _rotate_pairs(y[:k2], freqs @ p)
+    return basis @ y
 
 
 def sinusoidal_ape(x, p, table: FrequencyTable) -> np.ndarray:
@@ -384,7 +408,10 @@ class Encoder:
     """A scheme bound to its parameters, exposing ``encode(z, p)``.
 
     ``base`` records whether the table came from the geometric schedule (kept
-    for exact config round-trips); explicit tables leave it None.
+    for exact config round-trips); explicit tables leave it None.  For liere
+    with commuting generators, ``reduction`` holds their position-independent
+    ``(basis, freqs)`` joint canonical form, so ``encode`` costs two
+    matrix-vector products instead of an exponential per position.
     """
 
     scheme: str
@@ -393,6 +420,7 @@ class Encoder:
     base: float | None = None
     uniform_freq: float | None = None
     generators: tuple = field(default=None, repr=False)
+    reduction: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def axes(self) -> int:
@@ -412,7 +440,10 @@ class Encoder:
         if self.scheme == "spherical":
             return spherical(z, p, self.table)
         if self.scheme == "liere":
-            return liere(z, p, self.generators)
+            if self.reduction is None:
+                return liere(z, p, self.generators)
+            z, p = _liere_inputs(z, p, self.dim, self.axes)
+            return _liere_reduced(z, p, *self.reduction)
         raise ValueError(f"unknown scheme {self.scheme!r}")
 
     # bilinear decomposition of the score: pairs for the pair/quadruple
@@ -451,7 +482,11 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
                 raise ValueError("liere generators must share one square shape")
         if dim is not None and dim != n:
             raise ValueError(f"dim {dim} does not match generator size {n}")
-        return Encoder(scheme="liere", dim=n, generators=gens)
+        try:
+            reduction = linalg.joint_canonical_form(gens, struct_rtol=_REDUCED_STRUCT_RTOL)
+        except (ValueError, RuntimeError):  # not commuting, or no shared blocks
+            reduction = None
+        return Encoder(scheme="liere", dim=n, generators=gens, reduction=reduction)
 
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")

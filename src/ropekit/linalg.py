@@ -4,7 +4,8 @@ Every rotation-style position encoding in this package is ``exp(A)`` for some
 real skew-symmetric ``A``.  This module provides the shared machinery: exact
 antisymmetrisation, the commutator test that decides which encodings are
 abelian, and the orthogonal change of basis that rewrites any ``A`` as a direct
-sum of 2x2 rotation generators ``[[0, -lam], [lam, 0]]`` (plus zero modes).
+sum of 2x2 rotation generators ``[[0, -lam], [lam, 0]]`` (plus zero modes),
+or does so for a commuting family of generators in one shared basis.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import numpy as np
 SKEW_ATOL = 1e-12          # construction-time antisymmetry tolerance
 COMMUTE_RTOL = 1e-9        # default relative tolerance for is_commuting
 ZERO_FREQ_RTOL = 1e-10     # lam <= ZERO_FREQ_RTOL * max(1, ||A||_F) counts as a zero mode
-JACOBI_MAX_SWEEPS = 100
+JOINT_STRUCT_RTOL = 1e-6   # off-block bound (relative) for a joint canonical form
 
-_SPAN_TOL = 1e-8           # residual norm below which a direction is already spanned
+# generic mixing coefficients for the joint block-diagonalisation; if one
+# produces frequency collisions the structure test fails and the next is tried
+_GAMMAS = (0.6180339887498949, 1.7548776662466927, 0.1353352832366127)
 
 
 def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
@@ -34,6 +37,8 @@ def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     worst = float(np.max(np.abs(a + a.T))) if a.size else 0.0
     if worst > atol:
         raise ValueError(
@@ -102,208 +107,117 @@ class CanonicalForm:
         return self.basis @ self.block_matrix() @ self.basis.T
 
 
-def _round_robin_rounds(n: int):
-    """Chess-tournament pair ordering: n-1 rounds of disjoint (p, q) pairs
-    jointly covering every unordered pair exactly once per sweep."""
-    players = list(range(n)) + ([None] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    arr = players[:]
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            x, y = arr[i], arr[m - 1 - i]
-            if x is not None and y is not None:
-                pairs.append((min(x, y), max(x, y)))
-        rounds.append(
-            (np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
-        )
-        arr = [arr[0], arr[-1]] + arr[1:-1]
-    return rounds
+def _pair_columns(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Oriented 2-plane columns (u_0, v_0, u_1, ...) from the eigenvectors ``v``
+    of ``1j * A`` for its positive eigenvalues.
 
+    For ``1j * A @ w = lam * w`` with ``lam > 0`` and ``w = x + 1j * y``,
+    ``A x = lam * y`` and ``A y = -lam * x``; ``w`` is orthogonal to its
+    conjugate (eigenvalue ``-lam``), so ``sqrt(2) * (x, y)`` is orthonormal,
+    and Hermitian orthogonality carries over across pairs, repeated ``lam``
+    included.  Each ``w`` is phase-gauged so its largest entry is real
+    positive, which fixes the in-plane rotation deterministically.
 
-def _jacobi_eigh(s: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Cyclic Jacobi eigensolver for a symmetric matrix.
-
-    Sweeps use a round-robin ordering so each round's disjoint plane rotations
-    can be applied in one vectorised step (rotations in disjoint planes
-    commute, so the batch equals their sequential product exactly).  Returns
-    ``(eigenvalues, eigenvectors)`` with orthonormal eigenvector columns;
-    raises RuntimeError if the off-diagonal mass has not been annihilated
-    after ``max_sweeps`` sweeps.
+    The computed ``w`` and its conjugate are only as orthogonal as the gap
+    ``2 * lam`` allows (1.5e-7 at ``lam = 1e-9`` and ``||A||_F`` about 4),
+    so a QR pass with positive diagonal restores orthonormality; it moves
+    columns that are already orthonormal only by roundoff.
     """
-    a = np.array(s, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    frob = float(np.linalg.norm(a))
-    if frob == 0.0:
-        return np.zeros(n), v
-    stop = 1e-14 * frob
-    skip = stop / (2.0 * n)
-    rounds = _round_robin_rounds(n)
-
-    def offdiag_norm(m):
-        return float(np.linalg.norm(m - np.diag(np.diag(m))))
-
-    for _ in range(max_sweeps):
-        off = offdiag_norm(a)
-        if off <= stop:
-            return np.diag(a).copy(), v
-        for p_idx, q_idx in rounds:
-            apq = a[p_idx, q_idx]
-            active = np.abs(apq) > skip
-            if not active.any():
-                continue
-            app = a[p_idx, p_idx]
-            aqq = a[q_idx, q_idx]
-            tau = (aqq - app) / (2.0 * np.where(active, apq, 1.0))
-            root = np.sqrt(1.0 + tau * tau)
-            sgn = np.where(tau >= 0.0, 1.0, -1.0)
-            t = -sgn / (np.abs(tau) + root)
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-            # A <- G.T A G for the whole round's rotations [[c, -s], [s, c]]
-            rp, rq = a[p_idx, :], a[q_idx, :]
-            cc, ss = c[:, None], sn[:, None]
-            a[p_idx, :] = cc * rp + ss * rq
-            a[q_idx, :] = cc * rq - ss * rp
-            cp, cq = a[:, p_idx], a[:, q_idx]
-            a[:, p_idx] = cp * c + cq * sn
-            a[:, q_idx] = cq * c - cp * sn
-            a[p_idx, p_idx] = app + t * apq
-            a[q_idx, q_idx] = aqq - t * apq
-            a[p_idx, q_idx] = np.where(active, 0.0, apq)
-            a[q_idx, p_idx] = a[p_idx, q_idx]
-            vp, vq = v[:, p_idx], v[:, q_idx]
-            v[:, p_idx] = vp * c + vq * sn
-            v[:, q_idx] = vq * c - vp * sn
-
-    off = offdiag_norm(a)
-    if off <= stop:
-        return np.diag(a).copy(), v
-    raise RuntimeError(
-        f"Jacobi eigensolver did not converge within {max_sweeps} sweeps "
-        f"(off-diagonal norm {off:.3e})"
-    )
-
-
-def _project_off(w: np.ndarray, cols: list) -> np.ndarray:
-    """Remove from ``w`` its components along each unit vector in ``cols``."""
-    r = w.copy()
-    for c in cols:
-        r -= c * float(c @ r)
-    return r
+    big = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    w = v * (np.conj(big) / np.abs(big))
+    cols = np.empty((v.shape[0], 2 * v.shape[1]))
+    cols[:, 0::2] = np.sqrt(2.0) * w.real
+    cols[:, 1::2] = np.sqrt(2.0) * w.imag
+    if not cols.size:
+        return cols
+    q, r = np.linalg.qr(cols)
+    return q * np.copysign(1.0, np.diag(r))
 
 
 def canonical_form(a) -> CanonicalForm:
     """Orthogonally block-diagonalise a skew matrix into 2x2 rotation generators.
 
-    The symmetric PSD matrix ``S = -A @ A`` is diagonalised with the cyclic
-    Jacobi solver; within each positive eigenspace a unit ``u`` is completed to
-    the oriented pair ``(u, A u / lam)``, with Gram-Schmidt hygiene against the
-    columns already chosen.  Eigendirections at or below the zero threshold
-    become zero modes.
+    ``1j * A`` is Hermitian, so ``np.linalg.eigh`` diagonalises it with a
+    unitary eigenbasis.  Each eigenvalue ``lam`` above the zero threshold
+    (descending) gives the oriented 2-plane ``(sqrt(2) Re w, sqrt(2) Im w)``
+    of its eigenvector ``w``.  The zero modes span the real and imaginary
+    parts of the remaining (kernel) eigenvectors: those are projected off the
+    pair columns and their leading left singular vectors kept.
 
     Returns a CanonicalForm with ``A = basis @ block_matrix() @ basis.T``
     (up to roundoff) and frequencies sorted descending.
     """
     a = as_skew(a)
     n = a.shape[0]
-    s = -(a @ a)
-    s = 0.5 * (s + s.T)
-    evals, evecs = _jacobi_eigh(s)
-    order = np.argsort(evals)[::-1]
+    lam, v = np.linalg.eigh(1j * a)
     thr = ZERO_FREQ_RTOL * max(1.0, float(np.linalg.norm(a)))
+    pairs = int(np.count_nonzero(lam[n - n // 2:] > thr))
+    cols = _pair_columns(lam[n - pairs:][::-1], v[:, n - pairs:][:, ::-1])
+    zero_modes = n - 2 * pairs
+    if zero_modes:
+        kernel = v[:, pairs:n - pairs]
+        span = np.hstack([kernel.real, kernel.imag])
+        span -= cols @ (cols.T @ span)
+        left = np.linalg.svd(span, full_matrices=False)[0]
+        cols = np.hstack([cols, left[:, :zero_modes]])
+    freqs = np.zeros(n // 2)
+    freqs[:pairs] = lam[n - pairs:][::-1]
+    return CanonicalForm(frequencies=freqs, basis=cols, zero_modes=zero_modes)
 
-    pairs: list[tuple[float, np.ndarray, np.ndarray]] = []
-    taken: list[np.ndarray] = []
-    kernel_seeds: list[np.ndarray] = []
-    zero_cols: list[np.ndarray] = []
 
-    def try_pair(w: np.ndarray) -> None:
-        r = _project_off(w, taken)
-        nr = float(np.linalg.norm(r))
-        if nr < _SPAN_TOL:
-            return
-        u = _project_off(r / nr, taken)
-        u = u / float(np.linalg.norm(u))
-        au = a @ u
-        lam = float(np.linalg.norm(au))
-        if lam <= thr:
-            zero_cols.append(u)
-            taken.append(u)
-            return
-        v = _project_off(au / lam, taken)
-        v -= u * float(u @ v)
-        v = v / float(np.linalg.norm(v))
-        pairs.append((lam, u, v))
-        taken.append(u)
-        taken.append(v)
+def joint_canonical_form(generators, struct_rtol: float = JOINT_STRUCT_RTOL):
+    """One orthogonal basis block-diagonalising pairwise-commuting skew generators.
 
-    for idx in order:
-        lam2 = float(evals[idx])
-        w = evecs[:, idx]
-        if lam2 <= thr * thr:
-            kernel_seeds.append(w)
-            continue
-        try_pair(w)
+    The canonical form of a generic combination ``sum_m gamma**m A_m`` is
+    tried for each ``gamma`` in ``_GAMMAS``; the first whose basis leaves
+    every ``basis.T @ A_m @ basis`` block diagonal to ``struct_rtol`` times
+    the largest generator norm (at least 1) is kept.  Each 2-plane is
+    oriented so that its first frequency above the zero threshold is
+    positive, and planes are sorted by descending frequencies, first
+    generator first.
 
-    # deferred kernel directions, then completion against the standard basis
-    for w in kernel_seeds:
-        r = _project_off(w, taken)
-        nr = float(np.linalg.norm(r))
-        if nr < _SPAN_TOL:
-            continue
-        r = _project_off(r / nr, taken)
-        r = r / float(np.linalg.norm(r))
-        zero_cols.append(r)
-        taken.append(r)
-    k = 0
-    while len(taken) < n and k < n:
-        r = _project_off(np.eye(n)[:, k], taken)
-        k += 1
-        nr = float(np.linalg.norm(r))
-        if nr < _SPAN_TOL:
-            continue
-        u = _project_off(r / nr, taken)
-        u = u / float(np.linalg.norm(u))
-        au = a @ u
-        lam = float(np.linalg.norm(au))
-        if lam > thr:
-            v = _project_off(au / lam, taken)
-            v -= u * float(u @ v)
-            v = v / float(np.linalg.norm(v))
-            pairs.append((lam, u, v))
-            taken.append(u)
-            taken.append(v)
-        else:
-            zero_cols.append(u)
-            taken.append(u)
-    if len(taken) != n:
-        raise RuntimeError("canonical form basis completion failed")
+    Returns ``(basis, freqs)`` with ``freqs`` of shape ``(n // 2, m)``, so
+    ``exp(sum_m p_m A_m) = basis @ R(freqs @ p) @ basis.T`` where ``R``
+    rotates consecutive coordinate pairs and fixes a trailing odd one.
+    Raises ValueError for mismatched shapes or non-commuting generators and
+    RuntimeError when no combination yields a shared block structure.
+    """
+    gens = [as_skew(g) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    n = gens[0].shape[0]
+    for g in gens[1:]:
+        if g.shape != (n, n):
+            raise ValueError(f"generator shapes differ: {gens[0].shape} vs {g.shape}")
+    for i, g in enumerate(gens):
+        for h in gens[i + 1:]:
+            if not is_commuting(g, h):
+                raise ValueError("generators do not commute; no shared block structure exists")
+    k = n // 2
+    scale = max(1.0, *(float(np.linalg.norm(g)) for g in gens))
+    in_block = np.zeros((n, n), dtype=bool)
+    for d in range(k):
+        in_block[2 * d:2 * d + 2, 2 * d:2 * d + 2] = True
 
-    pairs.sort(key=lambda item: -item[0])
-    freqs = [lam for lam, _, _ in pairs]
-    cols = []
-    for _, u, v in pairs:
-        cols.append(u)
-        cols.append(v)
-    # zero-frequency blocks consume kernel directions two at a time
-    zc = list(zero_cols)
-    while len(freqs) < n // 2:
-        freqs.append(0.0)
-        cols.append(zc.pop(0))
-        cols.append(zc.pop(0))
-    cols.extend(zc)
+    for gamma in _GAMMAS:
+        basis = canonical_form(sum(gamma ** m * g for m, g in enumerate(gens))).basis
+        blocks = [basis.T @ g @ basis for g in gens]
+        if all(np.max(np.abs(b[~in_block]), initial=0.0) <= struct_rtol * scale for b in blocks):
+            break
+    else:
+        raise RuntimeError("no generic combination produced a shared block structure")
 
-    return CanonicalForm(
-        frequencies=np.asarray(freqs, dtype=float),
-        basis=np.column_stack(cols),
-        zero_modes=len(zero_cols),
-    )
+    freqs = np.column_stack([np.diagonal(b, -1)[0::2] for b in blocks])
+    live = np.abs(freqs) > ZERO_FREQ_RTOL * scale
+    lead = freqs[np.arange(k), np.argmax(live, axis=1)]
+    sign = np.where(live.any(axis=1) & (lead < 0.0), -1.0, 1.0)
+    freqs = freqs * sign[:, None]
+    basis[:, 1:2 * k:2] *= sign
+    order = np.lexsort(-freqs[:, ::-1].T)  # last key (first generator) is primary
+    cols = np.arange(n)
+    cols[0:2 * k:2] = 2 * order
+    cols[1:2 * k:2] = 2 * order + 1
+    return basis[:, cols], freqs[order]
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +226,14 @@ def canonical_form(a) -> CanonicalForm:
 
 
 def matrix_exp(a) -> np.ndarray:
-    """exp(a) for skew ``a`` via the canonical form (per-block cosine/sine).
+    """exp(a) for skew ``a`` from the unitary eigenbasis of the Hermitian ``1j * a``.
 
-    The result is orthogonal with determinant +1.
+    With ``1j * a = V diag(lam) V^H``, ``exp(a) = Re(V diag(exp(-1j lam)) V^H)``;
+    the result is orthogonal with determinant +1.
     """
-    cf = canonical_form(a)
-    n = cf.dim
-    r = np.zeros((n, n))
-    for d, lam in enumerate(cf.frequencies):
-        c, sn = np.cos(lam), np.sin(lam)
-        r[2 * d, 2 * d] = c
-        r[2 * d, 2 * d + 1] = -sn
-        r[2 * d + 1, 2 * d] = sn
-        r[2 * d + 1, 2 * d + 1] = c
-    if n % 2 == 1:
-        r[n - 1, n - 1] = 1.0
-    return cf.basis @ r @ cf.basis.T
+    a = as_skew(a)
+    lam, v = np.linalg.eigh(1j * a)
+    return ((v * np.exp(-1j * lam)) @ v.conj().T).real
 
 
 def matrix_exp_series(a, term_tol: float = 1e-16) -> np.ndarray:

@@ -14,6 +14,11 @@ GRAD_RTOL = 1e-5
 FD_H = 1e-5
 
 
+# so(3) generators: yaw rotates the (1,2)-plane, roll the (2,3)-plane
+G_YAW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+G_ROLL = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+
+
 def unit_table(scheme, blocks, axes):
     return FrequencyTable(scheme, np.ones((blocks, axes)))
 
@@ -202,6 +207,66 @@ def test_liere_rejects_bad_inputs():
         E.liere([1.0, 0.0], [0.5, 0.5], [gen])
     with pytest.raises(ValueError):
         E.liere([1.0, 0.0], [0.5], [])
+
+
+def test_liere_rejects_non_finite_inputs():
+    gen = np.array([[0.0, -1.0], [1.0, 0.0]])
+    rng = np.random.default_rng(41)
+    t = np.triu(rng.standard_normal((4, 4)), k=1)
+    encoders = [E.make_encoder("liere", generators=[gen]),
+                E.make_encoder("liere", generators=[G_YAW, G_ROLL])]
+    assert encoders[0].reduction is not None and encoders[1].reduction is None
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            E.liere([1.0, bad], [0.5], [gen])
+        with pytest.raises(ValueError, match="finite"):
+            E.liere([1.0, 0.0], [bad], [gen])
+        for enc in encoders:
+            z, p = np.ones(enc.dim), np.zeros(enc.axes)
+            with pytest.raises(ValueError, match="finite"):
+                enc.encode(np.where(np.arange(enc.dim) == 0, bad, z), p)
+            with pytest.raises(ValueError, match="finite"):
+                enc.encode(z, np.full(enc.axes, bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            E.make_encoder("liere", generators=[np.where(t != 0, bad, t) - t.T])
+
+
+def _commuting_family(n, count, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gens = []
+    for _ in range(count):
+        b = np.zeros((n, n))
+        for d, f in enumerate(rng.standard_normal(n // 2)):
+            b[2 * d, 2 * d + 1], b[2 * d + 1, 2 * d] = -f, f
+        a = q @ b @ q.T
+        gens.append(0.5 * (a - a.T))
+    return gens
+
+
+def test_liere_encoder_three_commuting_generators_odd_dim():
+    from ropekit.linalg import matrix_exp_series
+
+    rng = np.random.default_rng(43)
+    gens = _commuting_family(7, 3, rng)
+    enc = E.make_encoder("liere", generators=gens)
+    assert enc.reduction is not None
+    for _ in range(25):
+        z = rng.standard_normal(7)
+        p = rng.uniform(-np.pi, np.pi, 3)
+        out = enc.encode(z, p)
+        series = matrix_exp_series(sum(c * g for c, g in zip(p, gens))) @ z
+        assert np.max(np.abs(out - series)) <= 1e-10
+        assert np.max(np.abs(out - E.liere(z, p, gens))) <= 1e-12
+
+
+def test_liere_encoder_non_commuting_uses_exponential():
+    rng = np.random.default_rng(47)
+    gens = [np.triu(rng.standard_normal((5, 5)), k=1) for _ in range(2)]
+    gens = [g - g.T for g in gens]
+    enc = E.make_encoder("liere", generators=gens)
+    assert enc.reduction is None
+    z, p = rng.standard_normal(5), rng.uniform(-np.pi, np.pi, 2)
+    np.testing.assert_array_equal(enc.encode(z, p), E.liere(z, p, gens))
 
 
 def test_sinusoidal_ape_frozen():

@@ -21,6 +21,14 @@ def random_skew(n, rng):
     return t - t.T
 
 
+def block_diag(freqs, n):
+    """n x n direct sum of [[0, -f], [f, 0]] blocks, zero-padded."""
+    m = np.zeros((n, n))
+    for d, f in enumerate(freqs):
+        m[2 * d, 2 * d + 1], m[2 * d + 1, 2 * d] = -f, f
+    return m
+
+
 # ---------------------------------------------------------------------------
 # construction and bracket
 # ---------------------------------------------------------------------------
@@ -149,20 +157,51 @@ def test_canonical_frequencies_match_complex_eigensolver():
         np.testing.assert_allclose(cf.frequencies, oracle, atol=EIG_AGREE_TOL)
 
 
-def test_jacobi_matches_numpy_eigh():
+def test_canonical_pairs_are_oriented_planes():
+    # each pair (u, v) of the eigh route spans an invariant plane with
+    # A u = lam v and A v = -lam u, i.e. block [[0, -lam], [lam, 0]]
     rng = np.random.default_rng(23)
     for n in (2, 5, 9):
-        s = rng.standard_normal((n, n))
-        s = s + s.T
-        evals, evecs = linalg._jacobi_eigh(s)
-        np.testing.assert_allclose(np.sort(evals), np.linalg.eigvalsh(s), atol=1e-10)
-        np.testing.assert_allclose(evecs @ np.diag(evals) @ evecs.T, s, atol=1e-10)
+        a = random_skew(n, rng)
+        cf = linalg.canonical_form(a)
+        for d, lam in enumerate(cf.frequencies):
+            u, v = cf.basis[:, 2 * d], cf.basis[:, 2 * d + 1]
+            np.testing.assert_allclose(a @ u, lam * v, atol=1e-12)
+            np.testing.assert_allclose(a @ v, -lam * u, atol=1e-12)
 
 
-def test_jacobi_sweep_cap_raises():
-    s = np.array([[1.0, 0.5], [0.5, -2.0]])
-    with pytest.raises(RuntimeError):
-        linalg._jacobi_eigh(s, max_sweeps=0)
+def test_non_finite_generators_rejected():
+    for bad in (np.nan, np.inf):
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.as_skew(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.canonical_form(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.matrix_exp(a)
+
+
+def test_joint_canonical_form_three_commuting_generators():
+    rng = np.random.default_rng(31)
+    n = 7
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    planted = rng.standard_normal((n // 2, 3))
+    gens = [linalg.as_skew(q @ block_diag(planted[:, m], n) @ q.T, atol=1e-9) for m in range(3)]
+    basis, freqs = linalg.joint_canonical_form(gens)
+    assert freqs.shape == (n // 2, 3)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-12)
+    for m, g in enumerate(gens):
+        np.testing.assert_allclose(basis.T @ g @ basis, block_diag(freqs[:, m], n), atol=1e-12)
+    # planes oriented so the first generator's frequencies are non-negative
+    assert np.all(freqs[:, 0] >= 0.0)
+    want = planted * np.sign(planted[:, :1])
+    np.testing.assert_allclose(freqs, want[np.argsort(-want[:, 0])], atol=1e-12)
+
+
+def test_joint_canonical_form_rejects_non_commuting():
+    with pytest.raises(ValueError, match="do not commute"):
+        linalg.joint_canonical_form([G_YAW, G_ROLL])
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +234,17 @@ def test_matrix_exp_routes_agree():
         spectral = linalg.matrix_exp(a)
         series = linalg.matrix_exp_series(a)
         assert np.linalg.norm(spectral - series) <= EXP_AGREE_TOL
+
+
+def test_matrix_exp_repeated_frequency_matches_series():
+    # a repeated frequency makes the Hermitian eigenspace degenerate, so the
+    # eigenvectors within it are arbitrary; the exponential must not care
+    rng = np.random.default_rng(37)
+    for n, freqs in ((4, [0.9, 0.9]), (7, [1.3, 1.3, 0.4]), (8, [2.1, 2.1, 2.1, 0.0])):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = linalg.as_skew(q @ block_diag(freqs, n) @ q.T, atol=1e-9)
+        diff = linalg.matrix_exp(a) - linalg.matrix_exp_series(a)
+        assert np.max(np.abs(diff)) <= 1e-12
 
 
 def test_matrix_exp_against_scipy():
@@ -257,3 +307,33 @@ def test_property_canonical_reconstruction(n, rs):
     a = random_skew(n, rng)
     cf = linalg.canonical_form(a)
     assert np.linalg.norm(cf.reconstruct() - a) <= RECON_RTOL * max(1.0, np.linalg.norm(a))
+
+
+@st.composite
+def structured_skew(draw):
+    """Rotated block-diagonal skew matrices with repeated, clustered, tiny and
+    zero frequencies, as (matrix, kernel dimension)."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    k = n // 2
+    levels = draw(st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(levels + [1e-7, 0.0]), min_size=k, max_size=k))
+    nudges = draw(st.lists(st.sampled_from([0.0, 1e-9, 1e-6]), min_size=k, max_size=k))
+    freqs = [f + e if f else 0.0 for f, e in zip(picks, nudges)]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ block_diag(freqs, n) @ q.T
+    return 0.5 * (a - a.T), n - 2 * sum(1 for f in freqs if f)
+
+
+@seed(2028)
+@settings(max_examples=60, deadline=None)
+@given(structured_skew())
+def test_property_canonical_form_structured(case):
+    a, kernel_dim = case
+    n = a.shape[0]
+    cf = linalg.canonical_form(a)
+    assert np.linalg.norm(cf.reconstruct() - a) <= RECON_RTOL * max(1.0, np.linalg.norm(a))
+    assert np.max(np.abs(cf.basis.T @ cf.basis - np.eye(n))) <= 1e-12
+    assert cf.zero_modes == kernel_dim
+    oracle = np.sort(np.linalg.eigvalsh(1j * a))[::-1][: n // 2]
+    assert np.max(np.abs(cf.frequencies - oracle)) <= EIG_AGREE_TOL
