@@ -299,6 +299,18 @@ def _liere_reduced(z, p, basis: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return basis @ y
 
 
+def _commuting_reduction(generators):
+    """The joint ``(basis, freqs)`` of pairwise-commuting generators, or None
+    when they do not commute or share no block structure."""
+    gens = [linalg.as_skew(g) for g in generators]
+    if not all(linalg.is_commuting(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]):
+        return None
+    try:
+        return linalg.joint_canonical_form(gens, struct_rtol=_REDUCED_STRUCT_RTOL)
+    except RuntimeError:  # no generic combination gives a shared block structure
+        return None
+
+
 def sinusoidal_ape(x, p, table: FrequencyTable) -> np.ndarray:
     """Additive sinusoidal features: ``x + PE(p)`` with interleaved
     ``sin(p * w_d), cos(p * w_d)`` entries."""
@@ -410,8 +422,9 @@ class Encoder:
     ``base`` records whether the table came from the geometric schedule (kept
     for exact config round-trips); explicit tables leave it None.  For liere
     with commuting generators, ``reduction`` holds their position-independent
-    ``(basis, freqs)`` joint canonical form, so ``encode`` costs two
-    matrix-vector products instead of an exponential per position.
+    ``(basis, freqs)`` joint canonical form, derived from ``generators`` on
+    construction, so ``encode`` costs two matrix-vector products instead of
+    an exponential per position.
     """
 
     scheme: str
@@ -420,7 +433,11 @@ class Encoder:
     base: float | None = None
     uniform_freq: float | None = None
     generators: tuple = field(default=None, repr=False)
-    reduction: tuple = field(default=None, repr=False, compare=False)
+    reduction: tuple = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.scheme == "liere":
+            object.__setattr__(self, "reduction", _commuting_reduction(self.generators))
 
     @property
     def axes(self) -> int:
@@ -482,11 +499,7 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
                 raise ValueError("liere generators must share one square shape")
         if dim is not None and dim != n:
             raise ValueError(f"dim {dim} does not match generator size {n}")
-        try:
-            reduction = linalg.joint_canonical_form(gens, struct_rtol=_REDUCED_STRUCT_RTOL)
-        except (ValueError, RuntimeError):  # not commuting, or no shared blocks
-            reduction = None
-        return Encoder(scheme="liere", dim=n, generators=gens, reduction=reduction)
+        return Encoder(scheme="liere", dim=n, generators=gens)
 
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -259,6 +259,17 @@ def test_liere_encoder_three_commuting_generators_odd_dim():
         assert np.max(np.abs(out - E.liere(z, p, gens))) <= 1e-12
 
 
+def test_liere_encoder_derives_its_reduction():
+    rng = np.random.default_rng(53)
+    gens = tuple(_commuting_family(6, 2, rng))
+    direct = E.Encoder(scheme="liere", dim=6, generators=gens)
+    built = E.make_encoder("liere", generators=gens)
+    np.testing.assert_array_equal(direct.reduction[0], built.reduction[0])
+    np.testing.assert_array_equal(direct.reduction[1], built.reduction[1])
+    with pytest.raises(TypeError):
+        E.Encoder(scheme="liere", dim=6, generators=gens, reduction=None)
+
+
 def test_liere_encoder_non_commuting_uses_exponential():
     rng = np.random.default_rng(47)
     gens = [np.triu(rng.standard_normal((5, 5)), k=1) for _ in range(2)]

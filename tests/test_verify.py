@@ -1,7 +1,7 @@
 """Checks, reductions, and the check registry."""
 
-import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,7 +97,8 @@ def test_equivariance_liere_commuting_repeated_frequency_seed():
     assert r.passed
     rng = np.random.default_rng(r.seed)
     enc = E.make_encoder("liere", generators=V.commuting_generators(8, rng))
-    per_position = dataclasses.replace(enc, reduction=None)
+    per_position = SimpleNamespace(scheme="liere", dim=enc.dim, axes=enc.axes,
+                                   encode=lambda z, p: E.liere(z, p, enc.generators))
     assert V.check_equivariance(per_position, trials=r.trials, seed=r.seed).passed
 
 
@@ -157,6 +158,19 @@ def test_reduce_1d_block_diagonal_input():
         lhs = float(E.liere(zq, [pq], [a]) @ E.liere(zk, [pk], [a]))
         rhs = V.reduced_score(zq, zk, pq, pk, table, basis)
         assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["reduction:liere-1d", "reduction:liere-mixed"])
+def test_reduction_checks_catch_a_wrong_encoder(monkeypatch, name):
+    # a reduced encoder that rotates the wrong way is still equivariant and a
+    # flow; only the comparison with the per-position exponential sees it
+    def backwards(z, p, basis, freqs):
+        return reduced(z, -np.asarray(p), basis, freqs)
+
+    reduced = E._liere_reduced
+    monkeypatch.setattr(E, "_liere_reduced", backwards)
+    (r,) = V.run_checks([name], seed=0)
+    assert not r.passed and r.residual > 1e-3
 
 
 def test_reduce_1d_zero_generator():
