@@ -32,6 +32,8 @@ def attention_weights(q_mat, k_mat, scale: float | None = None) -> np.ndarray:
     k_mat = np.asarray(k_mat, dtype=float)
     if q_mat.ndim != 2 or k_mat.ndim != 2 or q_mat.shape[1] != k_mat.shape[1]:
         raise ValueError(f"incompatible Q/K shapes {q_mat.shape} and {k_mat.shape}")
+    if q_mat.size == 0 or k_mat.size == 0:
+        raise ValueError(f"attention needs non-empty Q and K, got shapes {q_mat.shape} and {k_mat.shape}")
     if scale is None:
         scale = 1.0 / np.sqrt(k_mat.shape[1])
     logits = scale * (q_mat @ k_mat.T)
@@ -72,21 +74,21 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
                    block: int | None = None) -> AttentionPattern:
     """Score raster with the key at the origin and the query at each pixel.
 
-    ``block`` restricts the dot product to that block's coordinates.
+    ``block`` restricts the dot product to that block's coordinates.  The
+    query is encoded at every pixel in one batched ``encode``.
     """
     if width < 1 or height < 1:
         raise ValueError("pattern size must be at least 1x1")
     if encoder.axes not in (1, 2):
         raise ValueError("pattern rendering needs a 1- or 2-axis encoder")
+    if np.ndim(z_q) != 1 or np.ndim(z_k) != 1:
+        raise ValueError("pattern rendering takes one query and one key vector")
     sl = slice(None) if block is None else encoder.pattern_slice(block)
-    origin = (0.0,) * encoder.axes
-    ek = encoder.encode(z_k, origin)[sl]
-    positions = make_grid(height, width).positions
-    values = np.empty((height, width))
-    for i in range(height):
-        for j in range(width):
-            p = tuple(positions[i, j, :encoder.axes])
-            values[i, j] = encoder.encode(z_q, p)[sl] @ ek
+    ek = encoder.encode(z_k, (0.0,) * encoder.axes)[sl]
+    positions = make_grid(height, width).positions[..., :encoder.axes]
+    # a stack of (1, k) @ (k,) products: each pixel is the dot product that
+    # scoring it alone would compute, so per-pixel rasters match exactly
+    values = (encoder.encode(z_q, positions)[..., None, sl] @ ek)[..., 0]
     if not np.all(np.isfinite(values)):
         raise ValueError("pattern values must be finite")
     return AttentionPattern(width, height, values, encoder.scheme, block)

@@ -16,12 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .attention import render_pattern
-from .encodings import (FrequencyTable, encoder_from_config, frequency_schedule,
-                        liere, make_encoder, parse_config, spherical_fast)
-from .verify import check_names, random_skew, run_checks
+from .encodings import (SCHEMES, encoder_from_config, frequency_schedule, make_encoder,
+                        parse_config, spherical_fast)
+from .verify import check_names, commuting_generators, run_checks
 
-_PATTERN_SCHEMES = ("rope1d", "trivial2d", "axial", "mixed", "spherical", "uniform")
 _BENCH_LIERE_DIM_CAP = 256
+
+
+def _table_schemes() -> list[str]:
+    return [s for s, spec in SCHEMES.items() if spec.table is not None]
 
 
 def _pattern_rng(seed: int) -> np.random.Generator:
@@ -95,7 +98,7 @@ def _cmd_verify(args) -> int:
 
 def _bench_callables(dim: int, include_liere: bool, rng: np.random.Generator):
     jobs = []
-    for scheme in _PATTERN_SCHEMES:
+    for scheme in _table_schemes():
         try:
             enc = make_encoder(scheme, dim)
         except ValueError as exc:
@@ -109,8 +112,8 @@ def _bench_callables(dim: int, include_liere: bool, rng: np.random.Generator):
             jobs.append(("spherical-fast",
                          lambda z, p, t=table: spherical_fast(z, p, t), 2))
     if include_liere:
-        gens = [random_skew(dim, rng), random_skew(dim, rng)]
-        jobs.append(("liere", lambda z, p: liere(z, p, gens), 2))
+        enc = make_encoder("liere", generators=commuting_generators(dim, rng))
+        jobs.append(("liere", enc.encode, enc.axes))
     return jobs
 
 
@@ -146,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pattern", help="render an attention-pattern raster to PGM")
-    p.add_argument("--scheme", choices=_PATTERN_SCHEMES)
+    p.add_argument("--scheme", choices=_table_schemes())
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--base", type=float)
     p.add_argument("--config", help="encoder JSON config file (instead of flags)")

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .attention import score, scored_pair
-from .encodings import FrequencyTable, _rotate_pairs, grad_frequencies, liere, make_encoder
-from .encodings import axial, mixed, rope1d, spherical, spherical_fast
+from .encodings import (SCHEMES, Encoder, FrequencyTable, _angles, _rotate_pairs, frequency_schedule,
+                        grad_frequencies, liere, make_encoder, spherical, spherical_fast)
 from .linalg import as_skew, joint_canonical_form
 
 EQUIVARIANCE_TOL = 1e-9
@@ -160,24 +161,16 @@ def reduced_score(z_q, z_k, p_q, p_k, table: FrequencyTable, basis: np.ndarray) 
     coordinate (odd dimension) passes through unrotated.  rope1d tables use
     angle f*p; mixed tables use f_x*p_x + f_y*p_y.
     """
-    zq = basis.T @ np.asarray(z_q, dtype=float)
-    zk = basis.T @ np.asarray(z_k, dtype=float)
-    f = table.freqs
-    if table.scheme == "rope1d":
-        aq = f[:, 0] * p_q
-        ak = f[:, 0] * p_k
-    elif table.scheme == "mixed":
-        p_q = np.asarray(p_q, dtype=float)
-        p_k = np.asarray(p_k, dtype=float)
-        aq = f[:, 0] * p_q[0] + f[:, 1] * p_q[1]
-        ak = f[:, 0] * p_k[0] + f[:, 1] * p_k[1]
-    else:
+    if table.scheme not in ("rope1d", "mixed"):
         raise ValueError(f"unsupported table scheme {table.scheme!r}")
-    n2 = 2 * len(f)
-    eq, ek = zq.copy(), zk.copy()
-    eq[:n2] = _rotate_pairs(zq[:n2], aq)
-    ek[:n2] = _rotate_pairs(zk[:n2], ak)
-    return float(eq @ ek)
+    n2 = 2 * table.blocks
+
+    def encode(z, p):
+        y = basis.T @ np.asarray(z, dtype=float)
+        y[:n2] = _rotate_pairs(y[:n2], _angles(np.atleast_1d(np.asarray(p, dtype=float)), table.freqs.T))
+        return y
+
+    return float(encode(z_q, p_q) @ encode(z_k, p_k))
 
 
 def reduce_liere_1d(a) -> tuple[FrequencyTable, np.ndarray]:
@@ -208,39 +201,22 @@ def reduce_liere_mixed(ax, ay) -> tuple[FrequencyTable, np.ndarray]:
 # The encoder's score is then held to the same bound against that exponential.
 
 
-def _run_reduction_1d(trials: int, seed: int, dim: int = 8, tuples: int = 20) -> CheckReport:
+def _run_reduction(name, draw_generators, reduce, trials: int, seed: int, dim: int = 8,
+                  tuples: int = 20) -> CheckReport:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        a = random_skew(dim, rng)
-        table, basis = reduce_liere_1d(a)
-        enc = make_encoder("liere", generators=(a,))
+        gens = draw_generators(dim, rng)
+        table, basis = reduce(*gens)
+        enc = make_encoder("liere", generators=gens)
         for _ in range(tuples):
             z_q, z_k = rng.standard_normal(dim), rng.standard_normal(dim)
-            p_q, p_k = rng.uniform(-np.pi, np.pi, 2)
-            lhs = score(liere(z_q, (p_q,), (a,)), liere(z_k, (p_k,), (a,)))
-            rhs = reduced_score(z_q, z_k, p_q, p_k, table, basis)
-            via_encoder = scored_pair(enc, z_q, z_k, (p_q,), (p_k,))
-            worst = max(worst, abs(lhs - rhs), abs(via_encoder - lhs))
-    return CheckReport("reduction:liere-1d", worst <= SCORE_EQUIV_TOL, worst, trials, seed)
-
-
-def _run_reduction_mixed(trials: int, seed: int, dim: int = 8, tuples: int = 20) -> CheckReport:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        ax, ay = commuting_generators(dim, rng)
-        table, basis = reduce_liere_mixed(ax, ay)
-        enc = make_encoder("liere", generators=(ax, ay))
-        for _ in range(tuples):
-            z_q, z_k = rng.standard_normal(dim), rng.standard_normal(dim)
-            p_q = rng.uniform(-np.pi, np.pi, 2)
-            p_k = rng.uniform(-np.pi, np.pi, 2)
-            lhs = score(liere(z_q, p_q, (ax, ay)), liere(z_k, p_k, (ax, ay)))
+            p_q, p_k = rng.uniform(-np.pi, np.pi, (2, len(gens)))
+            lhs = score(liere(z_q, p_q, gens), liere(z_k, p_k, gens))
             rhs = reduced_score(z_q, z_k, p_q, p_k, table, basis)
             via_encoder = scored_pair(enc, z_q, z_k, p_q, p_k)
             worst = max(worst, abs(lhs - rhs), abs(via_encoder - lhs))
-    return CheckReport("reduction:liere-mixed", worst <= SCORE_EQUIV_TOL, worst, trials, seed)
+    return CheckReport(name, worst <= SCORE_EQUIV_TOL, worst, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -265,34 +241,29 @@ def check_axial_separability(trials: int = 100, seed: int = 0, dim: int = 16) ->
     return CheckReport("separability:axial", worst <= SEPARABILITY_TOL, worst, trials, seed)
 
 
-def check_trivial_degeneracy(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
-    """Summed-coordinate rotary encoding is constant along anti-diagonals."""
+def _worst_antidiagonal_change(enc, trials: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    enc = make_encoder("trivial2d", dim)
     worst = 0.0
     for _ in range(trials):
-        z = rng.standard_normal(dim)
+        z = rng.standard_normal(enc.dim)
         a, b, t = rng.uniform(-np.pi, np.pi, 3)
         d = enc.encode(z, (a, b)) - enc.encode(z, (a + t, b - t))
         worst = max(worst, float(np.linalg.norm(d)))
+    return worst
+
+
+def check_trivial_degeneracy(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
+    """Summed-coordinate rotary encoding is constant along anti-diagonals."""
+    worst = _worst_antidiagonal_change(make_encoder("trivial2d", dim), trials, seed)
     return CheckReport("degeneracy:trivial2d", worst <= DEGENERACY_TOL, worst, trials, seed)
 
 
 def check_mixed_antidiagonal(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
     """Contrast: combined-angle pairs with distinct per-axis frequencies must
     NOT be anti-diagonal degenerate (passes when a violation is found)."""
-    rng = np.random.default_rng(seed)
-    from .encodings import frequency_schedule
-
     sched = frequency_schedule(dim // 2)
     table = FrequencyTable("mixed", np.column_stack([sched, 0.5 * sched]))
-    enc = make_encoder("mixed", dim, table=table)
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(dim)
-        a, b, t = rng.uniform(-np.pi, np.pi, 3)
-        d = enc.encode(z, (a, b)) - enc.encode(z, (a + t, b - t))
-        worst = max(worst, float(np.linalg.norm(d)))
+    worst = _worst_antidiagonal_change(make_encoder("mixed", dim, table=table), trials, seed)
     return CheckReport("degeneracy:mixed-contrast", worst > CONTRAST_TOL, worst, trials, seed)
 
 
@@ -300,13 +271,8 @@ def check_mixed_antidiagonal(trials: int = 100, seed: int = 0, dim: int = 16) ->
 # gradients
 # ---------------------------------------------------------------------------
 
-_SCORE_FNS = {"rope1d": rope1d, "axial": axial, "mixed": mixed,
-              "spherical": spherical, "uniform": axial}
-
-
 def _table_score(scheme, z_q, z_k, p_q, p_k, table) -> float:
-    fn = _SCORE_FNS[scheme]
-    return float(fn(z_q, p_q, table) @ fn(z_k, p_k, table))
+    return scored_pair(Encoder(scheme, len(z_q), table), z_q, z_k, p_q, p_k)
 
 
 def finite_difference_grad(scheme, z_q, z_k, p_q, p_k, table: FrequencyTable,
@@ -338,7 +304,7 @@ def check_gradients(encoder, trials: int = 100, seed: int = 0) -> CheckReport:
     (entries below the floor are compared absolutely).
     """
     scheme = encoder.scheme
-    if scheme not in _SCORE_FNS:
+    if SCHEMES[scheme].grad is None:
         raise ValueError(f"no frequency gradients for scheme {scheme!r}")
     rng = np.random.default_rng(seed)
     table = encoder.table
@@ -361,10 +327,8 @@ def check_gradients(encoder, trials: int = 100, seed: int = 0) -> CheckReport:
 # isometry, flow, fast path, locality
 # ---------------------------------------------------------------------------
 
-_ISOMETRY_SCHEMES = (("rope1d", 16), ("trivial2d", 16), ("axial", 16),
-                     ("mixed", 16), ("spherical", 12), ("uniform", 16))
-_ABELIAN_SCHEMES = (("rope1d", 16), ("trivial2d", 16), ("axial", 16),
-                    ("mixed", 16), ("uniform", 16))
+_ISOMETRY_SCHEMES = tuple((s, 12 if spec.block == 3 else 16) for s, spec in SCHEMES.items() if spec.table)
+_ABELIAN_SCHEMES = tuple(case for case in _ISOMETRY_SCHEMES if case[0] != "spherical")
 
 
 def check_isometry(trials: int = 100, seed: int = 0) -> CheckReport:
@@ -382,34 +346,31 @@ def check_isometry(trials: int = 100, seed: int = 0) -> CheckReport:
     return CheckReport("isometry:rotary", worst <= ISOMETRY_TOL, worst, trials, seed)
 
 
+def _worst_flow_change(enc, trials: int, rng: np.random.Generator) -> float:
+    worst = 0.0
+    for _ in range(trials):
+        z = rng.standard_normal(enc.dim)
+        p1 = rng.uniform(-np.pi, np.pi, enc.axes)
+        p2 = rng.uniform(-np.pi, np.pi, enc.axes)
+        d = enc.encode(enc.encode(z, p1), p2) - enc.encode(z, p1 + p2)
+        worst = max(worst, float(np.max(np.abs(d))))
+    return worst
+
+
 def check_flow(trials: int = 100, seed: int = 0) -> CheckReport:
     """encode(encode(z, p1), p2) == encode(z, p1+p2) for the abelian schemes."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     encoders = [make_encoder(s, d) for s, d in _ABELIAN_SCHEMES]
-    ax, ay = commuting_generators(8, rng)
-    encoders.append(make_encoder("liere", generators=(ax, ay)))
+    encoders.append(make_encoder("liere", generators=commuting_generators(8, rng)))
     for enc in encoders:
-        for _ in range(trials):
-            z = rng.standard_normal(enc.dim)
-            p1 = rng.uniform(-np.pi, np.pi, enc.axes)
-            p2 = rng.uniform(-np.pi, np.pi, enc.axes)
-            d = enc.encode(enc.encode(z, p1), p2) - enc.encode(z, p1 + p2)
-            worst = max(worst, float(np.max(np.abs(d))))
+        worst = max(worst, _worst_flow_change(enc, trials, rng))
     return CheckReport("flow:abelian", worst <= FLOW_TOL, worst, trials, seed)
 
 
 def check_flow_counterexample(trials: int = 100, seed: int = 0) -> CheckReport:
     """The 3D-rotation scheme must violate the flow property somewhere."""
-    rng = np.random.default_rng(seed)
-    enc = make_encoder("spherical", 12)
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(12)
-        p1 = rng.uniform(-np.pi, np.pi, 2)
-        p2 = rng.uniform(-np.pi, np.pi, 2)
-        d = enc.encode(enc.encode(z, p1), p2) - enc.encode(z, p1 + p2)
-        worst = max(worst, float(np.max(np.abs(d))))
+    worst = _worst_flow_change(make_encoder("spherical", 12), trials, np.random.default_rng(seed))
     return CheckReport("flow:spherical-counterexample", worst > CONTRAST_TOL, worst, trials, seed)
 
 
@@ -503,8 +464,10 @@ _REGISTRY = {
     "separability:axial": (lambda t, s: check_axial_separability(t, s), 100, True),
     "degeneracy:trivial2d": (lambda t, s: check_trivial_degeneracy(t, s), 100, True),
     "degeneracy:mixed-contrast": (lambda t, s: check_mixed_antidiagonal(t, s), 100, True),
-    "reduction:liere-1d": (_run_reduction_1d, 10, True),
-    "reduction:liere-mixed": (_run_reduction_mixed, 10, True),
+    "reduction:liere-1d": (partial(_run_reduction, "reduction:liere-1d",
+                                   lambda n, rng: (random_skew(n, rng),), reduce_liere_1d), 10, True),
+    "reduction:liere-mixed": (partial(_run_reduction, "reduction:liere-mixed",
+                                      commuting_generators, reduce_liere_mixed), 10, True),
     "gradients:rope1d": (_gradient_runner("rope1d", 16), 100, True),
     "gradients:axial": (_gradient_runner("axial", 16), 100, True),
     "gradients:mixed": (_gradient_runner("mixed", 16), 100, True),

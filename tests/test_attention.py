@@ -6,6 +6,7 @@ import pytest
 from ropekit import attention as A
 from ropekit import encodings as E
 from ropekit.encodings import FrequencyTable
+from ropekit.grid import make_grid
 
 BLOCK_SUM_TOL = 1e-10
 ROW_SUM_TOL = 1e-12
@@ -92,6 +93,15 @@ def test_softmax_shape_mismatch():
         A.softmax_attention(np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((2, 4)))
     with pytest.raises(ValueError):
         A.attention_weights(np.zeros((2, 4)), np.zeros((2, 5)))
+
+
+def test_attention_rejects_empty_queries_or_keys():
+    full, empty = np.ones((3, 4)), np.ones((0, 4))
+    for q, k in ((empty, full), (full, empty)):
+        with pytest.raises(ValueError, match="non-empty"):
+            A.attention_weights(q, k)
+        with pytest.raises(ValueError, match="non-empty"):
+            A.softmax_attention(q, k, np.ones((len(k), 4)))
 
 
 def test_scored_pair_zero_positions():
@@ -224,3 +234,52 @@ def test_pattern_one_axis_encoder_sweeps_x_only():
     zq, zk = rng.standard_normal(8), rng.standard_normal(8)
     pat = A.render_pattern(enc, zq, zk, 6, 5)
     np.testing.assert_array_equal(pat.values, np.tile(pat.values[0], (5, 1)))
+
+
+def _pattern_encoders():
+    rng = np.random.default_rng(14)
+    encoders = {s: E.make_encoder(s, 12) for s, spec in E.SCHEMES.items() if spec.table}
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    blocks = [np.kron(np.diag(rng.standard_normal(3)), [[0.0, -1.0], [1.0, 0.0]]) for _ in range(2)]
+    encoders["liere-commuting"] = E.make_encoder("liere", generators=[q @ b @ q.T for b in blocks])
+    random = [np.triu(rng.standard_normal((5, 5)), k=1) for _ in range(2)]
+    encoders["liere-random"] = E.make_encoder("liere", generators=[g - g.T for g in random])
+    assert encoders["liere-commuting"].reduction is not None
+    assert encoders["liere-random"].reduction is None
+    return encoders
+
+
+PATTERN_ENCODERS = _pattern_encoders()
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
+def test_pattern_matches_per_pixel_loop(name, monkeypatch):
+    enc = PATTERN_ENCODERS[name]
+    rng = np.random.default_rng(15)
+    zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
+    encode = E.Encoder.encode
+    calls = []
+
+    def counted(self, z, p):
+        calls.append(np.shape(p))
+        return encode(self, z, p)
+
+    monkeypatch.setattr(E.Encoder, "encode", counted)
+    pos = make_grid(5, 7).positions
+    for block in [None, *range(enc.pattern_blocks)]:
+        calls.clear()
+        pat = A.render_pattern(enc, zq, zk, 7, 5, block)
+        assert len(calls) <= 2
+        sl = slice(None) if block is None else enc.pattern_slice(block)
+        ek = encode(enc, zk, np.zeros(enc.axes))[sl]
+        want = np.array([[encode(enc, zq, pos[i, j, :enc.axes])[sl] @ ek for j in range(7)]
+                         for i in range(5)])
+        assert np.max(np.abs(pat.values - want)) <= 1e-12
+
+
+def test_pattern_rejects_batched_vectors():
+    enc = E.make_encoder("axial", 8)
+    with pytest.raises(ValueError):
+        A.render_pattern(enc, np.ones((2, 8)), np.ones(8), 4, 4)
+    with pytest.raises(ValueError):
+        A.render_pattern(enc, np.ones(8), np.ones((3, 8)), 4, 4)

@@ -241,6 +241,14 @@ def test_bench_tiny_run_csv(capsys):
     assert all(len(r) == 3 for r in rows)
 
 
+def test_bench_liere_row_times_the_reduced_encoder():
+    from ropekit.cli import _bench_callables
+
+    name, fn, axes = _bench_callables(12, True, np.random.default_rng(0))[-1]
+    assert name == "liere" and axes == 2
+    assert fn.__self__.scheme == "liere" and fn.__self__.reduction is not None
+
+
 def test_bench_skips_incompatible_dims(capsys):
     # dim 10: spherical (needs /3) and axial/uniform (need /4) cannot run
     code, out, err = run_cli(["bench", "--batch", "1", "--tokens", "2",

@@ -365,6 +365,64 @@ def test_property_isometry(scheme, rs):
 
 
 # ---------------------------------------------------------------------------
+# batched encoding: (..., dim) tokens at (..., axes) positions
+# ---------------------------------------------------------------------------
+
+
+def _batch_encoders():
+    rng = np.random.default_rng(59)
+    encoders = {s: E.make_encoder(s, 12) for s, spec in E.SCHEMES.items() if spec.table}
+    encoders["liere-commuting"] = E.make_encoder("liere", generators=_commuting_family(7, 2, rng))
+    random = [np.triu(rng.standard_normal((5, 5)), k=1) for _ in range(2)]
+    encoders["liere-random"] = E.make_encoder("liere", generators=[g - g.T for g in random])
+    assert encoders["liere-commuting"].reduction is not None
+    assert encoders["liere-random"].reduction is None
+    return encoders
+
+
+BATCH_ENCODERS = _batch_encoders()
+
+
+def test_batch_encoders_cover_the_registry():
+    assert {enc.scheme for enc in BATCH_ENCODERS.values()} == set(E.SCHEMES)
+
+
+@seed(2029)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(BATCH_ENCODERS)),
+    st.sampled_from([(), (0,), (5,), (2, 3)]),
+    st.booleans(),
+    st.sampled_from([0.0, 1.0, np.pi, 1e3, 1e6]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_batched_encode_matches_per_token(name, lead, shared_z, scale, rs):
+    enc = BATCH_ENCODERS[name]
+    rng = np.random.default_rng(rs)
+    z = rng.standard_normal((enc.dim,) if shared_z else lead + (enc.dim,))
+    p = scale * rng.uniform(-1.0, 1.0, lead + (enc.axes,))
+    got = enc.encode(z, p)
+    assert got.shape == lead + (enc.dim,)
+    want = np.array([enc.encode(z if shared_z else z[i], p[i]) for i in np.ndindex(lead)])
+    want = want.reshape(got.shape)
+    if enc.scheme == "liere":
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def test_single_token_shapes_and_scalar_position():
+    enc = BATCH_ENCODERS["rope1d"]
+    z = np.arange(12.0)
+    assert enc.encode(z, 0.7).shape == (12,)
+    np.testing.assert_array_equal(enc.encode(z, 0.7), enc.encode(z, [0.7]))
+    with pytest.raises(ValueError):
+        enc.encode(z[:10], 0.7)
+    with pytest.raises(ValueError):
+        BATCH_ENCODERS["mixed"].encode(z, 0.7)
+
+
+# ---------------------------------------------------------------------------
 # frequency gradients vs central differences
 # ---------------------------------------------------------------------------
 
