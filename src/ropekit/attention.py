@@ -26,29 +26,46 @@ def score(q, k) -> float:
     return float(q @ k)
 
 
-def attention_weights(q_mat, k_mat, scale: float | None = None) -> np.ndarray:
-    """Row-softmax of scaled QK^T; rows sum to 1."""
+def _softmax_numerator(q_mat, k_mat, scale):
+    """Checked ``e = exp(L - rowmax L)``, ``L = (scale Q) K^T``, the one N x M array, and its row sums."""
     q_mat = np.asarray(q_mat, dtype=float)
     k_mat = np.asarray(k_mat, dtype=float)
     if q_mat.ndim != 2 or k_mat.ndim != 2 or q_mat.shape[1] != k_mat.shape[1]:
         raise ValueError(f"incompatible Q/K shapes {q_mat.shape} and {k_mat.shape}")
     if q_mat.size == 0 or k_mat.size == 0:
         raise ValueError(f"attention needs non-empty Q and K, got shapes {q_mat.shape} and {k_mat.shape}")
+    # checked directly: an inf key whose logits are all -inf leaves the row sums finite
+    if not (np.isfinite(q_mat).all() and np.isfinite(k_mat).all()):
+        raise ValueError("attention Q and K must be finite")
     if scale is None:
         scale = 1.0 / np.sqrt(k_mat.shape[1])
-    logits = scale * (q_mat @ k_mat.T)
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=1, keepdims=True)
+    e = (scale * q_mat) @ k_mat.T
+    e -= e.max(axis=1, keepdims=True)
+    rowsum = np.exp(e, out=e).sum(axis=1, keepdims=True)
+    if not np.isfinite(rowsum).all():
+        raise ValueError("attention logits overflowed")
+    return e, rowsum
+
+
+def attention_weights(q_mat, k_mat, scale: float | None = None) -> np.ndarray:
+    """Row-softmax of scale * QK^T (default scale 1/sqrt(d), d the key width); rows sum to 1."""
+    e, rowsum = _softmax_numerator(q_mat, k_mat, scale)
+    return np.divide(e, rowsum, out=e)
 
 
 def softmax_attention(q_mat, k_mat, v_mat, scale: float | None = None) -> np.ndarray:
-    """Single-head attention: softmax(QK^T / sqrt(N)) V."""
+    """Single-head attention softmax(scale * QK^T) V, by default scale = 1/sqrt(d) with d
+    the key width; rows are normalised after the V product."""
     v_mat = np.asarray(v_mat, dtype=float)
-    k_mat = np.asarray(k_mat, dtype=float)
-    if v_mat.ndim != 2 or v_mat.shape[0] != k_mat.shape[0]:
-        raise ValueError(f"V shape {v_mat.shape} does not match K shape {k_mat.shape}")
-    return attention_weights(q_mat, k_mat, scale) @ v_mat
+    if v_mat.ndim != 2 or v_mat.shape[0] != np.shape(k_mat)[0]:
+        raise ValueError(f"V shape {v_mat.shape} does not match K shape {np.shape(k_mat)}")
+    if not np.isfinite(v_mat).all():
+        raise ValueError("attention V must be finite")
+    e, rowsum = _softmax_numerator(q_mat, k_mat, scale)
+    out = e @ v_mat / rowsum
+    if not np.isfinite(out).all():
+        raise ValueError("attention output overflowed")
+    return out
 
 
 def scored_pair(encoder: Encoder, z_q, z_k, p_q, p_k) -> float:

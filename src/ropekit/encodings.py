@@ -91,6 +91,16 @@ class FrequencyTable:
         f.flags.writeable = False
         object.__setattr__(self, "freqs", f)
 
+    # by value; the hash takes the array's shape only, so that tables equal
+    # under array_equal (where -0.0 == 0.0) hash alike
+    def __eq__(self, other):
+        if not isinstance(other, FrequencyTable):
+            return NotImplemented
+        return self.scheme == other.scheme and np.array_equal(self.freqs, other.freqs)
+
+    def __hash__(self):
+        return hash((self.scheme, self.freqs.shape))
+
     @property
     def blocks(self) -> int:
         return self.freqs.shape[0]
@@ -480,6 +490,21 @@ class Encoder:
         else:
             _check_table(self.scheme, self.table)
             object.__setattr__(self, "weights", _angle_matrix(self.table.freqs, spec.block))
+
+    # by value, leaving out the derived weights and reduction; generators
+    # enter the hash by count only, for the same reason as FrequencyTable's
+    def __eq__(self, other):
+        if not isinstance(other, Encoder):
+            return NotImplemented
+        gens, other_gens = self.generators or (), other.generators or ()
+        return (self._params() == other._params() and len(gens) == len(other_gens)
+                and all(np.array_equal(a, b) for a, b in zip(gens, other_gens)))
+
+    def __hash__(self):
+        return hash(self._params() + (len(self.generators or ()),))
+
+    def _params(self) -> tuple:
+        return (self.scheme, self.dim, self.table, self.base, self.uniform_freq)
 
     @property
     def axes(self) -> int:

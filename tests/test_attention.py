@@ -1,7 +1,11 @@
 """Scores, softmax attention, and pattern rasters."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from ropekit import attention as A
 from ropekit import encodings as E
@@ -102,6 +106,100 @@ def test_attention_rejects_empty_queries_or_keys():
             A.attention_weights(q, k)
         with pytest.raises(ValueError, match="non-empty"):
             A.softmax_attention(q, k, np.ones((len(k), 4)))
+
+
+def _with(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+_Q, _K = np.random.default_rng(8).standard_normal((3, 2)), np.random.default_rng(9).standard_normal((4, 2))
+_BIG_Q, _BIG_K = np.array([[1e200, 1.0]]), np.array([[1e200, 0.0], [1.0, 1.0]])
+NON_FINITE_QK = {  # name: (Q, K, scale, error text)
+    "nan in Q": (_with(_Q, (1, 0), np.nan), _K, None, "must be finite"),
+    "inf in Q": (_with(_Q, (0, 1), -np.inf), _K, None, "must be finite"),
+    "nan in K": (_Q, _with(_K, (2, 1), np.nan), None, "must be finite"),
+    # every query meets the inf key with a -inf logit, so no row sum is NaN
+    "inf in K": (np.abs(_Q) * [-1.0, 1.0], _with(_K, (3, 0), np.inf), None, "must be finite"),
+    "+inf logit": (_BIG_Q, _BIG_K, None, "logits overflowed"),
+    "all -inf row": (-_BIG_Q, _BIG_K[:1], None, "logits overflowed"),
+    "nan scale": (_Q, _K, np.nan, "logits overflowed"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow first
+@pytest.mark.parametrize("case", sorted(NON_FINITE_QK))
+def test_attention_rejects_non_finite_queries_keys_and_logits(case):
+    q, k, scale, msg = NON_FINITE_QK[case]
+    with pytest.raises(ValueError, match=msg):
+        A.attention_weights(q, k, scale)
+    with pytest.raises(ValueError, match=msg):
+        A.softmax_attention(q, k, np.ones((len(k), 3)), scale)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the overflow first
+def test_attention_rejects_non_finite_values_and_output():
+    rng = np.random.default_rng(9)
+    q, k, v = rng.standard_normal((3, 2)), rng.standard_normal((4, 2)), rng.standard_normal((4, 5))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="V must be finite"):
+            A.softmax_attention(q, k, _with(v, (2, 3), bad))
+    # equal logits: the unnormalised product sums two 1e308 rows
+    with pytest.raises(ValueError, match="output overflowed"):
+        A.softmax_attention(np.zeros((1, 2)), np.ones((2, 2)), np.full((2, 1), 1e308))
+
+
+def _naive_softmax_attention(q, k, v, scale):
+    want = np.zeros((len(q), v.shape[1]))
+    for i in range(len(q)):
+        logits = [scale * float(q[i] @ k[j]) for j in range(len(k))]
+        top = max(logits)
+        w = [math.exp(x - top) for x in logits]
+        total = sum(w)
+        for j in range(len(k)):
+            want[i] += (w[j] / total) * v[j]
+    return want
+
+
+@seed(4099)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=8),
+    st.one_of(st.none(), st.floats(min_value=0.05, max_value=4.0)),
+    st.floats(min_value=-700.0, max_value=700.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_softmax_matches_naive_loop(n, m, d, dv_extra, scale, shift, rs):
+    rng = np.random.default_rng(rs)
+    q, k = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+    v = rng.standard_normal((m, d + dv_extra))
+    eff = 1.0 / math.sqrt(d) if scale is None else scale
+    # a last key coordinate of 1 moves every logit of a row by `shift`
+    k[:, -1] = 1.0
+    q[:, -1] += shift / eff
+    got = A.softmax_attention(q, k, v, scale)
+    assert np.max(np.abs(got - _naive_softmax_attention(q, k, v, eff))) <= 1e-10
+    w = A.attention_weights(q, k, scale)
+    assert np.max(np.abs(w @ v - got)) <= 1e-12
+    assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
+
+
+def test_softmax_attention_allocates_one_n_by_m_buffer():
+    n, d = 512, 64
+    rng = np.random.default_rng(10)
+    q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+    A.softmax_attention(q, k, v)
+    tracemalloc.start()
+    try:
+        A.softmax_attention(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 def test_scored_pair_zero_positions():

@@ -525,6 +525,25 @@ def test_encoder_pattern_slices():
         sph.pattern_slice(4)
 
 
+def test_encoders_and_tables_compare_and_hash_by_value():
+    a, b = E.make_encoder("rope1d", 8), E.make_encoder("rope1d", 8)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != E.make_encoder("rope1d", 8, base=50.0)
+    assert a != E.make_encoder("axial", 8) and a != "rope1d"
+    t1 = FrequencyTable("mixed", np.array([[0.0, 1.0]]))
+    t2 = FrequencyTable("mixed", np.array([[-0.0, 1.0]]))
+    assert t1 == t2 and hash(t1) == hash(t2)
+    assert t1 != FrequencyTable("mixed", np.array([[0.5, 1.0]]))
+    assert t1 != FrequencyTable("axial", np.array([[0.0, 1.0]]))
+    assert E.make_encoder("mixed", 2, table=t1) == E.make_encoder("mixed", 2, table=t2)
+    gen = np.array([[0.0, -1.0], [1.0, 0.0]])
+    lie = E.make_encoder("liere", generators=[gen, 0.5 * gen])
+    same = E.make_encoder("liere", generators=[gen.copy(), 0.5 * gen])
+    assert lie == same and hash(lie) == hash(same)
+    assert lie != E.make_encoder("liere", generators=[gen, 0.25 * gen])
+    assert lie != E.make_encoder("liere", generators=[gen])
+
+
 def test_config_round_trip_base():
     enc = E.make_encoder("axial", 16, base=50.0)
     cfg = E.encoder_to_config(enc)
