@@ -19,7 +19,9 @@ axes:
 
 The pair schemes are all mixed RoPE with a structured angle matrix ``W`` of
 shape (axes, dim/2), built once per encoder: pair ``j`` turns by
-``sum_m p_m W[m, j]``.  ``SCHEMES`` is the one registry of schemes.  Every
+``theta_j = sum_m p_m W[m, j]``, as the complex number ``a + ib`` times the
+unit phasor ``exp(1j * theta_j)``; a spherical triple is two such products.
+``SCHEMES`` is the one registry of schemes.  Every
 encoder takes token vectors of shape (..., dim) and positions of shape
 (..., axes) whose leading shapes broadcast; one token is the ``()`` case.
 
@@ -137,9 +139,9 @@ class FrequencyTable:
 
 
 def _inputs(z, p, dim: int, axes: int):
-    """``z`` as a (..., dim) and ``p`` as a (..., axes) float array; a scalar
-    position stands for one coordinate."""
-    z = np.asarray(z, dtype=float)
+    """``z`` as a C-contiguous (..., dim) and ``p`` as a (..., axes) float
+    array; a scalar position stands for one coordinate."""
+    z = np.asarray(z, dtype=float, order="C")
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
         p = p.reshape(1)
@@ -150,9 +152,10 @@ def _inputs(z, p, dim: int, axes: int):
     return z, p
 
 
-def _check_finite(z, p) -> None:
-    if not (np.isfinite(z).all() and np.isfinite(p).all()):
-        raise ValueError("liere token vector and position must be finite")
+def _check_finite(out: np.ndarray) -> np.ndarray:
+    if not np.isfinite(out).all():
+        raise ValueError("liere encoding must be finite: non-finite token, position or angle")
+    return out
 
 
 def _check_table(scheme: str, table: FrequencyTable) -> None:
@@ -176,8 +179,8 @@ def _angle_matrix(freqs: np.ndarray, block: int) -> np.ndarray:
     return w
 
 
-# index tuples built once: a literal ``[..., 0::2]`` is rebuilt on every call
-_FIRST, _EVEN, _ODD = (..., slice(1)), (..., slice(0, None, 2)), (..., slice(1, None, 2))
+# an index tuple built once: a literal ``[..., :1]`` is rebuilt on every call
+_FIRST = (..., slice(1))
 
 
 def _angles(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -189,30 +192,37 @@ def _angles(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a
 
 
+def _phasors(angles: np.ndarray) -> np.ndarray:
+    """``exp(1j * angles)`` as ``cos + 1j * sin``.  numpy's complex ``exp``
+    also takes ``exp`` of the zero real part, a third transcendental per
+    element that on rasters of a few thousand pairs costs more than the
+    complex product saves."""
+    e = np.empty(angles.shape, complex)
+    np.cos(angles, out=e.real)
+    np.sin(angles, out=e.imag)
+    return e
+
+
 def _rotate_pairs(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate consecutive coordinate pairs of ``z`` (..., 2k) by ``angles`` (..., k)."""
-    c, s = np.cos(angles), np.sin(angles)
-    a, b = z[_EVEN], z[_ODD]
-    even = c * a - s * b
-    out = np.empty(even.shape[:-1] + z.shape[-1:])
-    out[_EVEN] = even
-    out[_ODD] = s * a + c * b
-    return out
+    """Rotate consecutive coordinate pairs of ``z`` (..., 2k) by ``angles``
+    (..., k): pair ``a + ib`` times the unit phasor ``exp(1j * angle)``.  The
+    last axis of ``z`` must be contiguous."""
+    return (z.view(complex) * _phasors(angles)).view(float)
 
 
 def _rotate_triples(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Per triple ``d`` of ``z``: roll by ``angles[..., 2d + 1]``, then yaw by
-    ``angles[..., 2d]``, as two pair updates with no 3x3 matrices."""
+    """Per triple ``(x0, x1, x2)`` of ``z``: roll the ``(x1, x2)`` plane by
+    ``angles[..., 2d + 1]``, then yaw the ``(x0, x1)`` plane by
+    ``angles[..., 2d]``, each as one complex product."""
+    e = _phasors(angles)
     t = z.reshape(z.shape[:-1] + (z.shape[-1] // 3, 3))
-    cx, sx = np.cos(angles[..., 0::2]), np.sin(angles[..., 0::2])
-    cy, sy = np.cos(angles[..., 1::2]), np.sin(angles[..., 1::2])
-    r1 = cy * t[..., 1] - sy * t[..., 2]
-    x0 = cx * t[..., 0] - sx * r1
-    out = np.empty(x0.shape + (3,))
-    out[..., 0] = x0
-    out[..., 1] = sx * t[..., 0] + cx * r1
-    out[..., 2] = sy * t[..., 1] + cy * t[..., 2]
-    return out.reshape(x0.shape[:-1] + (3 * x0.shape[-1],))
+    roll = t[..., 1:].view(complex)[..., 0] * e[..., 1::2]
+    out = np.empty(roll.shape + (3,))
+    out[..., 0] = t[..., 0]
+    out[..., 1:].view(complex)[..., 0] = roll
+    yaw = out[..., :2].view(complex)[..., 0]
+    yaw *= e[..., 0::2]
+    return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
 
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
@@ -280,60 +290,77 @@ def spherical(z, p, table: FrequencyTable) -> np.ndarray:
 
 
 def spherical_fast(z, p, table: FrequencyTable) -> np.ndarray:
-    """Elementwise route for ``spherical``: two pair updates per triple, no
-    3x3 matrices.  Output matches ``spherical`` to a far tighter tolerance
+    """Elementwise route for ``spherical``: two complex products per triple,
+    no 3x3 matrices.  Output matches ``spherical`` to a far tighter tolerance
     than the contractual 1e-12."""
     _check_table("spherical", table)
     z, p = _inputs(z, p, 3 * table.blocks, 2)
     return _rotate_triples(z, _angles(p, _angle_matrix(table.freqs, 3)))
 
 
+def _skew_generators(generators) -> tuple:
+    """One or more generators of one square shape, each antisymmetrised by
+    ``linalg.as_skew``."""
+    if generators is None or len(generators) == 0:
+        raise ValueError("liere needs at least one generator")
+    gens = tuple(linalg.as_skew(g) for g in generators)
+    if any(g.shape != gens[0].shape for g in gens):
+        raise ValueError("liere generators must share one square shape")
+    return gens
+
+
 def liere(z, p, generators) -> np.ndarray:
     """``exp(sum_m p_m * A_m) @ z`` for skew-symmetric generators ``A_m``,
-    one exponential per position of the broadcast leading shape."""
-    gens = [np.asarray(g, dtype=float) for g in generators]
-    if not gens:
-        raise ValueError("liere needs at least one generator")
-    n = gens[0].shape[0]
-    for g in gens:
-        if g.shape != (n, n):
-            raise ValueError("liere generators must share one square shape")
-    z, p = _inputs(z, p, n, len(gens))
-    _check_finite(z, p)
+    one exponential per position of the broadcast leading shape.  Each
+    generator is antisymmetrised where it enters, so whether it is accepted
+    does not depend on the position."""
+    gens = _skew_generators(generators)
+    z, p = _inputs(z, p, gens[0].shape[0], len(gens))
+    return _liere_exp(z, p, gens)
+
+
+def _liere_exp(z, p, gens) -> np.ndarray:
+    """``liere`` on checked inputs and exactly skew generators."""
     if z.ndim == p.ndim == 1:
-        return _exp_apply(z, p, gens)
-    out = np.empty(np.broadcast(z[..., 0], p[..., 0]).shape + (n,))
+        return _check_finite(_exp_apply(z, p, gens))
+    out = np.empty(np.broadcast(z[..., 0], p[..., 0]).shape + z.shape[-1:])
     zs, ps = np.broadcast_to(z, out.shape), np.broadcast_to(p, out.shape[:-1] + p.shape[-1:])
     for i in np.ndindex(out.shape[:-1]):
         out[i] = _exp_apply(zs[i], ps[i], gens)
-    return out
+    return _check_finite(out)
 
 
 def _exp_apply(z, p, gens) -> np.ndarray:
-    return linalg.matrix_exp(sum(coord * g for coord, g in zip(p, gens))) @ z
+    # a sum of exactly skew terms is exactly skew, so only its finiteness
+    # (a non-finite or overflowing position) is left to check
+    a = sum(coord * g for coord, g in zip(p, gens))
+    if not np.isfinite(a).all():
+        raise ValueError("liere generator sum must be finite: non-finite or overflowing position")
+    return linalg._exp_skew(a) @ z
 
 
 def _encode_liere(enc, z, p):
     if enc.reduction is None:
-        return liere(z, p, enc.generators)
-    _check_finite(z, p)
-    return _liere_reduced(z, p, *enc.reduction)
+        return _liere_exp(z, p, enc.generators)
+    return _check_finite(_liere_reduced(z, p, enc.reduction[0], enc.weights))
 
 
-def _liere_reduced(z, p, basis: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``liere`` for commuting generators through their joint canonical form:
-    the pairs of ``z @ basis`` turn by ``freqs @ p`` and ``basis.T`` maps them
-    back; the coordinates past the pairs (an odd dimension's last) are fixed."""
+def _liere_reduced(z, p, basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``liere`` for commuting generators through their joint ``(basis, freqs)``
+    form, ``weights = freqs.T``: the pairs of ``z @ basis`` turn by
+    ``freqs @ p`` and ``basis.T`` maps them back; a coordinate past the pairs
+    (an odd dimension's last) is fixed."""
     y = z @ basis
-    k2 = 2 * len(freqs)
-    return (_rotate_pairs(y[..., :k2], _angles(p, freqs.T)) @ basis[:, :k2].T
+    k2 = 2 * weights.shape[1]
+    if k2 == len(basis):
+        return _rotate_pairs(y, _angles(p, weights)) @ basis.T
+    return (_rotate_pairs(y[..., :k2], _angles(p, weights)) @ basis[:, :k2].T
             + y[..., k2:] @ basis[:, k2:].T)
 
 
-def _commuting_reduction(generators):
-    """The joint ``(basis, freqs)`` of pairwise-commuting generators, or None
-    when they do not commute or share no block structure."""
-    gens = [linalg.as_skew(g) for g in generators]
+def _commuting_reduction(gens):
+    """The joint ``(basis, freqs)`` of pairwise-commuting skew generators, or
+    None when they do not commute or share no block structure."""
     if not all(linalg.is_commuting(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]):
         return None
     try:
@@ -464,12 +491,13 @@ class Encoder:
     """A scheme bound to its parameters, exposing ``encode(z, p)``.
 
     ``base`` records whether the table came from the geometric schedule (kept
-    for exact config round-trips); explicit tables leave it None.  Both
-    position-independent forms are derived on construction: ``weights``, the
-    angle matrix ``W`` of a table scheme, and for liere with commuting
+    for exact config round-trips); explicit tables leave it None.  liere
+    generators are stored antisymmetrised.  The position-independent forms
+    are derived on construction: ``axes``; for liere with commuting
     generators ``reduction``, their ``(basis, freqs)`` joint canonical form,
     so that ``encode`` costs two matrix products instead of an exponential
-    per position.
+    per position; and ``weights``, the angle matrix ``W`` (``freqs.T`` of
+    the reduction for liere).
     """
 
     scheme: str
@@ -480,19 +508,29 @@ class Encoder:
     generators: tuple = field(default=None, repr=False)
     weights: np.ndarray = field(init=False, default=None, repr=False, compare=False)
     reduction: tuple = field(init=False, default=None, repr=False, compare=False)
+    axes: int = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         spec = SCHEMES.get(self.scheme)
         if spec is None:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "liere":
-            object.__setattr__(self, "reduction", _commuting_reduction(self.generators))
+            gens = _skew_generators(self.generators)
+            if gens[0].shape[0] != self.dim:
+                raise ValueError(f"dim {self.dim} does not match generator size {gens[0].shape[0]}")
+            reduction = _commuting_reduction(gens)
+            object.__setattr__(self, "generators", gens)
+            object.__setattr__(self, "reduction", reduction)
+            if reduction is not None:
+                object.__setattr__(self, "weights", _angle_matrix(reduction[1], 2))
+            object.__setattr__(self, "axes", len(gens))
         else:
             _check_table(self.scheme, self.table)
             object.__setattr__(self, "weights", _angle_matrix(self.table.freqs, spec.block))
+            object.__setattr__(self, "axes", spec.axes)
 
-    # by value, leaving out the derived weights and reduction; generators
-    # enter the hash by count only, for the same reason as FrequencyTable's
+    # by value, leaving out the derived fields; generators enter the hash by
+    # count only, for the same reason as FrequencyTable's
     def __eq__(self, other):
         if not isinstance(other, Encoder):
             return NotImplemented
@@ -506,14 +544,11 @@ class Encoder:
     def _params(self) -> tuple:
         return (self.scheme, self.dim, self.table, self.base, self.uniform_freq)
 
-    @property
-    def axes(self) -> int:
-        return SCHEMES[self.scheme].axes or len(self.generators)
-
     def encode(self, z, p) -> np.ndarray:
         """Encode tokens ``z`` of shape (..., dim) at positions ``p`` of shape
         (..., axes), the leading shapes broadcasting.  One token, shapes
-        (dim,) and (axes,) (a scalar on one axis), gives shape (dim,)."""
+        (dim,) and (axes,) (a scalar on one axis), gives shape (dim,).
+        Output is float64 whatever the input dtype."""
         z, p = _inputs(z, p, self.dim, self.axes)
         return SCHEMES[self.scheme].encode(self, z, p)
 
@@ -544,16 +579,8 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
     ``generators`` and infers ``dim`` from them.
     """
     if scheme == "liere":
-        if generators is None or len(generators) == 0:
-            raise ValueError("liere needs generators")
-        gens = tuple(linalg.as_skew(g) for g in generators)
-        n = gens[0].shape[0]
-        for g in gens:
-            if g.shape != (n, n):
-                raise ValueError("liere generators must share one square shape")
-        if dim is not None and dim != n:
-            raise ValueError(f"dim {dim} does not match generator size {n}")
-        return Encoder(scheme="liere", dim=n, generators=gens)
+        gens = _skew_generators(generators)
+        return Encoder(scheme="liere", dim=gens[0].shape[0] if dim is None else dim, generators=gens)
 
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")

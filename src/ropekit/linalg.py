@@ -231,7 +231,11 @@ def matrix_exp(a) -> np.ndarray:
     With ``1j * a = V diag(lam) V^H``, ``exp(a) = Re(V diag(exp(-1j lam)) V^H)``;
     the result is orthogonal with determinant +1.
     """
-    a = as_skew(a)
+    return _exp_skew(as_skew(a))
+
+
+def _exp_skew(a: np.ndarray) -> np.ndarray:
+    """``matrix_exp`` of an ``a`` that is already exactly skew, unvalidated."""
     lam, v = np.linalg.eigh(1j * a)
     return ((v * np.exp(-1j * lam)) @ v.conj().T).real
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from ropekit import encodings as E
+from ropekit import encodings as E, linalg
 from ropekit.encodings import FrequencyTable
 
 ISO_RTOL = 1e-10
@@ -209,6 +209,7 @@ def test_liere_rejects_bad_inputs():
         E.liere([1.0, 0.0], [0.5], [])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the NaN or overflow first
 def test_liere_rejects_non_finite_inputs():
     gen = np.array([[0.0, -1.0], [1.0, 0.0]])
     rng = np.random.default_rng(41)
@@ -229,6 +230,28 @@ def test_liere_rejects_non_finite_inputs():
                 enc.encode(z, np.full(enc.axes, bad))
         with pytest.raises(ValueError, match="non-finite"):
             E.make_encoder("liere", generators=[np.where(t != 0, bad, t) - t.T])
+    # finite positions whose angle overflows
+    commuting = E.make_encoder("liere", generators=_commuting_family(6, 2, rng))
+    assert commuting.reduction is not None
+    with pytest.raises(ValueError, match="finite"):
+        commuting.encode(np.ones(6), [1e308, 1e308])
+
+
+def test_liere_accepts_a_generator_at_every_position():
+    # an asymmetry under SKEW_ATOL that a position of 50 would lift above it
+    h = G_YAW.copy()
+    h[0, 1] += 5e-13
+    skew = linalg.as_skew(h)
+    assert not np.array_equal(skew, h)
+    z = np.array([1.0, 2.0, 3.0])
+    direct = E.Encoder(scheme="liere", dim=3, generators=(h, G_ROLL))
+    np.testing.assert_array_equal(direct.generators[0], skew)
+    assert direct.reduction is None
+    for p in (0.5, 50.0):
+        want = E.liere(z, [p], [skew])
+        np.testing.assert_array_equal(E.liere(z, [p], [h]), want)
+        assert np.max(np.abs(E.make_encoder("liere", generators=[h]).encode(z, [p]) - want)) <= 1e-12
+        np.testing.assert_array_equal(direct.encode(z, [p, p]), E.liere(z, [p, p], [skew, G_ROLL]))
 
 
 def _commuting_family(n, count, rng):
@@ -409,6 +432,96 @@ def test_property_batched_encode_matches_per_token(name, lead, shared_z, scale, 
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
     else:
         np.testing.assert_array_equal(got, want)
+
+
+# References for the phasor route: the real cos/sin pair update and the
+# two-pair triple update, fed the same elementwise angles.  The bound follows
+# from float64: a pair or triple turned by one or two unit phasors, or a
+# basis product on either side of one, is off by a few roundings of its
+# block's norm (eps = 2.2e-16), far under 1e-14 of it.
+PHASOR_RTOL = 1e-14
+
+
+def _ref_rotate_pairs(z, angles):
+    c, s = np.cos(angles), np.sin(angles)
+    a, b = z[..., 0::2], z[..., 1::2]
+    even = c * a - s * b
+    out = np.empty(even.shape[:-1] + z.shape[-1:])
+    out[..., 0::2] = even
+    out[..., 1::2] = s * a + c * b
+    return out
+
+
+def _ref_rotate_triples(z, angles):
+    t = z.reshape(z.shape[:-1] + (z.shape[-1] // 3, 3))
+    cx, sx = np.cos(angles[..., 0::2]), np.sin(angles[..., 0::2])
+    cy, sy = np.cos(angles[..., 1::2]), np.sin(angles[..., 1::2])
+    r1 = cy * t[..., 1] - sy * t[..., 2]
+    x0 = cx * t[..., 0] - sx * r1
+    out = np.empty(x0.shape + (3,))
+    out[..., 0] = x0
+    out[..., 1] = sx * t[..., 0] + cx * r1
+    out[..., 2] = sy * t[..., 1] + cy * t[..., 2]
+    return out.reshape(x0.shape[:-1] + (3 * x0.shape[-1],))
+
+
+def _ref_angles(p, w):
+    a = p[..., :1] * w[0]
+    for m in range(1, len(w)):
+        a += p[..., m:m + 1] * w[m]
+    return a
+
+
+def _ref_encode(enc, z, p):
+    """``enc.encode`` through the real updates, and each entry's bound scale:
+    the norm of its rotation block (the token for liere), at least 1."""
+    if enc.scheme == "liere":
+        basis, freqs = enc.reduction
+        y = z @ basis
+        k2 = 2 * len(freqs)
+        out = (_ref_rotate_pairs(y[..., :k2], _ref_angles(p, freqs.T)) @ basis[:, :k2].T
+               + y[..., k2:] @ basis[:, k2:].T)
+        size = enc.dim
+    else:
+        if enc.scheme == "trivial2d":
+            p = p[..., :1] + p[..., 1:]
+        w = E._angle_matrix(enc.table.freqs, E.SCHEMES[enc.scheme].block)
+        size = 3 if enc.scheme == "spherical" else 2
+        out = (_ref_rotate_triples if size == 3 else _ref_rotate_pairs)(z, _ref_angles(p, w))
+    norms = np.linalg.norm(z.reshape(z.shape[:-1] + (-1, size)), axis=-1)
+    scale = np.maximum(1.0, np.repeat(norms, size, axis=-1))
+    return out, np.broadcast_to(scale, out.shape)
+
+
+def _reference_encoders():
+    rng = np.random.default_rng(61)
+    encoders = {name: enc for name, enc in BATCH_ENCODERS.items() if name != "liere-random"}
+    encoders["liere-commuting-even"] = E.make_encoder("liere", generators=_commuting_family(8, 2, rng))
+    assert encoders["liere-commuting-even"].reduction is not None
+    return encoders
+
+
+REFERENCE_ENCODERS = _reference_encoders()
+
+
+@seed(2039)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(REFERENCE_ENCODERS)),
+    st.sampled_from([(), (5,), (2, 3)]),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_phasor_route_matches_real_rotations(name, lead, shared_z, scale, rs):
+    enc = REFERENCE_ENCODERS[name]
+    rng = np.random.default_rng(rs)
+    z = rng.standard_normal((enc.dim,) if shared_z else lead + (enc.dim,))
+    p = scale * rng.uniform(-1.0, 1.0, lead + (enc.axes,))
+    got = enc.encode(z, p)
+    want, bound = _ref_encode(enc, z, p)
+    assert got.shape == want.shape == lead + (enc.dim,)
+    assert np.all(np.abs(got - want) <= PHASOR_RTOL * bound)
 
 
 def test_single_token_shapes_and_scalar_position():
