@@ -24,6 +24,8 @@ unit phasor ``exp(1j * theta_j)``; a spherical triple is two such products.
 ``SCHEMES`` is the one registry of schemes.  Every
 encoder takes token vectors of shape (..., dim) and positions of shape
 (..., axes) whose leading shapes broadcast; one token is the ``()`` case.
+``grad_frequencies`` takes the same shapes and differentiates the same products;
+3x3 rotation matrices remain only in ``spherical``, the triple route's reference.
 
 ``sinusoidal_ape`` (additive sin/cos features) is included as the non-rotary
 baseline.
@@ -83,8 +85,9 @@ class FrequencyTable:
         if not _is_table_scheme(self.scheme):
             raise ValueError(f"unknown frequency-table scheme {self.scheme!r}")
         f = np.asarray(self.freqs, dtype=float)
-        if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
-            raise ValueError(f"freqs must be a (blocks, axes) array, got shape {f.shape}")
+        axes = SCHEMES[self.scheme].axes
+        if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != axes:
+            raise ValueError(f"{self.scheme} freqs must be a (blocks, {axes}) array, got shape {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValueError("frequencies must all be finite")
         if self.scheme == "uniform" and f.size and not np.all(f == f.flat[0]):
@@ -159,9 +162,11 @@ def _check_finite(out: np.ndarray) -> np.ndarray:
 
 
 def _check_table(scheme: str, table: FrequencyTable) -> None:
-    axes = SCHEMES[SCHEMES[scheme].table].axes
-    if table is None or table.axes != axes:
-        raise ValueError(f"{scheme} needs a {axes}-axis table, got {getattr(table, 'axes', None)} axes")
+    """Reject a table of another layout; an axial encoder also reads a
+    uniform table, an axial table of one shared frequency."""
+    layout = SCHEMES[scheme].table
+    if table is None or table.scheme not in (layout, "uniform" if layout == "axial" else layout):
+        raise ValueError(f"{scheme} reads {layout!r} tables, got {getattr(table, 'scheme', None)!r}")
 
 
 def _angle_matrix(freqs: np.ndarray, block: int) -> np.ndarray:
@@ -260,9 +265,6 @@ def uniform(z, p, freq: float = 1.0) -> np.ndarray:
     return make_encoder("uniform", z.shape[-1] if z.ndim else 0, uniform_freq=freq).encode(z, p)
 
 
-_YAW, _ROLL = (0, 1), (1, 2)  # the (1,2)- and (2,3)-planes of R^3
-
-
 def _plane_rotations(theta: np.ndarray, i: int, j: int) -> np.ndarray:
     """Stack of rotations of the ``(i, j)`` coordinate plane of R^3, one per angle."""
     c, s = np.cos(theta), np.sin(theta)
@@ -283,19 +285,17 @@ def spherical(z, p, table: FrequencyTable) -> np.ndarray:
     """
     _check_table("spherical", table)
     z, p = _inputs(z, p, 3 * table.blocks, 2)
-    rot = (_plane_rotations(p[..., :1] * table.freqs[:, 0], *_YAW)
-           @ _plane_rotations(p[..., 1:] * table.freqs[:, 1], *_ROLL))
+    # yaw turns the (x0, x1)-plane, roll the (x1, x2)-plane
+    rot = (_plane_rotations(p[..., :1] * table.freqs[:, 0], 0, 1)
+           @ _plane_rotations(p[..., 1:] * table.freqs[:, 1], 1, 2))
     out = np.einsum("...dij,...dj->...di", rot, z.reshape(z.shape[:-1] + (table.blocks, 3)))
     return out.reshape(out.shape[:-2] + (3 * table.blocks,))
 
 
 def spherical_fast(z, p, table: FrequencyTable) -> np.ndarray:
-    """Elementwise route for ``spherical``: two complex products per triple,
-    no 3x3 matrices.  Output matches ``spherical`` to a far tighter tolerance
-    than the contractual 1e-12."""
-    _check_table("spherical", table)
-    z, p = _inputs(z, p, 3 * table.blocks, 2)
-    return _rotate_triples(z, _angles(p, _angle_matrix(table.freqs, 3)))
+    """``spherical`` as the encoders compute it: two complex products per
+    triple, no 3x3 matrices."""
+    return _table_encode("spherical", z, p, table)
 
 
 def _skew_generators(generators) -> tuple:
@@ -383,66 +383,66 @@ def sinusoidal_ape(x, p, table: FrequencyTable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# frequency gradients: grad(z_q, z_k, p_q, p_k, freqs) on one checked token
+# frequency gradients: grad(encoder, z_q, z_k, p_q, p_k) on checked (..., dim)
+# tokens and (..., axes) positions, returning (..., blocks, axes)
 # ---------------------------------------------------------------------------
 
 
-def _grad_pairs(zq, zk, pq, pk, f):
-    # score = sum_j dot_j cos(theta_j) - cross_j sin(theta_j) over the pairs,
-    # theta = W^T (p_k - p_q); an axial quadruple is an x-pair then a y-pair
+def _grad_pairs(enc, zq, zk, pq, pk):
+    # score = sum_j Re(conj(q_j) k_j e^{i theta_j}) over the complex pairs,
+    # theta = (p_k - p_q) W, so d score / d theta_j = -Im(conj(q_j) k_j e^{i theta_j});
+    # an axial quadruple is an x-pair then a y-pair
     d = pk - pq
-    q1, q2, k1, k2 = zq[0::2], zq[1::2], zk[0::2], zk[1::2]
-    theta = _angles(d, _angle_matrix(f, len(zq) // len(f)))
-    g = -(q1 * k1 + q2 * k2) * np.sin(theta) + (q2 * k1 - q1 * k2) * np.cos(theta)
-    return g.reshape(len(f), -1) * d
+    g = -(zq.view(complex).conj() * zk.view(complex) * _phasors(_angles(d, enc.weights))).imag
+    return g.reshape(g.shape[:-1] + (enc.table.blocks, -1)) * d[..., None, :]
 
 
-def _grad_uniform(zq, zk, pq, pk, f):
-    g = _grad_pairs(zq, zk, pq, pk, f)
-    return np.full_like(f, np.sum(g[:, 0]) + np.sum(g[:, 1]))
+def _grad_uniform(enc, zq, zk, pq, pk):
+    g = _grad_pairs(enc, zq, zk, pq, pk)
+    return np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
 
 
-_DYAW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_DROLL = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+def _roll(z, angles):
+    """Per triple of ``z``: the roll ``u = (x1 + i x2) e^{i angle}`` and the
+    pair ``y = x0 + i Re(u)`` that the yaw then turns."""
+    t = z.reshape(z.shape[:-1] + (z.shape[-1] // 3, 3))
+    u = t[..., 1:].view(complex)[..., 0] * _phasors(angles)
+    return u, t[..., 0] + 1j * u.real
 
 
-def _grad_spherical(zq, zk, pq, pk, f):
-    # score_d = q^T roll(aqy)^T yaw(akx - aqx) roll(aky) k per triple
-    zq, zk = zq.reshape(-1, 3), zk.reshape(-1, 3)
-    aqy, aky = f[:, 1] * pq[1], f[:, 1] * pk[1]
-    dax = f[:, 0] * (pk[0] - pq[0])
-    rq, rk = _plane_rotations(aqy, *_ROLL), _plane_rotations(aky, *_ROLL)
-    yd = _plane_rotations(dax, *_YAW)
-    dyd = yd @ _DYAW          # d/dtheta yaw(theta) = yaw(theta) @ G_yaw
-    drq = rq @ _DROLL
-    drk = rk @ _DROLL
-    left = np.einsum("dij,dj->di", rq, zq)          # q^T roll(aqy)^T == (roll(aqy) q)^T
-    right = np.einsum("dij,dj->di", rk, zk)
-    gx = (pk[0] - pq[0]) * np.einsum("di,dij,dj->d", left, dyd, right)
-    left_d = np.einsum("dij,dj->di", drq, zq)
-    right_d = np.einsum("dij,dj->di", drk, zk)
-    gy = pq[1] * np.einsum("di,dij,dj->d", left_d, yd, right) \
-        + pk[1] * np.einsum("di,dij,dj->d", left, yd, right_d)
-    return np.column_stack([gx, gy])
+def _grad_spherical(enc, zq, zk, pq, pk):
+    # per triple, score = Re(conj(y_q) y_k e) + Im(u_q) Im(u_k) with the yaw
+    # phasor e = e^{i f_x (pk_x - pq_x)}; by the product rule the roll turns u
+    # by i u, moving Re(u) by -Im(u) and Im(u) by Re(u)
+    f = enc.table.freqs
+    d = pk[..., :1] - pq[..., :1]
+    (uq, yq), (uk, yk) = _roll(zq, pq[..., 1:] * f[:, 1]), _roll(zk, pk[..., 1:] * f[:, 1])
+    e = _phasors(d * f[:, 0])
+    c = yq.conj() * e
+    gq = uq.real * uk.imag - uq.imag * (yk * e).imag
+    gk = uk.real * uq.imag + uk.imag * c.imag
+    return np.stack([-(c * yk).imag * d, gq * pq[..., 1:] + gk * pk[..., 1:]], axis=-1)
 
 
 def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> np.ndarray:
     """Closed-form ``d score / d freqs`` for the attention score between the
     encodings of ``(z_q, p_q)`` and ``(z_k, p_k)``.
 
-    Returns an array shaped like ``table.freqs``.  For the uniform scheme every
-    entry equals the chain-rule total for the one shared parameter.  Schemes
-    without per-frequency parameters (trivial2d, liere) are unsupported.
+    Tokens and positions take the shapes of ``Encoder.encode``, (..., dim)
+    and (..., axes), all four leading shapes broadcasting; the result has
+    shape (..., blocks, axes), one ``table.freqs``-shaped gradient per token
+    pair.  For the uniform scheme every entry equals the chain-rule total for
+    the one shared parameter.  Schemes without per-frequency parameters
+    (trivial2d, liere) are unsupported.
     """
     spec = SCHEMES.get(scheme)
     if spec is None or spec.grad is None:
         raise ValueError(f"grad_frequencies does not support scheme {scheme!r}")
     _check_table(scheme, table)
-    zq, pq = _inputs(z_q, p_q, spec.block * table.blocks, spec.axes)
-    zk, pk = _inputs(z_k, p_k, spec.block * table.blocks, spec.axes)
-    if max(zq.ndim, zk.ndim, pq.ndim, pk.ndim) > 1:
-        raise ValueError("grad_frequencies takes one query and one key token")
-    return spec.grad(zq, zk, pq, pk, table.freqs)
+    enc = Encoder(scheme, spec.block * table.blocks, table)
+    zq, pq = _inputs(z_q, p_q, enc.dim, enc.axes)
+    zk, pk = _inputs(z_k, p_k, enc.dim, enc.axes)
+    return spec.grad(enc, zq, zk, pq, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,8 @@ class Scheme(NamedTuple):
     """One scheme: coordinates per rotation block, position axes, the
     FrequencyTable layout it reads (None for liere, whose generators set the
     block and axes), ``encode(encoder, z, p)`` on checked (..., dim) and
-    (..., axes) arrays, and the closed-form frequency gradient or None."""
+    (..., axes) arrays, and the closed-form frequency gradient
+    ``grad(encoder, z_q, z_k, p_q, p_k)`` on such arrays, or None."""
 
     block: int | None
     axes: int | None
@@ -526,6 +527,11 @@ class Encoder:
             object.__setattr__(self, "axes", len(gens))
         else:
             _check_table(self.scheme, self.table)
+            if self.dim < spec.block or self.dim % spec.block != 0:
+                raise ValueError(f"{self.scheme} needs dim divisible by {spec.block}, got {self.dim}")
+            if self.table.blocks != self.dim // spec.block:
+                raise ValueError(f"table has {self.table.blocks} blocks, "
+                                 f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
             object.__setattr__(self, "weights", _angle_matrix(self.table.freqs, spec.block))
             object.__setattr__(self, "axes", spec.axes)
 
@@ -586,9 +592,6 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
         raise ValueError(f"unknown scheme {scheme!r}")
     if dim is None:
         raise ValueError(f"{scheme} needs an explicit dim")
-    block = SCHEMES[scheme].block
-    if dim < block or dim % block != 0:
-        raise ValueError(f"{scheme} needs dim divisible by {block}, got {dim}")
 
     if scheme == "uniform":
         if table is not None:
@@ -600,11 +603,6 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
     if table is not None:
         if base is not None:
             raise ValueError("pass either base or an explicit table, not both")
-        expect_blocks = dim // block
-        if table.blocks != expect_blocks:
-            raise ValueError(
-                f"table has {table.blocks} blocks, {scheme} at dim {dim} needs {expect_blocks}"
-            )
         return Encoder(scheme=scheme, dim=dim, table=table)
     b = DEFAULT_BASE if base is None else float(base)
     tbl = FrequencyTable.fixed(SCHEMES[scheme].table, dim, base=b)

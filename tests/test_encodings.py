@@ -589,10 +589,34 @@ def test_grad_frequencies_matches_fd(scheme, dim, axes):
         assert np.max(err) <= GRAD_RTOL
 
 
-def test_grad_zero_positions_is_zero():
-    table = FrequencyTable.fixed("mixed", 8)
-    g = E.grad_frequencies("mixed", np.ones(8), np.ones(8), (0.0, 0.0), (0.0, 0.0), table)
+GRAD_SCHEMES = [s for s, spec in E.SCHEMES.items() if spec.grad is not None]
+
+
+@pytest.mark.parametrize("scheme", GRAD_SCHEMES)
+def test_grad_zero_positions_is_zero(scheme):
+    table = FrequencyTable.fixed(scheme, 12)
+    origin = (0.0,) * E.SCHEMES[scheme].axes
+    g = E.grad_frequencies(scheme, np.ones(12), np.ones(12), origin, origin, table)
     np.testing.assert_array_equal(g, np.zeros_like(table.freqs))
+
+
+def test_grad_empty_leading_shape():
+    table = FrequencyTable.fixed("spherical", 12)
+    g = E.grad_frequencies("spherical", np.ones((0, 12)), np.ones(12), np.ones((0, 2)), (0.5, 1.0), table)
+    assert g.shape == (0,) + table.freqs.shape
+
+
+def test_grad_rejects_leading_shapes_that_do_not_broadcast():
+    table = FrequencyTable.fixed("mixed", 8)
+    with pytest.raises(ValueError):
+        E.grad_frequencies("mixed", np.ones((5, 8)), np.ones((3, 8)), (0.0, 0.0), (1.0, 1.0), table)
+    with pytest.raises(ValueError):
+        E.grad_frequencies("mixed", np.ones(8), np.ones(8), np.ones((5, 2)), np.ones((3, 2)), table)
+
+
+def test_grad_refuses_liere():
+    with pytest.raises(ValueError, match="liere"):
+        E.grad_frequencies("liere", np.ones(2), np.ones(2), 0.0, 1.0, None)
 
 
 def test_grad_uniform_entries_all_equal():
@@ -607,6 +631,102 @@ def test_grad_unsupported_scheme():
     table = FrequencyTable.fixed("rope1d", 8)
     with pytest.raises(ValueError):
         E.grad_frequencies("trivial2d", np.ones(8), np.ones(8), (0, 0), (1, 1), table)
+
+
+# The frequency gradients before they ran on the phasor core, kept as
+# references: the real cos/sin form for pairs and the 3x3-matrix chain for
+# spherical triples, one token at a time.  An entry's roundoff is a few ulps
+# of the product of its block's token norms with one or two position
+# coordinates, so float64 keeps it well under 1e-14 of that scale (at least
+# 1).  The entry itself is no scale for it: it can cancel to near zero.
+GRAD_REF_RTOL = 1e-14
+
+
+def _ref_grad_pairs(zq, zk, pq, pk, f):
+    d = pk - pq
+    q1, q2, k1, k2 = zq[0::2], zq[1::2], zk[0::2], zk[1::2]
+    theta = _ref_angles(d, E._angle_matrix(f, len(zq) // len(f)))
+    g = -(q1 * k1 + q2 * k2) * np.sin(theta) + (q2 * k1 - q1 * k2) * np.cos(theta)
+    return g.reshape(len(f), -1) * d
+
+
+def _ref_grad_uniform(zq, zk, pq, pk, f):
+    g = _ref_grad_pairs(zq, zk, pq, pk, f)
+    return np.full_like(f, np.sum(g[:, 0]) + np.sum(g[:, 1]))
+
+
+def _ref_plane_rotations(theta, i, j):
+    c, s = np.cos(theta), np.sin(theta)
+    m = np.zeros(theta.shape + (3, 3))
+    m[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    m[..., i, i] = m[..., j, j] = c
+    m[..., i, j], m[..., j, i] = -s, s
+    return m
+
+
+def _ref_grad_spherical(zq, zk, pq, pk, f):
+    # score_d = q^T roll(aqy)^T yaw(akx - aqx) roll(aky) k per triple
+    zq, zk = zq.reshape(-1, 3), zk.reshape(-1, 3)
+    rq = _ref_plane_rotations(f[:, 1] * pq[1], 1, 2)
+    rk = _ref_plane_rotations(f[:, 1] * pk[1], 1, 2)
+    yd = _ref_plane_rotations(f[:, 0] * (pk[0] - pq[0]), 0, 1)
+    left = np.einsum("dij,dj->di", rq, zq)
+    right = np.einsum("dij,dj->di", rk, zk)
+    gx = (pk[0] - pq[0]) * np.einsum("di,dij,dj->d", left, yd @ G_YAW, right)
+    left_d = np.einsum("dij,dj->di", rq @ G_ROLL, zq)
+    right_d = np.einsum("dij,dj->di", rk @ G_ROLL, zk)
+    gy = pq[1] * np.einsum("di,dij,dj->d", left_d, yd, right) \
+        + pk[1] * np.einsum("di,dij,dj->d", left, yd, right_d)
+    return np.column_stack([gx, gy])
+
+
+_REF_GRADS = {"rope1d": _ref_grad_pairs, "axial": _ref_grad_pairs, "mixed": _ref_grad_pairs,
+              "spherical": _ref_grad_spherical, "uniform": _ref_grad_uniform}
+
+
+def _grad_scale(scheme, zq, zk, pq, pk):
+    """Each gradient entry's bound scale: ``|q_b| |k_b| (|pq_m| + |pk_m|)``
+    for its rotation block ``b`` and axis ``m``, summed over all entries for
+    the uniform scheme's one shared parameter."""
+    block = E.SCHEMES[scheme].block
+    nq = np.linalg.norm(zq.reshape(-1, block), axis=-1)
+    nk = np.linalg.norm(zk.reshape(-1, block), axis=-1)
+    scale = np.outer(nq * nk, np.abs(pq) + np.abs(pk))
+    return np.full_like(scale, scale.sum()) if scheme == "uniform" else scale
+
+
+def _random_table(scheme, dim, rng):
+    spec = E.SCHEMES[scheme]
+    shape = (dim // spec.block, spec.axes)
+    if scheme == "uniform":
+        return FrequencyTable("uniform", np.full(shape, rng.uniform(0.1, 2.0)))
+    return FrequencyTable(spec.table, rng.uniform(0.1, 2.0, shape))
+
+
+@seed(2053)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(GRAD_SCHEMES),
+    st.sampled_from([(), (5,), (2, 3)]),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_batched_grad_matches_per_token_and_reference(scheme, lead, shared_z, scale, rs):
+    rng = np.random.default_rng(rs)
+    table = _random_table(scheme, 12, rng)
+    axes = E.SCHEMES[scheme].axes
+    zq, zk = rng.standard_normal((2,) + ((12,) if shared_z else lead + (12,)))
+    pq, pk = scale * rng.uniform(-1.0, 1.0, (2,) + lead + (axes,))
+    got = E.grad_frequencies(scheme, zq, zk, pq, pk, table)
+    assert got.shape == lead + table.freqs.shape
+    for i in np.ndindex(lead):
+        zqi, zki = (zq, zk) if shared_z else (zq[i], zk[i])
+        one = E.grad_frequencies(scheme, zqi, zki, pq[i], pk[i], table)
+        np.testing.assert_array_equal(got[i], one)
+        ref = _REF_GRADS[scheme](zqi, zki, pq[i], pk[i], table.freqs)
+        bound = GRAD_REF_RTOL * np.maximum(1.0, _grad_scale(scheme, zqi, zki, pq[i], pk[i]))
+        assert np.all(np.abs(one - ref) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +745,34 @@ def test_make_encoder_validation():
         E.make_encoder("liere")
     with pytest.raises(ValueError):
         E.make_encoder("uniform", 8, table=FrequencyTable.fixed("axial", 8))
+
+
+def test_encoder_rejects_table_that_does_not_fit():
+    with pytest.raises(ValueError, match="blocks"):
+        E.Encoder("mixed", 8, FrequencyTable("mixed", [[1.0, 0.5]]))
+    with pytest.raises(ValueError, match="blocks"):
+        E.Encoder("spherical", 9, FrequencyTable("spherical", [[1.0, 0.5]]))
+    with pytest.raises(ValueError, match="divisible"):
+        E.Encoder("mixed", 7, FrequencyTable("mixed", np.ones((3, 2))))
+    with pytest.raises(ValueError, match="'axial'"):
+        E.Encoder("axial", 8, FrequencyTable("mixed", np.ones((2, 2))))
+    with pytest.raises(ValueError, match="'uniform'"):
+        E.Encoder("uniform", 8, FrequencyTable("axial", np.ones((2, 2))))
+    with pytest.raises(ValueError, match="'axial'"):
+        E.grad_frequencies("axial", np.ones(8), np.ones(8), (0, 0), (1, 1),
+                           FrequencyTable("mixed", np.ones((2, 2))))
+    with pytest.raises(ValueError, match=r"\(blocks, 1\)"):
+        FrequencyTable("rope1d", np.ones((2, 2)))
+    # a uniform table is an axial table of one shared frequency
+    assert E.Encoder("axial", 8, FrequencyTable("uniform", np.ones((2, 2)))).dim == 8
+
+
+def test_spherical_fast_is_the_encoder_route():
+    table = FrequencyTable.fixed("spherical", 12)
+    rng = np.random.default_rng(67)
+    z, p = rng.standard_normal((5, 12)), rng.uniform(-np.pi, np.pi, (5, 2))
+    np.testing.assert_array_equal(E.spherical_fast(z, p, table),
+                                  E.make_encoder("spherical", 12, table=table).encode(z, p))
 
 
 def test_encoder_pattern_slices():
