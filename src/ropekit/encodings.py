@@ -311,32 +311,25 @@ def _skew_generators(generators) -> tuple:
 
 def liere(z, p, generators) -> np.ndarray:
     """``exp(sum_m p_m * A_m) @ z`` for skew-symmetric generators ``A_m``,
-    one exponential per position of the broadcast leading shape.  Each
-    generator is antisymmetrised where it enters, so whether it is accepted
-    does not depend on the position."""
+    every position of the broadcast leading shape in one stacked
+    exponential.  Each generator is antisymmetrised where it enters, so
+    whether it is accepted does not depend on the position."""
     gens = _skew_generators(generators)
     z, p = _inputs(z, p, gens[0].shape[0], len(gens))
     return _liere_exp(z, p, gens)
 
 
 def _liere_exp(z, p, gens) -> np.ndarray:
-    """``liere`` on checked inputs and exactly skew generators."""
-    if z.ndim == p.ndim == 1:
-        return _check_finite(_exp_apply(z, p, gens))
-    out = np.empty(np.broadcast(z[..., 0], p[..., 0]).shape + z.shape[-1:])
-    zs, ps = np.broadcast_to(z, out.shape), np.broadcast_to(p, out.shape[:-1] + p.shape[-1:])
-    for i in np.ndindex(out.shape[:-1]):
-        out[i] = _exp_apply(zs[i], ps[i], gens)
-    return _check_finite(out)
-
-
-def _exp_apply(z, p, gens) -> np.ndarray:
-    # a sum of exactly skew terms is exactly skew, so only its finiteness
-    # (a non-finite or overflowing position) is left to check
-    a = sum(coord * g for coord, g in zip(p, gens))
+    """``liere`` on checked inputs and exactly skew generators.  The sum
+    ``sum_m p[..., m] * A_m`` is built elementwise, like ``_angles``, so a
+    position's matrix does not depend on its batch; a sum of exactly skew
+    terms is exactly skew, so only its finiteness is left to check."""
+    a = p[..., 0, None, None] * gens[0]
+    for m in range(1, len(gens)):
+        a += p[..., m, None, None] * gens[m]
     if not np.isfinite(a).all():
         raise ValueError("liere generator sum must be finite: non-finite or overflowing position")
-    return linalg._exp_skew(a) @ z
+    return _check_finite((linalg._exp_skew(a) @ z[..., None])[..., 0])
 
 
 def _encode_liere(enc, z, p):
@@ -361,11 +354,9 @@ def _liere_reduced(z, p, basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _commuting_reduction(gens):
     """The joint ``(basis, freqs)`` of pairwise-commuting skew generators, or
     None when they do not commute or share no block structure."""
-    if not all(linalg.is_commuting(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]):
-        return None
     try:
         return linalg.joint_canonical_form(gens, struct_rtol=_REDUCED_STRUCT_RTOL)
-    except RuntimeError:  # no generic combination gives a shared block structure
+    except (ValueError, RuntimeError):
         return None
 
 
@@ -491,21 +482,20 @@ SCHEMES = {
 class Encoder:
     """A scheme bound to its parameters, exposing ``encode(z, p)``.
 
-    ``base`` records whether the table came from the geometric schedule (kept
-    for exact config round-trips); explicit tables leave it None.  liere
-    generators are stored antisymmetrised.  The position-independent forms
-    are derived on construction: ``axes``; for liere with commuting
-    generators ``reduction``, their ``(basis, freqs)`` joint canonical form,
-    so that ``encode`` costs two matrix products instead of an exponential
-    per position; and ``weights``, the angle matrix ``W`` (``freqs.T`` of
-    the reduction for liere).
+    A table scheme takes an explicit ``table`` or a ``base``, from which it
+    builds the schedule table itself (``base`` is kept for exact config
+    round-trips); liere takes ``generators`` only, stored antisymmetrised.
+    The position-independent forms are derived on construction: ``axes``;
+    for liere with commuting generators ``reduction``, their ``(basis,
+    freqs)`` joint canonical form, so that ``encode`` costs two matrix
+    products instead of an exponential per position; and ``weights``, the
+    angle matrix ``W`` (``freqs.T`` of the reduction for liere).
     """
 
     scheme: str
     dim: int
     table: FrequencyTable | None = None
     base: float | None = None
-    uniform_freq: float | None = None
     generators: tuple = field(default=None, repr=False)
     weights: np.ndarray = field(init=False, default=None, repr=False, compare=False)
     reduction: tuple = field(init=False, default=None, repr=False, compare=False)
@@ -516,6 +506,8 @@ class Encoder:
         if spec is None:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "liere":
+            if self.table is not None or self.base is not None:
+                raise ValueError("liere takes generators, not a table or base")
             gens = _skew_generators(self.generators)
             if gens[0].shape[0] != self.dim:
                 raise ValueError(f"dim {self.dim} does not match generator size {gens[0].shape[0]}")
@@ -525,15 +517,29 @@ class Encoder:
             if reduction is not None:
                 object.__setattr__(self, "weights", _angle_matrix(reduction[1], 2))
             object.__setattr__(self, "axes", len(gens))
-        else:
-            _check_table(self.scheme, self.table)
-            if self.dim < spec.block or self.dim % spec.block != 0:
-                raise ValueError(f"{self.scheme} needs dim divisible by {spec.block}, got {self.dim}")
-            if self.table.blocks != self.dim // spec.block:
-                raise ValueError(f"table has {self.table.blocks} blocks, "
-                                 f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
-            object.__setattr__(self, "weights", _angle_matrix(self.table.freqs, spec.block))
-            object.__setattr__(self, "axes", spec.axes)
+            return
+        if self.generators is not None:
+            raise ValueError("only liere takes generators")
+        if self.dim < spec.block or self.dim % spec.block != 0:
+            raise ValueError(f"{self.scheme} needs dim divisible by {spec.block}, got {self.dim}")
+        if self.base is not None:
+            if self.table is not None:
+                raise ValueError("pass either base or an explicit table, not both")
+            if self.scheme == "uniform":
+                raise ValueError("uniform reads a uniform table, not base")
+            object.__setattr__(self, "base", float(self.base))
+            object.__setattr__(self, "table", FrequencyTable.fixed(spec.table, self.dim, base=self.base))
+        _check_table(self.scheme, self.table)
+        if self.table.blocks != self.dim // spec.block:
+            raise ValueError(f"table has {self.table.blocks} blocks, "
+                             f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
+        object.__setattr__(self, "weights", _angle_matrix(self.table.freqs, spec.block))
+        object.__setattr__(self, "axes", spec.axes)
+
+    @property
+    def uniform_freq(self) -> float | None:
+        """The one shared frequency of a uniform encoder's table, else None."""
+        return float(self.table.freqs[0, 0]) if self.scheme == "uniform" else None
 
     # by value, leaving out the derived fields; generators enter the hash by
     # count only, for the same reason as FrequencyTable's
@@ -548,7 +554,7 @@ class Encoder:
         return hash(self._params() + (len(self.generators or ()),))
 
     def _params(self) -> tuple:
-        return (self.scheme, self.dim, self.table, self.base, self.uniform_freq)
+        return (self.scheme, self.dim, self.table, self.base)
 
     def encode(self, z, p) -> np.ndarray:
         """Encode tokens ``z`` of shape (..., dim) at positions ``p`` of shape
@@ -578,35 +584,30 @@ class Encoder:
 def make_encoder(scheme: str, dim: int = None, *, base: float = None,
                  table: FrequencyTable = None, uniform_freq: float = None,
                  generators=None) -> Encoder:
-    """Build an Encoder from a scheme name plus whichever parameters apply.
+    """Build an Encoder from a scheme name plus the parameters that apply.
 
     Table schemes take ``dim`` with either ``base`` (schedule, the default) or
-    an explicit ``table``; uniform takes ``uniform_freq``; liere takes skew
-    ``generators`` and infers ``dim`` from them.
+    an explicit ``table``; uniform takes ``uniform_freq`` only; liere takes
+    skew ``generators`` only and infers ``dim`` from them.  A parameter the
+    scheme does not take raises ValueError.
     """
-    if scheme == "liere":
-        gens = _skew_generators(generators)
-        return Encoder(scheme="liere", dim=gens[0].shape[0] if dim is None else dim, generators=gens)
-
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if uniform_freq is not None and scheme != "uniform":
+        raise ValueError("'uniform_freq' only applies to the uniform scheme")
+    if scheme == "liere":
+        gens = _skew_generators(generators)
+        return Encoder("liere", gens[0].shape[0] if dim is None else dim, table, base, gens)
     if dim is None:
         raise ValueError(f"{scheme} needs an explicit dim")
-
     if scheme == "uniform":
-        if table is not None:
-            raise ValueError("uniform takes uniform_freq, not an explicit table")
-        uf = 1.0 if uniform_freq is None else float(uniform_freq)
-        tbl = FrequencyTable.fixed("uniform", dim, uniform_freq=uf)
-        return Encoder(scheme=scheme, dim=dim, table=tbl, uniform_freq=uf)
-
-    if table is not None:
-        if base is not None:
-            raise ValueError("pass either base or an explicit table, not both")
-        return Encoder(scheme=scheme, dim=dim, table=table)
-    b = DEFAULT_BASE if base is None else float(base)
-    tbl = FrequencyTable.fixed(SCHEMES[scheme].table, dim, base=b)
-    return Encoder(scheme=scheme, dim=dim, table=tbl, base=b)
+        if base is not None or table is not None:
+            raise ValueError("uniform takes 'uniform_freq' only")
+        uf = 1.0 if uniform_freq is None else uniform_freq
+        table = FrequencyTable.fixed("uniform", dim, uniform_freq=uf)
+    elif table is None and base is None:
+        base = DEFAULT_BASE
+    return Encoder(scheme, dim, table, base, generators)
 
 
 def encoder_to_config(enc: Encoder) -> dict:

@@ -71,6 +71,19 @@ def is_commuting(a, b, rel_tol: float = COMMUTE_RTOL) -> bool:
     return float(np.linalg.norm(commutator(a, b))) <= rel_tol * na * nb
 
 
+def block_diag_skew(freqs, n: int) -> np.ndarray:
+    """Block-diagonal n x n skew matrix with one 2x2 rotation generator
+    ``[[0, -f], [f, 0]]`` per frequency, zero past the last pair."""
+    freqs = np.asarray(freqs, dtype=float)
+    if 2 * len(freqs) > n:
+        raise ValueError("too many frequencies for the dimension")
+    m = np.zeros((n, n))
+    d = np.arange(len(freqs))
+    m[2 * d, 2 * d + 1] = -freqs
+    m[2 * d + 1, 2 * d] = freqs
+    return m
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 # ---------------------------------------------------------------------------
@@ -96,12 +109,7 @@ class CanonicalForm:
 
     def block_matrix(self) -> np.ndarray:
         """The direct sum blockdiag([[0, -lam_d], [lam_d, 0]], ...) padded to n x n."""
-        n = self.dim
-        m = np.zeros((n, n))
-        for d, lam in enumerate(self.frequencies):
-            m[2 * d, 2 * d + 1] = -lam
-            m[2 * d + 1, 2 * d] = lam
-        return m
+        return block_diag_skew(self.frequencies, self.dim)
 
     def reconstruct(self) -> np.ndarray:
         return self.basis @ self.block_matrix() @ self.basis.T
@@ -235,9 +243,11 @@ def matrix_exp(a) -> np.ndarray:
 
 
 def _exp_skew(a: np.ndarray) -> np.ndarray:
-    """``matrix_exp`` of an ``a`` that is already exactly skew, unvalidated."""
+    """``matrix_exp`` of each matrix in an (..., n, n) stack ``a`` that is
+    already exactly skew, unvalidated: one stacked ``eigh``, whose working
+    set is a few complex (..., n, n) arrays."""
     lam, v = np.linalg.eigh(1j * a)
-    return ((v * np.exp(-1j * lam)) @ v.conj().T).real
+    return ((v * np.exp(-1j * lam)[..., None, :]) @ v.conj().swapaxes(-1, -2)).real
 
 
 def matrix_exp_series(a, term_tol: float = 1e-16) -> np.ndarray:

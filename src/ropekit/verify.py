@@ -23,7 +23,7 @@ import numpy as np
 from .attention import score, scored_pair
 from .encodings import (SCHEMES, Encoder, FrequencyTable, _angles, _rotate_pairs, frequency_schedule,
                         grad_frequencies, liere, make_encoder, spherical, spherical_fast)
-from .linalg import as_skew, joint_canonical_form
+from .linalg import as_skew, block_diag_skew, joint_canonical_form
 
 EQUIVARIANCE_TOL = 1e-9
 COUNTEREXAMPLE_TOL = 1e-4
@@ -77,18 +77,6 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     d = np.sign(np.diag(r))
     d[d == 0.0] = 1.0
     return q * d
-
-
-def block_diag_skew(freqs, n: int) -> np.ndarray:
-    """Block-diagonal skew matrix with one 2x2 rotation generator per frequency."""
-    freqs = np.asarray(freqs, dtype=float)
-    if 2 * len(freqs) > n:
-        raise ValueError("too many frequencies for the dimension")
-    m = np.zeros((n, n))
-    for d, f in enumerate(freqs):
-        m[2 * d, 2 * d + 1] = -f
-        m[2 * d + 1, 2 * d] = f
-    return m
 
 
 def commuting_generators(n: int, rng: np.random.Generator):

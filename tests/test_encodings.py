@@ -434,6 +434,63 @@ def test_property_batched_encode_matches_per_token(name, lead, shared_z, scale, 
         np.testing.assert_array_equal(got, want)
 
 
+# The stacked exponential against an independent oracle: the scaling-and-
+# squaring Taylor series of the same generator sum, one position at a time.
+# Both are a few roundings of |z| off the exact product at |p| <= 10.
+STACKED_EXP_RTOL = 1e-12
+
+
+def _series_liere(z, p, gens):
+    lead = np.broadcast(z[..., 0], p[..., 0]).shape
+    zs, ps = np.broadcast_to(z, lead + z.shape[-1:]), np.broadcast_to(p, lead + p.shape[-1:])
+    out = np.empty(lead + z.shape[-1:])
+    for i in np.ndindex(lead):
+        out[i] = linalg.matrix_exp_series(sum(c * g for c, g in zip(ps[i], gens))) @ zs[i]
+    return out
+
+
+@seed(2063)
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([3, 5, 8]),
+    st.sampled_from([(), (0,), (5,), (2, 3)]),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_stacked_liere_matches_series(count, dim, lead, shared_z, shared_p, rs):
+    rng = np.random.default_rng(rs)
+    gens = [np.triu(rng.standard_normal((dim, dim)), k=1) for _ in range(count)]
+    gens = [g - g.T for g in gens]
+    z = rng.standard_normal((dim,) if shared_z else lead + (dim,))
+    p = rng.uniform(-10.0, 10.0, (count,) if shared_p else lead + (count,))
+    want = _series_liere(z, p, gens)
+    bound = STACKED_EXP_RTOL * np.maximum(1.0, np.linalg.norm(z, axis=-1))[..., None]
+    enc = E.make_encoder("liere", generators=gens)
+    assert (enc.reduction is None) == (count > 1)
+    for got in (E.liere(z, p, gens), enc.encode(z, p)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports inf * 0 first
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stacked_liere_rejects_one_non_finite_position_row(bad):
+    rng = np.random.default_rng(71)
+    gens = [np.triu(rng.standard_normal((5, 5)), k=1) for _ in range(2)]
+    gens = [g - g.T for g in gens]
+    enc = E.make_encoder("liere", generators=gens)
+    assert enc.reduction is None
+    z, p = rng.standard_normal((2, 3, 5)), rng.uniform(-1.0, 1.0, (2, 3, 2))
+    p[1, 2] = [0.5, bad]
+    for encode in (lambda z, p: E.liere(z, p, gens), enc.encode):
+        with pytest.raises(ValueError, match="finite"):
+            encode(z, p)
+        with pytest.raises(ValueError, match="finite"):
+            encode(z[0, 0], p)
+
+
 # References for the phasor route: the real cos/sin pair update and the
 # two-pair triple update, fed the same elementwise angles.  The bound follows
 # from float64: a pair or triple turned by one or two unit phasors, or a
@@ -803,6 +860,55 @@ def test_encoders_and_tables_compare_and_hash_by_value():
     assert lie == same and hash(lie) == hash(same)
     assert lie != E.make_encoder("liere", generators=[gen, 0.25 * gen])
     assert lie != E.make_encoder("liere", generators=[gen])
+
+
+def test_encoder_config_agrees_with_its_table():
+    # a uniform encoder's frequency is read off its table
+    direct = E.Encoder("uniform", 8, FrequencyTable.fixed("uniform", 8, uniform_freq=2.0))
+    built = E.make_encoder("uniform", 8, uniform_freq=2.0)
+    assert direct == built and hash(direct) == hash(built)
+    assert E.encoder_to_config(direct)["uniform_freq"] == 2.0 == direct.uniform_freq
+    assert E.encoder_from_config(E.encoder_to_config(direct)) == direct
+    # base builds the table, so the two cannot disagree
+    with pytest.raises(ValueError, match="not both"):
+        E.Encoder("mixed", 8, FrequencyTable.fixed("mixed", 8), base=50.0)
+    scheduled = E.Encoder("mixed", 8, base=50)
+    assert scheduled == E.make_encoder("mixed", 8, base=50.0)
+    assert scheduled.table == FrequencyTable.fixed("mixed", 8, base=50.0)
+    assert E.encoder_from_config(E.encoder_to_config(scheduled)) == scheduled
+    with pytest.raises(ValueError, match="uniform"):
+        E.Encoder("uniform", 8, base=50.0)
+    assert E.make_encoder("axial", 8).uniform_freq is None
+
+
+def test_encoder_configs_of_make_encoder_are_unchanged():
+    cases = [
+        (("rope1d", 16), {}, '{"axes": 1, "base": 100.0, "dim": 16, "scheme": "rope1d"}\n'),
+        (("trivial2d", 8), {"base": 50}, '{"axes": 2, "base": 50.0, "dim": 8, "scheme": "trivial2d"}\n'),
+        (("uniform", 8), {}, '{"axes": 2, "dim": 8, "scheme": "uniform", "uniform_freq": 1.0}\n'),
+        (("uniform", 8), {"uniform_freq": 3},
+         '{"axes": 2, "dim": 8, "scheme": "uniform", "uniform_freq": 3.0}\n'),
+        (("mixed", 2), {"table": FrequencyTable("mixed", [[0.5, 1.25]])},
+         '{"axes": 2, "dim": 2, "freqs": [[0.5, 1.25]], "scheme": "mixed"}\n'),
+    ]
+    for args, kwargs, text in cases:
+        assert E.dump_config(E.encoder_to_config(E.make_encoder(*args, **kwargs))) == text
+
+
+def test_make_encoder_rejects_parameters_that_do_not_apply():
+    gen = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="uniform_freq' only"):
+        E.make_encoder("uniform", 8, base=50.0)
+    with pytest.raises(ValueError, match="'uniform_freq' only applies"):
+        E.make_encoder("mixed", 8, uniform_freq=2.0)
+    with pytest.raises(ValueError, match="'uniform_freq' only applies"):
+        E.make_encoder("liere", generators=[gen], uniform_freq=2.0)
+    with pytest.raises(ValueError, match="not a table or base"):
+        E.make_encoder("liere", generators=[gen], base=50.0)
+    with pytest.raises(ValueError, match="not a table or base"):
+        E.make_encoder("liere", generators=[gen], table=FrequencyTable.fixed("rope1d", 2))
+    with pytest.raises(ValueError, match="only liere"):
+        E.make_encoder("rope1d", 2, generators=[gen])
 
 
 def test_config_round_trip_base():

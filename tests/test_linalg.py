@@ -227,6 +227,24 @@ def test_matrix_exp_orthogonal_special():
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_exp_skew_takes_a_stack():
+    rng = np.random.default_rng(29)
+    stack = np.stack([random_skew(5, rng) for _ in range(6)]).reshape(2, 3, 5, 5)
+    out = linalg._exp_skew(stack)
+    assert out.shape == stack.shape
+    for i in np.ndindex(2, 3):
+        assert np.max(np.abs(out[i] - linalg.matrix_exp(stack[i]))) <= 1e-14
+    assert linalg._exp_skew(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+def test_block_diag_skew_is_the_canonical_block_matrix():
+    form = linalg.canonical_form(block_diag([1.5, 0.25], 5))
+    np.testing.assert_array_equal(form.block_matrix(), linalg.block_diag_skew(form.frequencies, 5))
+    np.testing.assert_array_equal(linalg.block_diag_skew([1.5, 0.25], 5), block_diag([1.5, 0.25], 5))
+    with pytest.raises(ValueError):
+        linalg.block_diag_skew([1.0, 2.0], 3)
+
+
 def test_matrix_exp_routes_agree():
     rng = np.random.default_rng(13)
     for n in (2, 4, 8, 16):
