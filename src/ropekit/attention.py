@@ -5,6 +5,9 @@ The pattern raster fixes the key at the origin and sweeps the query over a
 (height-1, width-1) is (pi, pi).  An optional block index restricts the
 score to one block's contribution (one coordinate pair, or one triple for
 the 3D-rotation scheme); per-block patterns sum to the combined pattern.
+A table-scheme raster is computed from one encoded query per row and one
+encoded key per column (see ``render_pattern``), a liere raster from the
+query encoded at every pixel.
 """
 
 from __future__ import annotations
@@ -91,8 +94,15 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
                    block: int | None = None) -> AttentionPattern:
     """Score raster with the key at the origin and the query at each pixel.
 
-    ``block`` restricts the dot product to that block's coordinates.  The
-    query is encoded at every pixel in one batched ``encode``.
+    ``block`` restricts the dot product to that block's coordinates.  A
+    table scheme's rotation factors per axis, ``R(p_x, p_y) = R(p_x, 0)
+    R(0, p_y)``, each factor acting inside every block, so pixel ``(r, c)``
+    is ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: the query is encoded
+    at the ``height`` row offsets and the key at the ``width`` column
+    offsets, two batched ``encode`` calls of ``width + height`` tokens.
+    liere generators need not commute, and a liere block is not invariant
+    under the rotation, so a liere encoder encodes the query at every pixel
+    and the key at the origin.
     """
     if width < 1 or height < 1:
         raise ValueError("pattern size must be at least 1x1")
@@ -101,11 +111,21 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     if np.ndim(z_q) != 1 or np.ndim(z_k) != 1:
         raise ValueError("pattern rendering takes one query and one key vector")
     sl = slice(None) if block is None else encoder.pattern_slice(block)
-    ek = encoder.encode(z_k, (0.0,) * encoder.axes)[sl]
     positions = make_grid(height, width).positions[..., :encoder.axes]
-    # a stack of (1, k) @ (k,) products: each pixel is the dot product that
-    # scoring it alone would compute, so per-pixel rasters match exactly
-    values = (encoder.encode(z_q, positions)[..., None, sl] @ ek)[..., 0]
+    if encoder.table is None:
+        q = encoder.encode(z_q, positions)
+        k = encoder.encode(z_k, (0.0,) * encoder.axes)
+    else:
+        # a one-axis encoder has no y factor: its query rows are z_q itself
+        rows = np.zeros((height, 1, encoder.axes))
+        rows[..., 1:] = positions[:, :1, 1:]
+        cols = np.zeros((width, encoder.axes))
+        cols[:, 0] = -positions[0, :, 0]
+        q, k = encoder.encode(z_q, rows), encoder.encode(z_k, cols)
+    # a stack of (1, k) @ (k, 1) products, not one matrix product: each pixel
+    # is the dot product that scoring its two factors alone would compute, so
+    # equal factors give exactly equal pixels
+    values = (q[..., None, sl] @ k[..., sl, None])[..., 0, 0]
     if not np.all(np.isfinite(values)):
         raise ValueError("pattern values must be finite")
     return AttentionPattern(width, height, values, encoder.scheme, block)

@@ -355,7 +355,7 @@ def _commuting_reduction(gens):
     """The joint ``(basis, freqs)`` of pairwise-commuting skew generators, or
     None when they do not commute or share no block structure."""
     try:
-        return linalg.joint_canonical_form(gens, struct_rtol=_REDUCED_STRUCT_RTOL)
+        return linalg._joint_canonical_form(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
 
@@ -484,7 +484,8 @@ class Encoder:
 
     A table scheme takes an explicit ``table`` or a ``base``, from which it
     builds the schedule table itself (``base`` is kept for exact config
-    round-trips); liere takes ``generators`` only, stored antisymmetrised.
+    round-trips); liere takes ``generators`` only, stored antisymmetrised,
+    and reads ``dim`` off them when it is None.
     The position-independent forms are derived on construction: ``axes``;
     for liere with commuting generators ``reduction``, their ``(basis,
     freqs)`` joint canonical form, so that ``encode`` costs two matrix
@@ -509,7 +510,9 @@ class Encoder:
             if self.table is not None or self.base is not None:
                 raise ValueError("liere takes generators, not a table or base")
             gens = _skew_generators(self.generators)
-            if gens[0].shape[0] != self.dim:
+            if self.dim is None:
+                object.__setattr__(self, "dim", gens[0].shape[0])
+            elif gens[0].shape[0] != self.dim:
                 raise ValueError(f"dim {self.dim} does not match generator size {gens[0].shape[0]}")
             reduction = _commuting_reduction(gens)
             object.__setattr__(self, "generators", gens)
@@ -596,8 +599,7 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
     if uniform_freq is not None and scheme != "uniform":
         raise ValueError("'uniform_freq' only applies to the uniform scheme")
     if scheme == "liere":
-        gens = _skew_generators(generators)
-        return Encoder("liere", gens[0].shape[0] if dim is None else dim, table, base, gens)
+        return Encoder("liere", dim, table, base, generators)
     if dim is None:
         raise ValueError(f"{scheme} needs an explicit dim")
     if scheme == "uniform":

@@ -193,10 +193,16 @@ def joint_canonical_form(generators, struct_rtol: float = JOINT_STRUCT_RTOL):
     gens = [as_skew(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].shape[0]
     for g in gens[1:]:
-        if g.shape != (n, n):
+        if g.shape != gens[0].shape:
             raise ValueError(f"generator shapes differ: {gens[0].shape} vs {g.shape}")
+    return _joint_canonical_form(gens, struct_rtol)
+
+
+def _joint_canonical_form(gens, struct_rtol: float):
+    """``joint_canonical_form`` of a non-empty sequence of exactly skew
+    generators of one shape, unvalidated."""
+    n = gens[0].shape[0]
     for i, g in enumerate(gens):
         for h in gens[i + 1:]:
             if not is_commuting(g, h):

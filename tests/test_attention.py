@@ -381,3 +381,57 @@ def test_pattern_rejects_batched_vectors():
         A.render_pattern(enc, np.ones((2, 8)), np.ones(8), 4, 4)
     with pytest.raises(ValueError):
         A.render_pattern(enc, np.ones(8), np.ones((3, 8)), 4, 4)
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
+def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
+    # a table scheme factors each pixel into a row and a column encode;
+    # liere encodes the query at every pixel and the key once
+    enc = PATTERN_ENCODERS[name]
+    encode, tokens = E.Encoder.encode, []
+
+    def counted(self, z, p):
+        tokens.append(int(np.prod(np.broadcast_shapes(np.shape(z)[:-1], np.shape(p)[:-1]))))
+        return encode(self, z, p)
+
+    monkeypatch.setattr(E.Encoder, "encode", counted)
+    rng = np.random.default_rng(16)
+    zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
+    for block in (None, 0):
+        tokens.clear()
+        A.render_pattern(enc, zq, zk, 7, 5, block)
+        assert len(tokens) == 2
+        assert sum(tokens) == (7 * 5 + 1 if enc.table is None else 7 + 5)
+
+
+TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)
+RASTER_SIZES = st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                         st.tuples(st.integers(1, 12), st.just(1)),
+                         st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+
+@seed(4111)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TABLE_SCHEMES), RASTER_SIZES, st.integers(1, 4), st.booleans(),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_property_table_raster_matches_per_pixel_loop(scheme, size, blocks, zero_y, rs):
+    spec = E.SCHEMES[scheme]
+    rng = np.random.default_rng(rs)
+    freqs = rng.uniform(-4.0, 4.0, (blocks, E.SCHEMES[spec.table].axes))
+    if spec.table == "uniform":
+        freqs[:] = freqs[0, 0]
+    elif zero_y and freqs.shape[1] == 2:
+        freqs[:, 1] = 0.0
+    enc = E.Encoder(scheme, spec.block * blocks, FrequencyTable(spec.table, freqs))
+    zq, zk = rng.standard_normal((2, enc.dim))
+    width, height = size
+    pos = make_grid(height, width).positions[..., :enc.axes]
+    eq = np.array([[enc.encode(zq, pos[i, j]) for j in range(width)] for i in range(height)])
+    ek = enc.encode(zk, np.zeros(enc.axes))
+    for block in [None, *range(enc.pattern_blocks)]:
+        sl = slice(None) if block is None else enc.pattern_slice(block)
+        got = A.render_pattern(enc, zq, zk, width, height, block).values
+        want = np.array([[eq[i, j, sl] @ ek[sl] for j in range(width)] for i in range(height)])
+        bound = 1e-12 * max(1.0, np.linalg.norm(zq[sl]) * np.linalg.norm(zk[sl]))
+        assert got.shape == (height, width)
+        assert np.max(np.abs(got - want)) <= bound

@@ -911,6 +911,43 @@ def test_make_encoder_rejects_parameters_that_do_not_apply():
         E.make_encoder("rope1d", 2, generators=[gen])
 
 
+def test_make_encoder_antisymmetrises_each_liere_generator_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    as_skew, calls = linalg.as_skew, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return as_skew(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_skew", counted)
+    random = [np.triu(rng.standard_normal((16, 16)), k=1) for _ in range(2)]
+    # a commuting pair adds one call: canonical_form of their combination
+    for gens, reduced in ((_commuting_family(16, 2, rng), True), ([g - g.T for g in random], False)):
+        calls.clear()
+        assert (E.make_encoder("liere", generators=gens).reduction is not None) == reduced
+        assert calls == [(16, 16)] * (3 if reduced else 2)
+
+
+BAD_GENERATORS = {  # name: (generators, dim, error text)
+    "none": (None, None, "at least one generator"),
+    "empty": ([], None, "at least one generator"),
+    "non-square": ([np.zeros((2, 3))], None, "square"),
+    "non-finite": ([np.array([[0.0, -np.nan], [np.nan, 0.0]])], None, "non-finite"),
+    "non-skew": ([np.ones((2, 2))], None, "not skew-symmetric"),
+    "mixed-shapes": ([G_YAW, np.zeros((2, 2))], None, "one square shape"),
+    "dim-mismatch": ([G_YAW], 4, "does not match generator size"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+def test_liere_encoders_reject_bad_generators(case):
+    gens, dim, msg = BAD_GENERATORS[case]
+    with pytest.raises(ValueError, match=msg):
+        E.make_encoder("liere", dim, generators=gens)
+    with pytest.raises(ValueError, match=msg):
+        E.Encoder("liere", 3 if dim is None else dim, generators=gens)
+
+
 def test_config_round_trip_base():
     enc = E.make_encoder("axial", 16, base=50.0)
     cfg = E.encoder_to_config(enc)
