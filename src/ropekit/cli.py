@@ -150,7 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", help="render an attention-pattern raster to PGM")
     p.add_argument("--scheme", choices=_table_schemes())
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--dim", type=int, default=24,
+                   help="token dimension; the default 24 splits into pairs, triples or quadruples")
     p.add_argument("--base", type=float)
     p.add_argument("--config", help="encoder JSON config file (instead of flags)")
     p.add_argument("--width", type=int, default=64)

@@ -298,23 +298,12 @@ def spherical_fast(z, p, table: FrequencyTable) -> np.ndarray:
     return _table_encode("spherical", z, p, table)
 
 
-def _skew_generators(generators) -> tuple:
-    """One or more generators of one square shape, each antisymmetrised by
-    ``linalg.as_skew``."""
-    if generators is None or len(generators) == 0:
-        raise ValueError("liere needs at least one generator")
-    gens = tuple(linalg.as_skew(g) for g in generators)
-    if any(g.shape != gens[0].shape for g in gens):
-        raise ValueError("liere generators must share one square shape")
-    return gens
-
-
 def liere(z, p, generators) -> np.ndarray:
     """``exp(sum_m p_m * A_m) @ z`` for skew-symmetric generators ``A_m``,
     every position of the broadcast leading shape in one stacked
     exponential.  Each generator is antisymmetrised where it enters, so
     whether it is accepted does not depend on the position."""
-    gens = _skew_generators(generators)
+    gens = linalg._skew_generators(generators)
     z, p = _inputs(z, p, gens[0].shape[0], len(gens))
     return _liere_exp(z, p, gens)
 
@@ -509,7 +498,7 @@ class Encoder:
         if self.scheme == "liere":
             if self.table is not None or self.base is not None:
                 raise ValueError("liere takes generators, not a table or base")
-            gens = _skew_generators(self.generators)
+            gens = linalg._skew_generators(self.generators)
             if self.dim is None:
                 object.__setattr__(self, "dim", gens[0].shape[0])
             elif gens[0].shape[0] != self.dim:
@@ -643,19 +632,11 @@ def encoder_from_config(cfg: dict) -> Encoder:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if "axes" in cfg and cfg["axes"] != SCHEMES[scheme].axes:
         raise ValueError(f"{scheme} has {SCHEMES[scheme].axes} axes, config says {cfg['axes']}")
-    if "base" in cfg and "freqs" in cfg:
-        raise ValueError("config may carry 'base' or 'freqs', not both")
-    if scheme == "uniform":
-        if "base" in cfg or "freqs" in cfg:
-            raise ValueError("uniform configs carry 'uniform_freq' only")
-        return make_encoder("uniform", dim, uniform_freq=cfg.get("uniform_freq", 1.0))
-    if "uniform_freq" in cfg:
-        raise ValueError("'uniform_freq' only applies to the uniform scheme")
+    table = None
     if "freqs" in cfg:
-        f = np.asarray(cfg["freqs"], dtype=float)
-        table = FrequencyTable(SCHEMES[scheme].table, f)
-        return make_encoder(scheme, dim, table=table)
-    return make_encoder(scheme, dim, base=cfg.get("base", DEFAULT_BASE))
+        table = FrequencyTable(SCHEMES[scheme].table, np.asarray(cfg["freqs"], dtype=float))
+    # make_encoder decides which of base, table and uniform_freq the scheme takes
+    return make_encoder(scheme, dim, base=cfg.get("base"), table=table, uniform_freq=cfg.get("uniform_freq"))
 
 
 def dump_config(cfg: dict) -> str:

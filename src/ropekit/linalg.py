@@ -47,6 +47,17 @@ def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
     return 0.5 * (a - a.T)
 
 
+def _skew_generators(generators) -> tuple:
+    """One or more generators of one square shape, each antisymmetrised by
+    ``as_skew``."""
+    if generators is None or len(generators) == 0:
+        raise ValueError("need at least one generator")
+    gens = tuple(as_skew(g) for g in generators)
+    if any(g.shape != gens[0].shape for g in gens):
+        raise ValueError("generators must share one square shape")
+    return gens
+
+
 def commutator(a, b) -> np.ndarray:
     """Lie bracket ``[a, b] = a @ b - b @ a``, re-antisymmetrised exactly."""
     a = np.asarray(a, dtype=float)
@@ -190,13 +201,7 @@ def joint_canonical_form(generators, struct_rtol: float = JOINT_STRUCT_RTOL):
     Raises ValueError for mismatched shapes or non-commuting generators and
     RuntimeError when no combination yields a shared block structure.
     """
-    gens = [as_skew(g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    for g in gens[1:]:
-        if g.shape != gens[0].shape:
-            raise ValueError(f"generator shapes differ: {gens[0].shape} vs {g.shape}")
-    return _joint_canonical_form(gens, struct_rtol)
+    return _joint_canonical_form(_skew_generators(generators), struct_rtol)
 
 
 def _joint_canonical_form(gens, struct_rtol: float):

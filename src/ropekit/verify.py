@@ -7,9 +7,12 @@ rotary pairs with learned frequencies, and a commuting generator pair
 reduces to per-pair combined-angle rotations, both via a shared orthogonal
 block-diagonalizing basis.
 
-Counterexample checks (the ``non-equivariance:*`` and ``*-counterexample``
-names) pass when a violation LARGER than the threshold is found; all other
-checks pass when the residual stays below tolerance.
+A check keeps only its trial kernel: ``_worst`` folds the kernel's residuals
+into the largest, and ``_report`` states the check's tolerance and kind and
+gives the one verdict.  A bound check passes when the residual stays at or
+below its tolerance; a counterexample check passes when a violation LARGER
+than its threshold is found.  A NaN residual propagates through the fold and
+fails both kinds.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .attention import score, scored_pair
-from .encodings import (SCHEMES, Encoder, FrequencyTable, _angles, _rotate_pairs, frequency_schedule,
-                        grad_frequencies, liere, make_encoder, spherical, spherical_fast)
+from .encodings import (SCHEMES, Encoder, FrequencyTable, frequency_schedule, grad_frequencies, liere,
+                        make_encoder, spherical, spherical_fast)
 from .linalg import as_skew, block_diag_skew, joint_canonical_form
 
 EQUIVARIANCE_TOL = 1e-9
@@ -93,6 +96,35 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _commuting_liere(rng: np.random.Generator) -> Encoder:
+    return make_encoder("liere", generators=commuting_generators(8, rng))
+
+
+def _random_liere(rng: np.random.Generator) -> Encoder:
+    return make_encoder("liere", generators=(random_skew(8, rng), random_skew(8, rng)))
+
+
+# ---------------------------------------------------------------------------
+# the residual fold and the verdict
+# ---------------------------------------------------------------------------
+
+
+def _worst(trials: int, rng: np.random.Generator, *kernels) -> float:
+    """The largest ``kernel(rng)`` over ``trials`` draws of each kernel in
+    turn.  A NaN residual propagates into the result, and no trials is an
+    error rather than a vacuous residual of 0."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    return float(np.max([kernel(rng) for kernel in kernels for _ in range(trials)]))
+
+
+def _report(name: str, worst: float, tol: float, trials: int, seed: int,
+            counterexample: bool = False) -> CheckReport:
+    """The one verdict: a bound check passes at ``worst <= tol``, a
+    counterexample check at ``worst > tol``, so a NaN fails both."""
+    return CheckReport(name, worst > tol if counterexample else worst <= tol, worst, trials, seed)
+
+
 # ---------------------------------------------------------------------------
 # equivariance
 # ---------------------------------------------------------------------------
@@ -105,36 +137,26 @@ def shift_residual(encoder, z_q, z_k, p_q, p_k, s) -> float:
     return abs(moved - base)
 
 
-def _worst_shift_residual(encoder, trials: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    axes = encoder.axes
-    worst = 0.0
-    for _ in range(trials):
-        z_q = rng.standard_normal(encoder.dim)
-        z_k = rng.standard_normal(encoder.dim)
-        p_q = rng.uniform(-np.pi, np.pi, axes)
-        p_k = rng.uniform(-np.pi, np.pi, axes)
-        s = rng.uniform(-np.pi, np.pi, axes)
-        worst = max(worst, shift_residual(encoder, z_q, z_k, p_q, p_k, s))
-    return worst
+def _shift(encoder, rng) -> float:
+    z_q = rng.standard_normal(encoder.dim)
+    z_k = rng.standard_normal(encoder.dim)
+    p_q, p_k, s = (rng.uniform(-np.pi, np.pi, encoder.axes) for _ in range(3))
+    return shift_residual(encoder, z_q, z_k, p_q, p_k, s)
 
 
 def check_equivariance(encoder, trials: int = 200, seed: int = 0,
                        name: str | None = None) -> CheckReport:
     """Attention scores must be invariant under a common position shift."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    residual = _worst_shift_residual(encoder, trials, seed)
-    return CheckReport(name or f"equivariance:{encoder.scheme}",
-                       residual <= EQUIVARIANCE_TOL, residual, trials, seed)
+    worst = _worst(trials, np.random.default_rng(seed), partial(_shift, encoder))
+    return _report(name or f"equivariance:{encoder.scheme}", worst, EQUIVARIANCE_TOL, trials, seed)
 
 
 def check_non_equivariance(encoder, trials: int = 100, seed: int = 0,
                            name: str | None = None) -> CheckReport:
     """Passes when some trial violates shift-invariance beyond the threshold."""
-    residual = _worst_shift_residual(encoder, trials, seed)
-    return CheckReport(name or f"non-equivariance:{encoder.scheme}",
-                       residual > COUNTEREXAMPLE_TOL, residual, trials, seed)
+    worst = _worst(trials, np.random.default_rng(seed), partial(_shift, encoder))
+    return _report(name or f"non-equivariance:{encoder.scheme}", worst, COUNTEREXAMPLE_TOL, trials, seed,
+                   counterexample=True)
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +168,18 @@ def reduced_score(z_q, z_k, p_q, p_k, table: FrequencyTable, basis: np.ndarray) 
     """Score of basis-transformed inputs under per-pair rotations.
 
     Pairs are consecutive coordinates of ``basis.T @ z``; a trailing unpaired
-    coordinate (odd dimension) passes through unrotated.  rope1d tables use
-    angle f*p; mixed tables use f_x*p_x + f_y*p_y.
+    coordinate (odd dimension) passes through unrotated.  The pairs turn
+    through the table's own encoder: rope1d tables use angle f*p; mixed
+    tables use f_x*p_x + f_y*p_y.
     """
     if table.scheme not in ("rope1d", "mixed"):
         raise ValueError(f"unsupported table scheme {table.scheme!r}")
     n2 = 2 * table.blocks
+    pairs = Encoder(table.scheme, n2, table)
 
     def encode(z, p):
         y = basis.T @ np.asarray(z, dtype=float)
-        y[:n2] = _rotate_pairs(y[:n2], _angles(np.atleast_1d(np.asarray(p, dtype=float)), table.freqs.T))
+        y[:n2] = pairs.encode(y[:n2], p)
         return y
 
     return float(encode(z_q, p_q) @ encode(z_k, p_k))
@@ -189,22 +213,24 @@ def reduce_liere_mixed(ax, ay) -> tuple[FrequencyTable, np.ndarray]:
 # The encoder's score is then held to the same bound against that exponential.
 
 
+def _reduction(gens, table, basis, enc, rng) -> float:
+    z_q, z_k = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
+    p_q, p_k = rng.uniform(-np.pi, np.pi, (2, len(gens)))
+    lhs = score(liere(z_q, p_q, gens), liere(z_k, p_k, gens))
+    rhs = reduced_score(z_q, z_k, p_q, p_k, table, basis)
+    via_encoder = scored_pair(enc, z_q, z_k, p_q, p_k)
+    return np.maximum(abs(lhs - rhs), abs(via_encoder - lhs))
+
+
 def _run_reduction(name, draw_generators, reduce, trials: int, seed: int, dim: int = 8,
-                  tuples: int = 20) -> CheckReport:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
+                   tuples: int = 20) -> CheckReport:
+    def trial(rng):
         gens = draw_generators(dim, rng)
         table, basis = reduce(*gens)
         enc = make_encoder("liere", generators=gens)
-        for _ in range(tuples):
-            z_q, z_k = rng.standard_normal(dim), rng.standard_normal(dim)
-            p_q, p_k = rng.uniform(-np.pi, np.pi, (2, len(gens)))
-            lhs = score(liere(z_q, p_q, gens), liere(z_k, p_k, gens))
-            rhs = reduced_score(z_q, z_k, p_q, p_k, table, basis)
-            via_encoder = scored_pair(enc, z_q, z_k, p_q, p_k)
-            worst = max(worst, abs(lhs - rhs), abs(via_encoder - lhs))
-    return CheckReport(name, worst <= SCORE_EQUIV_TOL, worst, trials, seed)
+        return _worst(tuples, rng, partial(_reduction, gens, table, basis, enc))
+
+    return _report(name, _worst(trials, np.random.default_rng(seed), trial), SCORE_EQUIV_TOL, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -212,38 +238,34 @@ def _run_reduction(name, draw_generators, reduce, trials: int, seed: int, dim: i
 # ---------------------------------------------------------------------------
 
 
+def _separability(enc, rng) -> float:
+    z_q, z_k = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
+    p_q = rng.uniform(-np.pi, np.pi, 2)
+    p_k = rng.uniform(-np.pi, np.pi, 2)
+    eq = enc.encode(z_q, p_q)
+    ek = enc.encode(z_k, p_k)
+    x_part = float(eq[0::4] @ ek[0::4] + eq[1::4] @ ek[1::4])
+    y_part = float(eq[2::4] @ ek[2::4] + eq[3::4] @ ek[3::4])
+    return abs(float(eq @ ek) - (x_part + y_part))
+
+
 def check_axial_separability(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
     """Total axial score must equal the x-pair plus y-pair partial scores."""
-    rng = np.random.default_rng(seed)
-    enc = make_encoder("axial", dim)
-    worst = 0.0
-    for _ in range(trials):
-        z_q, z_k = rng.standard_normal(dim), rng.standard_normal(dim)
-        p_q = rng.uniform(-np.pi, np.pi, 2)
-        p_k = rng.uniform(-np.pi, np.pi, 2)
-        eq = enc.encode(z_q, p_q)
-        ek = enc.encode(z_k, p_k)
-        x_part = float(eq[0::4] @ ek[0::4] + eq[1::4] @ ek[1::4])
-        y_part = float(eq[2::4] @ ek[2::4] + eq[3::4] @ ek[3::4])
-        worst = max(worst, abs(float(eq @ ek) - (x_part + y_part)))
-    return CheckReport("separability:axial", worst <= SEPARABILITY_TOL, worst, trials, seed)
+    worst = _worst(trials, np.random.default_rng(seed), partial(_separability, make_encoder("axial", dim)))
+    return _report("separability:axial", worst, SEPARABILITY_TOL, trials, seed)
 
 
-def _worst_antidiagonal_change(enc, trials: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(enc.dim)
-        a, b, t = rng.uniform(-np.pi, np.pi, 3)
-        d = enc.encode(z, (a, b)) - enc.encode(z, (a + t, b - t))
-        worst = max(worst, float(np.linalg.norm(d)))
-    return worst
+def _antidiagonal(enc, rng) -> float:
+    z = rng.standard_normal(enc.dim)
+    a, b, t = rng.uniform(-np.pi, np.pi, 3)
+    return np.linalg.norm(enc.encode(z, (a, b)) - enc.encode(z, (a + t, b - t)))
 
 
 def check_trivial_degeneracy(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
     """Summed-coordinate rotary encoding is constant along anti-diagonals."""
-    worst = _worst_antidiagonal_change(make_encoder("trivial2d", dim), trials, seed)
-    return CheckReport("degeneracy:trivial2d", worst <= DEGENERACY_TOL, worst, trials, seed)
+    enc = make_encoder("trivial2d", dim)
+    worst = _worst(trials, np.random.default_rng(seed), partial(_antidiagonal, enc))
+    return _report("degeneracy:trivial2d", worst, DEGENERACY_TOL, trials, seed)
 
 
 def check_mixed_antidiagonal(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
@@ -251,8 +273,9 @@ def check_mixed_antidiagonal(trials: int = 100, seed: int = 0, dim: int = 16) ->
     NOT be anti-diagonal degenerate (passes when a violation is found)."""
     sched = frequency_schedule(dim // 2)
     table = FrequencyTable("mixed", np.column_stack([sched, 0.5 * sched]))
-    worst = _worst_antidiagonal_change(make_encoder("mixed", dim, table=table), trials, seed)
-    return CheckReport("degeneracy:mixed-contrast", worst > CONTRAST_TOL, worst, trials, seed)
+    enc = make_encoder("mixed", dim, table=table)
+    worst = _worst(trials, np.random.default_rng(seed), partial(_antidiagonal, enc))
+    return _report("degeneracy:mixed-contrast", worst, CONTRAST_TOL, trials, seed, counterexample=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +308,28 @@ def finite_difference_grad(scheme, z_q, z_k, p_q, p_k, table: FrequencyTable,
     return out
 
 
+def _gradient(encoder, rng) -> float:
+    z_q = rng.standard_normal(encoder.dim)
+    z_k = rng.standard_normal(encoder.dim)
+    p_q = rng.uniform(-np.pi, np.pi, 2)
+    p_k = rng.uniform(-np.pi, np.pi, 2)
+    if encoder.axes == 1:
+        p_q, p_k = p_q[0], p_k[0]
+    analytic = grad_frequencies(encoder.scheme, z_q, z_k, p_q, p_k, encoder.table)
+    numeric = finite_difference_grad(encoder.scheme, z_q, z_k, p_q, p_k, encoder.table)
+    return np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3))
+
+
 def check_gradients(encoder, trials: int = 100, seed: int = 0) -> CheckReport:
     """Analytic frequency gradients against central differences.
 
     Residual is the worst relative error with a small-denominator floor
     (entries below the floor are compared absolutely).
     """
-    scheme = encoder.scheme
-    if SCHEMES[scheme].grad is None:
-        raise ValueError(f"no frequency gradients for scheme {scheme!r}")
-    rng = np.random.default_rng(seed)
-    table = encoder.table
-    worst = 0.0
-    for _ in range(trials):
-        z_q = rng.standard_normal(encoder.dim)
-        z_k = rng.standard_normal(encoder.dim)
-        p_q = rng.uniform(-np.pi, np.pi, 2)
-        p_k = rng.uniform(-np.pi, np.pi, 2)
-        if encoder.axes == 1:
-            p_q, p_k = p_q[0], p_k[0]
-        analytic = grad_frequencies(scheme, z_q, z_k, p_q, p_k, table)
-        numeric = finite_difference_grad(scheme, z_q, z_k, p_q, p_k, table)
-        err = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-3)
-        worst = max(worst, float(np.max(err)))
-    return CheckReport(f"gradients:{scheme}", worst <= GRADIENT_TOL, worst, trials, seed)
+    if SCHEMES[encoder.scheme].grad is None:
+        raise ValueError(f"no frequency gradients for scheme {encoder.scheme!r}")
+    worst = _worst(trials, np.random.default_rng(seed), partial(_gradient, encoder))
+    return _report(f"gradients:{encoder.scheme}", worst, GRADIENT_TOL, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,60 +340,52 @@ _ISOMETRY_SCHEMES = tuple((s, 12 if spec.block == 3 else 16) for s, spec in SCHE
 _ABELIAN_SCHEMES = tuple(case for case in _ISOMETRY_SCHEMES if case[0] != "spherical")
 
 
+def _isometry(enc, rng) -> float:
+    z = rng.standard_normal(enc.dim)
+    p = rng.uniform(-np.pi, np.pi, enc.axes)
+    return abs(np.linalg.norm(enc.encode(z, p)) - np.linalg.norm(z)) / np.linalg.norm(z)
+
+
 def check_isometry(trials: int = 100, seed: int = 0) -> CheckReport:
     """Every rotary encoder must preserve vector norms (relative residual)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    encoders = [make_encoder(s, d) for s, d in _ISOMETRY_SCHEMES]
-    encoders.append(make_encoder("liere", generators=tuple(random_skew(8, rng) for _ in range(2))))
-    for enc in encoders:
-        for _ in range(trials):
-            z = rng.standard_normal(enc.dim)
-            p = rng.uniform(-np.pi, np.pi, enc.axes)
-            out = enc.encode(z, p)
-            worst = max(worst, abs(np.linalg.norm(out) - np.linalg.norm(z)) / np.linalg.norm(z))
-    return CheckReport("isometry:rotary", worst <= ISOMETRY_TOL, worst, trials, seed)
+    encoders = [make_encoder(s, d) for s, d in _ISOMETRY_SCHEMES] + [_random_liere(rng)]
+    worst = _worst(trials, rng, *(partial(_isometry, enc) for enc in encoders))
+    return _report("isometry:rotary", worst, ISOMETRY_TOL, trials, seed)
 
 
-def _worst_flow_change(enc, trials: int, rng: np.random.Generator) -> float:
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(enc.dim)
-        p1 = rng.uniform(-np.pi, np.pi, enc.axes)
-        p2 = rng.uniform(-np.pi, np.pi, enc.axes)
-        d = enc.encode(enc.encode(z, p1), p2) - enc.encode(z, p1 + p2)
-        worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+def _flow(enc, rng) -> float:
+    z = rng.standard_normal(enc.dim)
+    p1 = rng.uniform(-np.pi, np.pi, enc.axes)
+    p2 = rng.uniform(-np.pi, np.pi, enc.axes)
+    return np.max(np.abs(enc.encode(enc.encode(z, p1), p2) - enc.encode(z, p1 + p2)))
 
 
 def check_flow(trials: int = 100, seed: int = 0) -> CheckReport:
     """encode(encode(z, p1), p2) == encode(z, p1+p2) for the abelian schemes."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    encoders = [make_encoder(s, d) for s, d in _ABELIAN_SCHEMES]
-    encoders.append(make_encoder("liere", generators=commuting_generators(8, rng)))
-    for enc in encoders:
-        worst = max(worst, _worst_flow_change(enc, trials, rng))
-    return CheckReport("flow:abelian", worst <= FLOW_TOL, worst, trials, seed)
+    encoders = [make_encoder(s, d) for s, d in _ABELIAN_SCHEMES] + [_commuting_liere(rng)]
+    worst = _worst(trials, rng, *(partial(_flow, enc) for enc in encoders))
+    return _report("flow:abelian", worst, FLOW_TOL, trials, seed)
 
 
 def check_flow_counterexample(trials: int = 100, seed: int = 0) -> CheckReport:
     """The 3D-rotation scheme must violate the flow property somewhere."""
-    worst = _worst_flow_change(make_encoder("spherical", 12), trials, np.random.default_rng(seed))
-    return CheckReport("flow:spherical-counterexample", worst > CONTRAST_TOL, worst, trials, seed)
+    worst = _worst(trials, np.random.default_rng(seed), partial(_flow, make_encoder("spherical", 12)))
+    return _report("flow:spherical-counterexample", worst, CONTRAST_TOL, trials, seed, counterexample=True)
+
+
+def _fast_path(table, rng) -> float:
+    z = rng.standard_normal(3 * table.blocks)
+    p = rng.uniform(-np.pi, np.pi, 2)
+    return np.max(np.abs(spherical(z, p, table) - spherical_fast(z, p, table)))
 
 
 def check_fast_path(trials: int = 1000, seed: int = 0, dim: int = 12) -> CheckReport:
     """Elementwise pair-update route against the rotation-matrix route."""
-    rng = np.random.default_rng(seed)
     table = FrequencyTable.fixed("spherical", dim)
-    worst = 0.0
-    for _ in range(trials):
-        z = rng.standard_normal(dim)
-        p = rng.uniform(-np.pi, np.pi, 2)
-        d = spherical(z, p, table) - spherical_fast(z, p, table)
-        worst = max(worst, float(np.max(np.abs(d))))
-    return CheckReport("fast-path:spherical", worst <= FAST_PATH_TOL, worst, trials, seed)
+    worst = _worst(trials, np.random.default_rng(seed), partial(_fast_path, table))
+    return _report("fast-path:spherical", worst, FAST_PATH_TOL, trials, seed)
 
 
 def locality_probe(encoder, max_shift: float, samples: int, draws: int = 32,
@@ -402,70 +415,53 @@ def locality_probe(encoder, max_shift: float, samples: int, draws: int = 32,
 # ---------------------------------------------------------------------------
 
 
-def _equivariance_runner(scheme, dim):
+def _on(check, build_encoder, name=None):
+    """Registry runner: ``check`` on the encoder ``build_encoder(rng)``, with
+    ``rng`` seeded like the check; the report is named ``name`` when given."""
     def run(trials, seed):
-        return check_equivariance(make_encoder(scheme, dim), trials, seed)
+        enc = build_encoder(np.random.default_rng(seed))
+        return check(enc, trials, seed) if name is None else check(enc, trials, seed, name=name)
 
     return run
 
 
-def _run_equivariance_liere_commuting(trials, seed):
-    rng = np.random.default_rng(seed)
-    enc = make_encoder("liere", generators=commuting_generators(8, rng))
-    return check_equivariance(enc, trials, seed, name="equivariance:liere-commuting")
+def _fixed(scheme, dim):
+    """Encoder builder for a table scheme's default table; it draws nothing."""
+    return lambda rng: make_encoder(scheme, dim)
 
 
-def _run_non_equivariance_spherical(trials, seed):
-    return check_non_equivariance(make_encoder("spherical", 12), trials, seed)
-
-
-def _run_non_equivariance_liere_random(trials, seed):
-    rng = np.random.default_rng(seed)
-    enc = make_encoder("liere", generators=(random_skew(8, rng), random_skew(8, rng)))
-    return check_non_equivariance(enc, trials, seed, name="non-equivariance:liere-random")
-
-
-def _run_equivariance_spherical_positive(trials, seed):
-    # deliberate demonstration: asserting shift-invariance of the
-    # non-commutative scheme fails; excluded from default runs
-    return check_equivariance(make_encoder("spherical", 12), trials, seed,
-                              name="equivariance:spherical-positive")
-
-
-def _gradient_runner(scheme, dim, **kwargs):
-    def run(trials, seed):
-        return check_gradients(make_encoder(scheme, dim, **kwargs), trials, seed)
-
-    return run
-
-
-# name -> (runner, default trials, included in default run)
+# name -> (runner(trials, seed), default trials, included in default run)
 _REGISTRY = {
-    "equivariance:rope1d": (_equivariance_runner("rope1d", 16), 200, True),
-    "equivariance:trivial2d": (_equivariance_runner("trivial2d", 16), 200, True),
-    "equivariance:axial": (_equivariance_runner("axial", 16), 200, True),
-    "equivariance:mixed": (_equivariance_runner("mixed", 16), 200, True),
-    "equivariance:uniform": (_equivariance_runner("uniform", 16), 200, True),
-    "equivariance:liere-commuting": (_run_equivariance_liere_commuting, 200, True),
-    "non-equivariance:spherical": (_run_non_equivariance_spherical, 100, True),
-    "non-equivariance:liere-random": (_run_non_equivariance_liere_random, 100, True),
-    "separability:axial": (lambda t, s: check_axial_separability(t, s), 100, True),
-    "degeneracy:trivial2d": (lambda t, s: check_trivial_degeneracy(t, s), 100, True),
-    "degeneracy:mixed-contrast": (lambda t, s: check_mixed_antidiagonal(t, s), 100, True),
+    "equivariance:rope1d": (_on(check_equivariance, _fixed("rope1d", 16)), 200, True),
+    "equivariance:trivial2d": (_on(check_equivariance, _fixed("trivial2d", 16)), 200, True),
+    "equivariance:axial": (_on(check_equivariance, _fixed("axial", 16)), 200, True),
+    "equivariance:mixed": (_on(check_equivariance, _fixed("mixed", 16)), 200, True),
+    "equivariance:uniform": (_on(check_equivariance, _fixed("uniform", 16)), 200, True),
+    "equivariance:liere-commuting": (
+        _on(check_equivariance, _commuting_liere, "equivariance:liere-commuting"), 200, True),
+    "non-equivariance:spherical": (_on(check_non_equivariance, _fixed("spherical", 12)), 100, True),
+    "non-equivariance:liere-random": (
+        _on(check_non_equivariance, _random_liere, "non-equivariance:liere-random"), 100, True),
+    "separability:axial": (check_axial_separability, 100, True),
+    "degeneracy:trivial2d": (check_trivial_degeneracy, 100, True),
+    "degeneracy:mixed-contrast": (check_mixed_antidiagonal, 100, True),
     "reduction:liere-1d": (partial(_run_reduction, "reduction:liere-1d",
                                    lambda n, rng: (random_skew(n, rng),), reduce_liere_1d), 10, True),
     "reduction:liere-mixed": (partial(_run_reduction, "reduction:liere-mixed",
                                       commuting_generators, reduce_liere_mixed), 10, True),
-    "gradients:rope1d": (_gradient_runner("rope1d", 16), 100, True),
-    "gradients:axial": (_gradient_runner("axial", 16), 100, True),
-    "gradients:mixed": (_gradient_runner("mixed", 16), 100, True),
-    "gradients:spherical": (_gradient_runner("spherical", 12), 100, True),
-    "gradients:uniform": (_gradient_runner("uniform", 16), 100, True),
-    "fast-path:spherical": (lambda t, s: check_fast_path(t, s), 1000, True),
+    "gradients:rope1d": (_on(check_gradients, _fixed("rope1d", 16)), 100, True),
+    "gradients:axial": (_on(check_gradients, _fixed("axial", 16)), 100, True),
+    "gradients:mixed": (_on(check_gradients, _fixed("mixed", 16)), 100, True),
+    "gradients:spherical": (_on(check_gradients, _fixed("spherical", 12)), 100, True),
+    "gradients:uniform": (_on(check_gradients, _fixed("uniform", 16)), 100, True),
+    "fast-path:spherical": (check_fast_path, 1000, True),
     "isometry:rotary": (check_isometry, 100, True),
     "flow:abelian": (check_flow, 100, True),
     "flow:spherical-counterexample": (check_flow_counterexample, 100, True),
-    "equivariance:spherical-positive": (_run_equivariance_spherical_positive, 100, False),
+    # deliberate demonstration: asserting shift-invariance of the
+    # non-commutative scheme fails; excluded from default runs
+    "equivariance:spherical-positive": (_on(check_equivariance, _fixed("spherical", 12),
+                                            "equivariance:spherical-positive"), 100, False),
 }
 
 

@@ -171,6 +171,15 @@ def test_pattern_unwritable_path_exit_2(tmp_path, capsys):
     assert "p.pgm" in err  # full OSError text, not the bare errno
 
 
+@pytest.mark.parametrize("scheme", ["rope1d", "trivial2d", "axial", "mixed", "spherical", "uniform"])
+def test_pattern_default_dim_fits_every_table_scheme(tmp_path, capsys, scheme):
+    out = tmp_path / "p.pgm"
+    code, _, err = run_cli(["pattern", "--scheme", scheme, "--width", "4", "--height", "3",
+                            "-o", str(out)], capsys)
+    assert code == 0, err
+    assert read_pgm(out)[:2] == (4, 3)
+
+
 def test_pattern_missing_scheme_exit_2(capsys):
     code, _, err = run_cli(["pattern"], capsys)
     assert code == 2

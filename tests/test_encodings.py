@@ -948,6 +948,13 @@ def test_liere_encoders_reject_bad_generators(case):
         E.Encoder("liere", 3 if dim is None else dim, generators=gens)
 
 
+@pytest.mark.parametrize("case", sorted(set(BAD_GENERATORS) - {"dim-mismatch"}))
+def test_joint_canonical_form_rejects_bad_generators_like_liere(case):
+    gens, _, msg = BAD_GENERATORS[case]
+    with pytest.raises(ValueError, match=msg):
+        linalg.joint_canonical_form(gens)
+
+
 def test_config_round_trip_base():
     enc = E.make_encoder("axial", 16, base=50.0)
     cfg = E.encoder_to_config(enc)
@@ -993,6 +1000,17 @@ def test_config_rejects_bad_inputs():
         E.parse_config("{not json")
     with pytest.raises(ValueError):
         E.encoder_to_config(E.make_encoder("liere", generators=[np.array([[0.0, -1.0], [1.0, 0.0]])]))
+
+
+@pytest.mark.parametrize("cfg,msg", [
+    ({"scheme": "uniform", "dim": 8, "freqs": [[1.0, 1.0], [1.0, 1.0]]}, "uniform_freq' only"),
+    ({"scheme": "uniform", "dim": 8, "base": 10.0}, "uniform_freq' only"),
+    ({"scheme": "mixed", "dim": 8, "uniform_freq": 2.0}, "'uniform_freq' only applies"),
+])
+def test_config_rejects_parameters_its_scheme_does_not_take(cfg, msg):
+    # the same rule, and the same message, as make_encoder
+    with pytest.raises(ValueError, match=msg):
+        E.encoder_from_config(cfg)
 
 
 def test_encoder_liere_round_trip_dim():

@@ -1,6 +1,8 @@
 """Checks, reductions, and the check registry."""
 
+import itertools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -372,6 +374,57 @@ def test_locality_probe_zero_shift_is_peak():
     curve = V.locality_probe(enc, np.pi, 12, draws=8, seed=1)
     assert curve[0] == pytest.approx(1.0, abs=1e-12)
     assert np.argmax(curve) == 0
+
+
+# ---------------------------------------------------------------------------
+# the residual fold and the verdict
+# ---------------------------------------------------------------------------
+
+
+ZERO_TRIAL_CHECKS = {
+    "equivariance": lambda: V.check_equivariance(E.make_encoder("rope1d", 8), trials=0),
+    "non-equivariance": lambda: V.check_non_equivariance(E.make_encoder("spherical", 12), trials=0),
+    "gradients": lambda: V.check_gradients(E.make_encoder("rope1d", 8), trials=0),
+    "separability": lambda: V.check_axial_separability(trials=0),
+    "degeneracy": lambda: V.check_trivial_degeneracy(trials=0),
+    "isometry": lambda: V.check_isometry(trials=0),
+    "flow": lambda: V.check_flow(trials=0),
+    "fast-path": lambda: V.check_fast_path(trials=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_TRIAL_CHECKS))
+def test_checks_reject_zero_trials(case):
+    # a residual over no trials is no evidence: a bound check must not pass on it
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        ZERO_TRIAL_CHECKS[case]()
+
+
+NAN_CASES = {  # name: (scheme whose SCHEMES entry turns NaN once, that entry's field, run)
+    "gradients": ("mixed", "grad", lambda: V.check_gradients(E.make_encoder("mixed", 16), 10, 0)),
+    "equivariance": ("mixed", "encode", lambda: V.check_equivariance(E.make_encoder("mixed", 16), 10, 0)),
+    "non-equivariance": ("spherical", "encode",
+                         lambda: V.check_non_equivariance(E.make_encoder("spherical", 12), 10, 0)),
+    # the liere encoder's score against the per-position exponential
+    "reduction": ("liere", "encode", lambda: V.run_checks(["reduction:liere-mixed"], seed=0)[0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_nan_residual_fails_bound_and_counterexample_checks(monkeypatch, case):
+    # one NaN among finite residuals: a fold that drops it would report the finite worst
+    scheme, field, run = NAN_CASES[case]
+    spec = E.SCHEMES[scheme]
+    real, calls = getattr(spec, field), itertools.count()
+
+    def fifth_call_nan(*args):
+        out = real(*args)
+        return np.full_like(out, np.nan) if next(calls) == 4 else out
+
+    monkeypatch.setitem(E.SCHEMES, scheme, spec._replace(**{field: fifth_call_nan}))
+    r = run()
+    assert not r.passed
+    assert math.isnan(r.residual)
 
 
 # ---------------------------------------------------------------------------
