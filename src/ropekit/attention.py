@@ -7,7 +7,8 @@ score to one block's contribution (one coordinate pair, or one triple for
 the 3D-rotation scheme); per-block patterns sum to the combined pattern.
 A table-scheme raster is computed from one encoded query per row and one
 encoded key per column (see ``render_pattern``), a liere raster from the
-query encoded at every pixel.
+query encoded at every pixel.  A table scheme's block raster turns only the
+table block that holds its pattern block.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import encodings
 from .encodings import Encoder
 from .grid import make_grid
 
@@ -97,9 +99,12 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     ``block`` restricts the dot product to that block's coordinates.  A
     table scheme's rotation factors per axis, ``R(p_x, p_y) = R(p_x, 0)
     R(0, p_y)``, each factor acting inside every block, so pixel ``(r, c)``
-    is ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: the query is encoded
-    at the ``height`` row offsets and the key at the ``width`` column
-    offsets, two batched ``encode`` calls of ``width + height`` tokens.
+    is ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: the query is turned
+    to the ``height`` row offsets and the key to the ``width`` column
+    offsets, two batched turns of ``width + height`` tokens.  A block
+    raster turns only the table block holding its pattern block, by the
+    rotation routine ``encode`` uses, so its pixels are bit for bit those
+    of the combined raster's factors on the block.
     liere generators need not commute, and a liere block is not invariant
     under the rotation, so a liere encoder encodes the query at every pixel
     and the key at the origin.
@@ -110,18 +115,16 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
         raise ValueError("pattern rendering needs a 1- or 2-axis encoder")
     if np.ndim(z_q) != 1 or np.ndim(z_k) != 1:
         raise ValueError("pattern rendering takes one query and one key vector")
-    sl = slice(None) if block is None else encoder.pattern_slice(block)
     positions = make_grid(height, width).positions[..., :encoder.axes]
     if encoder.table is None:
-        q = encoder.encode(z_q, positions)
-        k = encoder.encode(z_k, (0.0,) * encoder.axes)
+        at_q, at_k = positions, (0.0,) * encoder.axes
     else:
         # a one-axis encoder has no y factor: its query rows are z_q itself
-        rows = np.zeros((height, 1, encoder.axes))
-        rows[..., 1:] = positions[:, :1, 1:]
-        cols = np.zeros((width, encoder.axes))
-        cols[:, 0] = -positions[0, :, 0]
-        q, k = encoder.encode(z_q, rows), encoder.encode(z_k, cols)
+        at_q = np.zeros((height, 1, encoder.axes))
+        at_q[..., 1:] = positions[:, :1, 1:]
+        at_k = np.zeros((width, encoder.axes))
+        at_k[:, 0] = -positions[0, :, 0]
+    q, k, sl = encodings._pattern_factors(encoder, z_q, at_q, z_k, at_k, block)
     # a stack of (1, k) @ (k, 1) products, not one matrix product: each pixel
     # is the dot product that scoring its two factors alone would compute, so
     # equal factors give exactly equal pixels

@@ -17,11 +17,14 @@ axes:
                     generators ``A_m``; encoders of commuting generators
                     apply it as pair rotations in one precomputed basis
 
-The pair schemes are all mixed RoPE with a structured angle matrix ``W`` of
-shape (axes, dim/2), built once per encoder: pair ``j`` turns by
-``theta_j = sum_m p_m W[m, j]``, as the complex number ``a + ib`` times the
-unit phasor ``exp(1j * theta_j)``; a spherical triple is two such products.
-``SCHEMES`` is the one registry of schemes.  Every
+A table scheme's angles come straight from its (blocks, axes) frequency
+table, as the products ``x[..., j, m] = p[..., m] * freqs[j, m]``: pair
+``j`` of a pair scheme turns by ``sum_m x[..., j, m]``, added in axis order;
+an axial quadruple's x- and y-pairs and a spherical triple's yaw and roll
+turn by the products themselves.  A turn is the complex number ``a + ib``
+times the unit phasor ``exp(1j * theta)``; a spherical triple is two such
+products.  ``_turn`` is the one rotation routine, behind ``Encoder.encode``
+and the block rasters.  ``SCHEMES`` is the one registry of schemes.  Every
 encoder takes token vectors of shape (..., dim) and positions of shape
 (..., axes) whose leading shapes broadcast; one token is the ``()`` case.
 ``grad_frequencies`` takes the same shapes and differentiates the same products;
@@ -169,32 +172,39 @@ def _check_table(scheme: str, table: FrequencyTable) -> None:
         raise ValueError(f"{scheme} reads {layout!r} tables, got {getattr(table, 'scheme', None)!r}")
 
 
-def _angle_matrix(freqs: np.ndarray, block: int) -> np.ndarray:
-    """The (axes, angles) matrix ``W`` with angle ``j = sum_m p_m W[m, j]``.
-
-    A pair block carries one angle, so ``W = freqs.T``; an axial quadruple or
-    a spherical triple carries one angle per axis, x then y.
-    """
-    if block == 2:
-        w = freqs.T.copy()  # contiguous rows
-    else:
-        w = np.zeros((2, 2 * len(freqs)))
-        w[0, 0::2], w[1, 1::2] = freqs[:, 0], freqs[:, 1]
-    w.flags.writeable = False
-    return w
-
-
-# an index tuple built once: a literal ``[..., :1]`` is rebuilt on every call
-_FIRST = (..., slice(1))
-
-
-def _angles(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``sum_m p[..., m] * w[m]``, elementwise rather than a matmul, so every
-    angle is the same whatever batch it is computed in."""
-    a = p[_FIRST] * w[0]
-    for m in range(1, len(w)):
-        a += p[..., m:m + 1] * w[m]
+def _pair_angles(freqs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Pair ``j``'s angle ``sum_m p[..., m] * freqs[j, m]``, the axis products
+    added in axis order, so an angle is the same whatever batch it is in.
+    Each product takes one table column, a long loop over the pairs; the
+    broadcast ``p[..., None, :] * freqs`` loops over the axes innermost and
+    is several times slower on a batch."""
+    a = p[..., :1] * freqs[:, 0]
+    for m in range(1, freqs.shape[1]):
+        a += p[..., m:m + 1] * freqs[:, m]
     return a
+
+
+# up to this many angles one broadcast product is the faster route, past it
+# the column products are (the two cross at 500 to 750 angles on a 2-core
+# Xeon with numpy 2.4: 12 to 32 blocks, 32 to 12 positions)
+_BROADCAST_ANGLES = 512
+
+
+def _axis_angles(freqs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Block ``j``'s x-angle ``p_x * freqs[j, 0]`` at ``2j`` and its y-angle
+    ``p_y * freqs[j, 1]`` at ``2j + 1``: an axial quadruple's x- and y-pair,
+    a spherical triple's yaw and roll.  A few angles take the broadcast
+    product in one call; more take one table column per product, into
+    every other entry, as ``_pair_angles`` does, since the broadcast loops
+    over the two axes innermost (on 1024 positions and 24 blocks it is
+    four times slower).  Every angle is the same one product either way."""
+    if p.size * len(freqs) <= _BROADCAST_ANGLES:
+        x = p[..., None, :] * freqs
+        return x.reshape(x.shape[:-2] + (freqs.size,))
+    x = np.empty(p.shape[:-1] + (freqs.size,))
+    np.multiply(p[..., :1], freqs[:, 0], out=x[..., 0::2])
+    np.multiply(p[..., 1:], freqs[:, 1], out=x[..., 1::2])
+    return x
 
 
 def _phasors(angles: np.ndarray) -> np.ndarray:
@@ -212,7 +222,10 @@ def _rotate_pairs(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Rotate consecutive coordinate pairs of ``z`` (..., 2k) by ``angles``
     (..., k): pair ``a + ib`` times the unit phasor ``exp(1j * angle)``.  The
     last axis of ``z`` must be contiguous."""
-    return (z.view(complex) * _phasors(angles)).view(float)
+    # a named operand: numpy may reuse a large temporary as the output and
+    # swap the operands, and the fused complex product is not commutative
+    e = _phasors(angles)
+    return (z.view(complex) * e).view(float)
 
 
 def _rotate_triples(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
@@ -228,6 +241,24 @@ def _rotate_triples(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
     yaw = out[..., :2].view(complex)[..., 0]
     yaw *= e[..., 0::2]
     return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
+
+
+def _encode_pairs(freqs, z, p):
+    return _rotate_pairs(z, _pair_angles(freqs, p))
+
+
+def _encode_axial(freqs, z, p):
+    return _rotate_pairs(z, _axis_angles(freqs, p))
+
+
+def _on_rows(route):
+    """A table scheme's ``encode(enc, z, p, block)``: ``route(freqs, z, p)``
+    on the rows of the encoder's table, all of them or table block
+    ``block``'s alone."""
+    def encode(enc, z, p, block=None):
+        freqs = enc.table.freqs
+        return route(freqs if block is None else freqs[block:block + 1], z, p)
+    return encode
 
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
@@ -310,8 +341,8 @@ def liere(z, p, generators) -> np.ndarray:
 
 def _liere_exp(z, p, gens) -> np.ndarray:
     """``liere`` on checked inputs and exactly skew generators.  The sum
-    ``sum_m p[..., m] * A_m`` is built elementwise, like ``_angles``, so a
-    position's matrix does not depend on its batch; a sum of exactly skew
+    ``sum_m p[..., m] * A_m`` is built elementwise, like a table's angles, so
+    a position's matrix does not depend on its batch; a sum of exactly skew
     terms is exactly skew, so only its finiteness is left to check."""
     a = p[..., 0, None, None] * gens[0]
     for m in range(1, len(gens)):
@@ -321,22 +352,22 @@ def _liere_exp(z, p, gens) -> np.ndarray:
     return _check_finite((linalg._exp_skew(a) @ z[..., None])[..., 0])
 
 
-def _encode_liere(enc, z, p):
+def _encode_liere(enc, z, p, block=None):
     if enc.reduction is None:
         return _liere_exp(z, p, enc.generators)
-    return _check_finite(_liere_reduced(z, p, enc.reduction[0], enc.weights))
+    return _check_finite(_liere_reduced(z, p, *enc.reduction))
 
 
-def _liere_reduced(z, p, basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _liere_reduced(z, p, basis: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """``liere`` for commuting generators through their joint ``(basis, freqs)``
-    form, ``weights = freqs.T``: the pairs of ``z @ basis`` turn by
-    ``freqs @ p`` and ``basis.T`` maps them back; a coordinate past the pairs
+    form: the pairs of ``z @ basis`` turn as a mixed table ``freqs`` turns
+    its pairs and ``basis.T`` maps them back; a coordinate past the pairs
     (an odd dimension's last) is fixed."""
     y = z @ basis
-    k2 = 2 * weights.shape[1]
+    k2 = 2 * len(freqs)
     if k2 == len(basis):
-        return _rotate_pairs(y, _angles(p, weights)) @ basis.T
-    return (_rotate_pairs(y[..., :k2], _angles(p, weights)) @ basis[:, :k2].T
+        return _encode_pairs(freqs, y, p) @ basis.T
+    return (_encode_pairs(freqs, y[..., :k2], p) @ basis[:, :k2].T
             + y[..., k2:] @ basis[:, k2:].T)
 
 
@@ -368,17 +399,27 @@ def sinusoidal_ape(x, p, table: FrequencyTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _grad_pairs(enc, zq, zk, pq, pk):
+def _grad_turns(angles, enc, zq, zk, pq, pk):
     # score = sum_j Re(conj(q_j) k_j e^{i theta_j}) over the complex pairs,
-    # theta = (p_k - p_q) W, so d score / d theta_j = -Im(conj(q_j) k_j e^{i theta_j});
-    # an axial quadruple is an x-pair then a y-pair
+    # theta = angles(freqs, p_k - p_q), so
+    # d score / d theta_j = -Im(conj(q_j) k_j e^{i theta_j})
     d = pk - pq
-    g = -(zq.view(complex).conj() * zk.view(complex) * _phasors(_angles(d, enc.weights))).imag
+    e = _phasors(angles(enc.table.freqs, d))
+    g = -(zq.view(complex).conj() * zk.view(complex) * e).imag
     return g.reshape(g.shape[:-1] + (enc.table.blocks, -1)) * d[..., None, :]
 
 
+def _grad_pairs(enc, zq, zk, pq, pk):
+    return _grad_turns(_pair_angles, enc, zq, zk, pq, pk)
+
+
+def _grad_axial(enc, zq, zk, pq, pk):
+    # an axial quadruple is an x-pair then a y-pair
+    return _grad_turns(_axis_angles, enc, zq, zk, pq, pk)
+
+
 def _grad_uniform(enc, zq, zk, pq, pk):
-    g = _grad_pairs(enc, zq, zk, pq, pk)
+    g = _grad_axial(enc, zq, zk, pq, pk)
     return np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
 
 
@@ -386,7 +427,8 @@ def _roll(z, angles):
     """Per triple of ``z``: the roll ``u = (x1 + i x2) e^{i angle}`` and the
     pair ``y = x0 + i Re(u)`` that the yaw then turns."""
     t = z.reshape(z.shape[:-1] + (z.shape[-1] // 3, 3))
-    u = t[..., 1:].view(complex)[..., 0] * _phasors(angles)
+    e = _phasors(angles)  # named, as in _rotate_pairs
+    u = t[..., 1:].view(complex)[..., 0] * e
     return u, t[..., 0] + 1j * u.real
 
 
@@ -433,9 +475,11 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
 class Scheme(NamedTuple):
     """One scheme: coordinates per rotation block, position axes, the
     FrequencyTable layout it reads (None for liere, whose generators set the
-    block and axes), ``encode(encoder, z, p)`` on checked (..., dim) and
-    (..., axes) arrays, and the closed-form frequency gradient
-    ``grad(encoder, z_q, z_k, p_q, p_k)`` on such arrays, or None."""
+    block and axes), ``encode(encoder, z, p, block)``, which turns checked
+    (..., dim) tokens at (..., axes) positions, or with a table block index
+    ``block`` (never given to liere) tokens of that block's coordinates
+    alone, and the closed-form frequency gradient ``grad(encoder, z_q, z_k,
+    p_q, p_k)`` on checked (..., dim) and (..., axes) arrays, or None."""
 
     block: int | None
     axes: int | None
@@ -444,22 +488,48 @@ class Scheme(NamedTuple):
     grad: Callable | None
 
 
-def _encode_pairs(enc, z, p):
-    return _rotate_pairs(z, _angles(p, enc.weights))
-
-
 SCHEMES = {
-    "rope1d": Scheme(2, 1, "rope1d", _encode_pairs, _grad_pairs),
-    # mixed with W = [w; w], applied as w * (p_x + p_y) to keep one rounding
-    "trivial2d": Scheme(2, 2, "rope1d", lambda enc, z, p: _encode_pairs(enc, z, p[..., :1] + p[..., 1:]),
+    "rope1d": Scheme(2, 1, "rope1d", _on_rows(_encode_pairs), _grad_pairs),
+    # mixed with both columns w, applied as w * (p_x + p_y) to keep one rounding
+    "trivial2d": Scheme(2, 2, "rope1d", _on_rows(lambda f, z, p: _encode_pairs(f, z, p[..., :1] + p[..., 1:])),
                         None),
-    "axial": Scheme(4, 2, "axial", _encode_pairs, _grad_pairs),
-    "mixed": Scheme(2, 2, "mixed", _encode_pairs, _grad_pairs),
-    "spherical": Scheme(3, 2, "spherical",
-                        lambda enc, z, p: _rotate_triples(z, _angles(p, enc.weights)), _grad_spherical),
-    "uniform": Scheme(4, 2, "uniform", _encode_pairs, _grad_uniform),
+    "axial": Scheme(4, 2, "axial", _on_rows(_encode_axial), _grad_axial),
+    "mixed": Scheme(2, 2, "mixed", _on_rows(_encode_pairs), _grad_pairs),
+    "spherical": Scheme(3, 2, "spherical", _on_rows(lambda f, z, p: _rotate_triples(z, _axis_angles(f, p))),
+                        _grad_spherical),
+    "uniform": Scheme(4, 2, "uniform", _on_rows(_encode_axial), _grad_uniform),
     "liere": Scheme(None, None, None, _encode_liere, None),
 }
+
+
+def _turn(enc, z, p, block=None):
+    """The one rotation routine, behind ``Encoder.encode`` and the block
+    rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``.  With
+    a table block index ``block``, ``z`` holds only that block's
+    coordinates and turns by its table row alone; every angle, phasor and
+    product is elementwise, so the result is bit for bit that block's slice
+    of the whole encode."""
+    return SCHEMES[enc.scheme].encode(enc, z, p, block)
+
+
+def _pattern_factors(enc, z_q, p_q, z_k, p_k, block=None):
+    """``enc.encode(z_q, p_q)``, ``enc.encode(z_k, p_k)`` and the slice of
+    their coordinates that pattern block ``block`` (None: all) reads.  A
+    table scheme's pattern block (a pair, an axial quadruple's pair or a
+    spherical triple) lies in one table block, and only that block turns:
+    the two results hold its coordinates alone, and the slice is taken
+    within them.  liere turns the whole vector."""
+    if block is None:
+        return enc.encode(z_q, p_q), enc.encode(z_k, p_k), slice(None)
+    sl = enc.pattern_slice(block)
+    if enc.table is None:
+        return enc.encode(z_q, p_q), enc.encode(z_k, p_k), sl
+    size = SCHEMES[enc.scheme].block
+    t = sl.start // size
+    own = slice(t * size, (t + 1) * size)
+    (zq, pq), (zk, pk) = _inputs(z_q, p_q, enc.dim, enc.axes), _inputs(z_k, p_k, enc.dim, enc.axes)
+    return (_turn(enc, zq[..., own], pq, t), _turn(enc, zk[..., own], pk, t),
+            slice(sl.start - own.start, sl.stop - own.start))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +548,8 @@ class Encoder:
     The position-independent forms are derived on construction: ``axes``;
     for liere with commuting generators ``reduction``, their ``(basis,
     freqs)`` joint canonical form, so that ``encode`` costs two matrix
-    products instead of an exponential per position; and ``weights``, the
-    angle matrix ``W`` (``freqs.T`` of the reduction for liere).
+    products instead of an exponential per position.  A table scheme reads
+    its angles straight from ``table.freqs``.
     """
 
     scheme: str
@@ -487,7 +557,6 @@ class Encoder:
     table: FrequencyTable | None = None
     base: float | None = None
     generators: tuple = field(default=None, repr=False)
-    weights: np.ndarray = field(init=False, default=None, repr=False, compare=False)
     reduction: tuple = field(init=False, default=None, repr=False, compare=False)
     axes: int = field(init=False, default=None, repr=False, compare=False)
 
@@ -506,8 +575,6 @@ class Encoder:
             reduction = _commuting_reduction(gens)
             object.__setattr__(self, "generators", gens)
             object.__setattr__(self, "reduction", reduction)
-            if reduction is not None:
-                object.__setattr__(self, "weights", _angle_matrix(reduction[1], 2))
             object.__setattr__(self, "axes", len(gens))
             return
         if self.generators is not None:
@@ -525,7 +592,6 @@ class Encoder:
         if self.table.blocks != self.dim // spec.block:
             raise ValueError(f"table has {self.table.blocks} blocks, "
                              f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
-        object.__setattr__(self, "weights", _angle_matrix(self.table.freqs, spec.block))
         object.__setattr__(self, "axes", spec.axes)
 
     @property
@@ -554,7 +620,7 @@ class Encoder:
         (dim,) and (axes,) (a scalar on one axis), gives shape (dim,).
         Output is float64 whatever the input dtype."""
         z, p = _inputs(z, p, self.dim, self.axes)
-        return SCHEMES[self.scheme].encode(self, z, p)
+        return _turn(self, z, p)
 
     # bilinear decomposition of the score: pairs for the pair/quadruple
     # schemes (a quadruple is one x-pair plus one y-pair), triples for

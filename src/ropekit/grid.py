@@ -14,11 +14,19 @@ import numpy as np
 
 
 def _axis_coords(n: int, train_n: int) -> np.ndarray:
+    """``np.linspace(-extent, extent, n)``, ``extent = pi * n / train_n``,
+    by linspace's own steps (``k * step - extent``, the last set to
+    ``extent``), without the argument handling that makes ``linspace``
+    about three times slower at grid sizes."""
     # a single patch sits at the range midpoint
     if n == 1:
         return np.zeros(1)
     extent = np.pi * n / train_n
-    return np.linspace(-extent, extent, n)
+    y = np.arange(n, dtype=float)
+    y *= 2 * extent / (n - 1)
+    y -= extent
+    y[-1] = extent
+    return y
 
 
 @dataclass(frozen=True)

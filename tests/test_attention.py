@@ -375,6 +375,14 @@ def test_pattern_matches_per_pixel_loop(name, monkeypatch):
         assert np.max(np.abs(pat.values - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["mixed", "liere-random"])
+@pytest.mark.parametrize("size", [(4.0, 4), (4, 2.5), (0, 4)])
+def test_pattern_rejects_sizes_that_are_not_whole_pixels(name, size):
+    enc = PATTERN_ENCODERS[name]
+    with pytest.raises(ValueError, match="pattern size|positive integer"):
+        A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), *size)
+
+
 def test_pattern_rejects_batched_vectors():
     enc = E.make_encoder("axial", 8)
     with pytest.raises(ValueError):
@@ -385,16 +393,17 @@ def test_pattern_rejects_batched_vectors():
 
 @pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
 def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
-    # a table scheme factors each pixel into a row and a column encode;
-    # liere encodes the query at every pixel and the key once
+    # a table scheme factors each pixel into a row and a column turn, of the
+    # whole table or of one block; liere encodes the query at every pixel
+    # and the key once
     enc = PATTERN_ENCODERS[name]
-    encode, tokens = E.Encoder.encode, []
+    turn, tokens = E._turn, []
 
-    def counted(self, z, p):
+    def counted(enc, z, p, *block):
         tokens.append(int(np.prod(np.broadcast_shapes(np.shape(z)[:-1], np.shape(p)[:-1]))))
-        return encode(self, z, p)
+        return turn(enc, z, p, *block)
 
-    monkeypatch.setattr(E.Encoder, "encode", counted)
+    monkeypatch.setattr(E, "_turn", counted)
     rng = np.random.default_rng(16)
     zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
     for block in (None, 0):
@@ -425,9 +434,17 @@ def test_property_table_raster_matches_per_pixel_loop(scheme, size, blocks, zero
     enc = E.Encoder(scheme, spec.block * blocks, FrequencyTable(spec.table, freqs))
     zq, zk = rng.standard_normal((2, enc.dim))
     width, height = size
-    pos = make_grid(height, width).positions[..., :enc.axes]
+    grid = make_grid(height, width)
+    pos = grid.positions[..., :enc.axes]
     eq = np.array([[enc.encode(zq, pos[i, j]) for j in range(width)] for i in range(height)])
     ek = enc.encode(zk, np.zeros(enc.axes))
+    # the combined raster's factors: the query at each row's y offset, the
+    # key at each column's -x offset, every table block turned
+    rows = np.zeros((height, 1, enc.axes))
+    rows[:, 0, 1:] = grid.positions[:, :1, 1]
+    cols = np.zeros((width, enc.axes))
+    cols[:, 0] = -grid.positions[0, :, 0]
+    fq, fk = enc.encode(zq, rows), enc.encode(zk, cols)
     for block in [None, *range(enc.pattern_blocks)]:
         sl = slice(None) if block is None else enc.pattern_slice(block)
         got = A.render_pattern(enc, zq, zk, width, height, block).values
@@ -435,3 +452,5 @@ def test_property_table_raster_matches_per_pixel_loop(scheme, size, blocks, zero
         bound = 1e-12 * max(1.0, np.linalg.norm(zq[sl]) * np.linalg.norm(zk[sl]))
         assert got.shape == (height, width)
         assert np.max(np.abs(got - want)) <= bound
+        # a block raster turns its own table block only, bit for bit
+        np.testing.assert_array_equal(got, (fq[..., None, sl] @ fk[..., sl, None])[..., 0, 0])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from ropekit import encodings as E, linalg
 from ropekit.encodings import FrequencyTable
@@ -410,8 +410,25 @@ def test_batch_encoders_cover_the_registry():
     assert {enc.scheme for enc in BATCH_ENCODERS.values()} == set(E.SCHEMES)
 
 
+# A lead shape of more than 16384 pairs (256 KiB of complex phasors) for
+# every phasor route here: numpy may reuse so large a temporary as an output
+# and swap the operands of a product, which for the fused complex product
+# changes its rounding.  It runs once per route, as an explicit example.
+LARGE_LEAD = (2, 2800)
+PHASOR_ROUTES = sorted(n for n, enc in BATCH_ENCODERS.items() if enc.table or enc.reduction)
+
+
+def _large_lead_examples(names):
+    def add(test):
+        for name in names:
+            test = example(name, LARGE_LEAD, False, np.pi, 0)(test)
+        return test
+    return add
+
+
 @seed(2029)
 @settings(max_examples=150, deadline=None)
+@_large_lead_examples(PHASOR_ROUTES)
 @given(
     st.sampled_from(sorted(BATCH_ENCODERS)),
     st.sampled_from([(), (0,), (5,), (2, 3)]),
@@ -522,6 +539,17 @@ def _ref_rotate_triples(z, angles):
     return out.reshape(x0.shape[:-1] + (3 * x0.shape[-1],))
 
 
+def _ref_angle_matrix(freqs, block):
+    """The (axes, angles) matrix ``W`` with angle ``j = sum_m p_m W[m, j]``:
+    ``freqs.T`` for pairs; an axial quadruple or a spherical triple carries
+    one angle per axis, x then y, the other axis's entry zero."""
+    if block == 2:
+        return freqs.T
+    w = np.zeros((2, 2 * len(freqs)))
+    w[0, 0::2], w[1, 1::2] = freqs[:, 0], freqs[:, 1]
+    return w
+
+
 def _ref_angles(p, w):
     a = p[..., :1] * w[0]
     for m in range(1, len(w)):
@@ -542,7 +570,7 @@ def _ref_encode(enc, z, p):
     else:
         if enc.scheme == "trivial2d":
             p = p[..., :1] + p[..., 1:]
-        w = E._angle_matrix(enc.table.freqs, E.SCHEMES[enc.scheme].block)
+        w = _ref_angle_matrix(enc.table.freqs, E.SCHEMES[enc.scheme].block)
         size = 3 if enc.scheme == "spherical" else 2
         out = (_ref_rotate_triples if size == 3 else _ref_rotate_pairs)(z, _ref_angles(p, w))
     norms = np.linalg.norm(z.reshape(z.shape[:-1] + (-1, size)), axis=-1)
@@ -702,7 +730,7 @@ GRAD_REF_RTOL = 1e-14
 def _ref_grad_pairs(zq, zk, pq, pk, f):
     d = pk - pq
     q1, q2, k1, k2 = zq[0::2], zq[1::2], zk[0::2], zk[1::2]
-    theta = _ref_angles(d, E._angle_matrix(f, len(zq) // len(f)))
+    theta = _ref_angles(d, _ref_angle_matrix(f, len(zq) // len(f)))
     g = -(q1 * k1 + q2 * k2) * np.sin(theta) + (q2 * k1 - q1 * k2) * np.cos(theta)
     return g.reshape(len(f), -1) * d
 
@@ -762,6 +790,7 @@ def _random_table(scheme, dim, rng):
 
 @seed(2053)
 @settings(max_examples=200, deadline=None)
+@_large_lead_examples(GRAD_SCHEMES)
 @given(
     st.sampled_from(GRAD_SCHEMES),
     st.sampled_from([(), (5,), (2, 3)]),
@@ -777,13 +806,15 @@ def test_property_batched_grad_matches_per_token_and_reference(scheme, lead, sha
     pq, pk = scale * rng.uniform(-1.0, 1.0, (2,) + lead + (axes,))
     got = E.grad_frequencies(scheme, zq, zk, pq, pk, table)
     assert got.shape == lead + table.freqs.shape
-    for i in np.ndindex(lead):
+    want = np.empty_like(got)
+    for n, i in enumerate(np.ndindex(lead)):
         zqi, zki = (zq, zk) if shared_z else (zq[i], zk[i])
-        one = E.grad_frequencies(scheme, zqi, zki, pq[i], pk[i], table)
-        np.testing.assert_array_equal(got[i], one)
-        ref = _REF_GRADS[scheme](zqi, zki, pq[i], pk[i], table.freqs)
-        bound = GRAD_REF_RTOL * np.maximum(1.0, _grad_scale(scheme, zqi, zki, pq[i], pk[i]))
-        assert np.all(np.abs(one - ref) <= bound)
+        want[i] = E.grad_frequencies(scheme, zqi, zki, pq[i], pk[i], table)
+        if n < 6:  # every token but the large lead's
+            ref = _REF_GRADS[scheme](zqi, zki, pq[i], pk[i], table.freqs)
+            bound = GRAD_REF_RTOL * np.maximum(1.0, _grad_scale(scheme, zqi, zki, pq[i], pk[i]))
+            assert np.all(np.abs(want[i] - ref) <= bound)
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,16 @@ def test_training_size_in_range_and_even_spacing():
     assert np.ptp(dy) <= SPACING_TOL
 
 
+@pytest.mark.parametrize("train", [1, 3, 16, 64])
+def test_axis_coordinates_are_linspace_bit_for_bit(train):
+    # n = 76 at train 1 and 10 at train 3 need linspace's exact last step
+    for n in range(1, 80):
+        extent = np.pi * n / train
+        want = np.zeros(1) if n == 1 else np.linspace(-extent, extent, n)
+        np.testing.assert_array_equal(make_grid(1, n, 1, train).positions[0, :, 0], want)
+        np.testing.assert_array_equal(make_grid(n, 1, train, 1).positions[:, 0, 1], want)
+
+
 def test_non_square_axes_scale_independently():
     g = make_grid(4, 8, 4, 4)
     assert g.positions[..., 0].max() == pytest.approx(2 * np.pi, abs=1e-12)
