@@ -164,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freqs", help="print the geometric frequency schedule as CSV")
     p.add_argument("--blocks", type=int, default=8, help="number of schedule entries")
-    p.add_argument("--base", type=float, default=100.0)
+    p.add_argument("--base", type=float, default=100.0,
+                   help="schedule base, positive and finite: entry d is base ** (-2d / blocks)")
     p.set_defaults(func=_cmd_freqs)
 
     p = sub.add_parser("verify", help="run the property-check suite (JSON lines)")

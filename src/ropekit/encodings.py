@@ -23,8 +23,10 @@ table, as the products ``x[..., j, m] = p[..., m] * freqs[j, m]``: pair
 an axial quadruple's x- and y-pairs and a spherical triple's yaw and roll
 turn by the products themselves.  A turn is the complex number ``a + ib``
 times the unit phasor ``exp(1j * theta)``; a spherical triple is two such
-products.  ``_turn`` is the one rotation routine, behind ``Encoder.encode``
-and the block rasters.  ``SCHEMES`` is the one registry of schemes.  Every
+products.  ``SCHEMES``, the one registry of schemes, holds each table
+scheme's routes on table rows; ``_turn``, the one rotation routine behind
+``Encoder.encode`` and the block rasters, calls them, and the free functions
+call them on their table, so only ``make_encoder`` builds an ``Encoder``.  Every
 encoder takes token vectors of shape (..., dim) and positions of shape
 (..., axes) whose leading shapes broadcast; one token is the ``()`` case.
 ``grad_frequencies`` takes the same shapes and differentiates the same products;
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,12 +60,12 @@ _REDUCED_STRUCT_RTOL = 1e-12
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
     """The geometric frequency ladder ``w_d = base ** (-2d / blocks)``.
 
-    ``w_0`` is always 1; for ``base > 1`` the schedule is strictly decreasing.
+    ``w_0`` is always 1; for a finite ``base > 1`` it is strictly decreasing.
     """
     if blocks < 1:
         raise ValueError(f"blocks must be >= 1, got {blocks}")
-    if not base > 0.0:
-        raise ValueError(f"base must be positive, got {base}")
+    if not 0.0 < base < np.inf:
+        raise ValueError(f"base must be positive and finite, got {base}")
     d = np.arange(blocks, dtype=float)
     return base ** (-2.0 * d / blocks)
 
@@ -251,18 +254,18 @@ def _encode_axial(freqs, z, p):
     return _rotate_pairs(z, _axis_angles(freqs, p))
 
 
-def _on_rows(route):
-    """A table scheme's ``encode(enc, z, p, block)``: ``route(freqs, z, p)``
-    on the rows of the encoder's table, all of them or table block
-    ``block``'s alone."""
-    def encode(enc, z, p, block=None):
-        freqs = enc.table.freqs
-        return route(freqs if block is None else freqs[block:block + 1], z, p)
-    return encode
+def _table_inputs(scheme: str, table: FrequencyTable, z, p):
+    """``table``'s layout, then ``z`` and ``p`` against the dim and axes it
+    fixes for ``scheme``: what building the encoder would check."""
+    _check_table(scheme, table)
+    spec = SCHEMES[scheme]
+    return _inputs(z, p, spec.block * table.blocks, spec.axes)
 
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
-    return Encoder(scheme, SCHEMES[scheme].block * table.blocks, table).encode(z, p)
+    """``scheme``'s route on the rows of ``table``, as its encoder turns them."""
+    z, p = _table_inputs(scheme, table, z, p)
+    return SCHEMES[scheme].encode(table.freqs, z, p)
 
 
 def rope1d(z, p, table: FrequencyTable) -> np.ndarray:
@@ -293,7 +296,8 @@ def mixed(z, p, table: FrequencyTable) -> np.ndarray:
 def uniform(z, p, freq: float = 1.0) -> np.ndarray:
     """Axial with the single shared frequency ``freq`` (exactly that code path)."""
     z = np.asarray(z, dtype=float)
-    return make_encoder("uniform", z.shape[-1] if z.ndim else 0, uniform_freq=freq).encode(z, p)
+    return _table_encode("uniform", z, p, FrequencyTable.fixed("uniform", z.shape[-1] if z.ndim else 0,
+                                                                uniform_freq=freq))
 
 
 def _plane_rotations(theta: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -314,8 +318,7 @@ def spherical(z, p, table: FrequencyTable) -> np.ndarray:
     This 3x3-matrix route is the reference that ``check_fast_path`` holds
     ``spherical_fast``, the encoders' route, to.
     """
-    _check_table("spherical", table)
-    z, p = _inputs(z, p, 3 * table.blocks, 2)
+    z, p = _table_inputs("spherical", table, z, p)
     # yaw turns the (x0, x1)-plane, roll the (x1, x2)-plane
     rot = (_plane_rotations(p[..., :1] * table.freqs[:, 0], 0, 1)
            @ _plane_rotations(p[..., 1:] * table.freqs[:, 1], 1, 2))
@@ -352,7 +355,7 @@ def _liere_exp(z, p, gens) -> np.ndarray:
     return _check_finite((linalg._exp_skew(a) @ z[..., None])[..., 0])
 
 
-def _encode_liere(enc, z, p, block=None):
+def _encode_liere(enc, z, p):
     if enc.reduction is None:
         return _liere_exp(z, p, enc.generators)
     return _check_finite(_liere_reduced(z, p, *enc.reduction))
@@ -394,32 +397,28 @@ def sinusoidal_ape(x, p, table: FrequencyTable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# frequency gradients: grad(encoder, z_q, z_k, p_q, p_k) on checked (..., dim)
-# tokens and (..., axes) positions, returning (..., blocks, axes)
+# frequency gradients: grad(freqs, z_q, z_k, p_q, p_k) on table rows, checked
+# (..., dim) tokens and (..., axes) positions, returning (..., blocks, axes)
 # ---------------------------------------------------------------------------
 
 
-def _grad_turns(angles, enc, zq, zk, pq, pk):
+def _grad_turns(angles, freqs, zq, zk, pq, pk):
     # score = sum_j Re(conj(q_j) k_j e^{i theta_j}) over the complex pairs,
     # theta = angles(freqs, p_k - p_q), so
     # d score / d theta_j = -Im(conj(q_j) k_j e^{i theta_j})
     d = pk - pq
-    e = _phasors(angles(enc.table.freqs, d))
+    e = _phasors(angles(freqs, d))
     g = -(zq.view(complex).conj() * zk.view(complex) * e).imag
-    return g.reshape(g.shape[:-1] + (enc.table.blocks, -1)) * d[..., None, :]
+    return g.reshape(g.shape[:-1] + (len(freqs), -1)) * d[..., None, :]
 
 
-def _grad_pairs(enc, zq, zk, pq, pk):
-    return _grad_turns(_pair_angles, enc, zq, zk, pq, pk)
+_grad_pairs = partial(_grad_turns, _pair_angles)
+# an axial quadruple is an x-pair then a y-pair
+_grad_axial = partial(_grad_turns, _axis_angles)
 
 
-def _grad_axial(enc, zq, zk, pq, pk):
-    # an axial quadruple is an x-pair then a y-pair
-    return _grad_turns(_axis_angles, enc, zq, zk, pq, pk)
-
-
-def _grad_uniform(enc, zq, zk, pq, pk):
-    g = _grad_axial(enc, zq, zk, pq, pk)
+def _grad_uniform(freqs, zq, zk, pq, pk):
+    g = _grad_axial(freqs, zq, zk, pq, pk)
     return np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
 
 
@@ -432,11 +431,10 @@ def _roll(z, angles):
     return u, t[..., 0] + 1j * u.real
 
 
-def _grad_spherical(enc, zq, zk, pq, pk):
+def _grad_spherical(f, zq, zk, pq, pk):
     # per triple, score = Re(conj(y_q) y_k e) + Im(u_q) Im(u_k) with the yaw
     # phasor e = e^{i f_x (pk_x - pq_x)}; by the product rule the roll turns u
     # by i u, moving Re(u) by -Im(u) and Im(u) by Re(u)
-    f = enc.table.freqs
     d = pk[..., :1] - pq[..., :1]
     (uq, yq), (uk, yk) = _roll(zq, pq[..., 1:] * f[:, 1]), _roll(zk, pk[..., 1:] * f[:, 1])
     e = _phasors(d * f[:, 0])
@@ -460,11 +458,9 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
     spec = SCHEMES.get(scheme)
     if spec is None or spec.grad is None:
         raise ValueError(f"grad_frequencies does not support scheme {scheme!r}")
-    _check_table(scheme, table)
-    enc = Encoder(scheme, spec.block * table.blocks, table)
-    zq, pq = _inputs(z_q, p_q, enc.dim, enc.axes)
-    zk, pk = _inputs(z_k, p_k, enc.dim, enc.axes)
-    return spec.grad(enc, zq, zk, pq, pk)
+    zq, pq = _table_inputs(scheme, table, z_q, p_q)
+    zk, pk = _table_inputs(scheme, table, z_k, p_k)
+    return spec.grad(table.freqs, zq, zk, pq, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -474,42 +470,43 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
 
 class Scheme(NamedTuple):
     """One scheme: coordinates per rotation block, position axes, the
-    FrequencyTable layout it reads (None for liere, whose generators set the
-    block and axes), ``encode(encoder, z, p, block)``, which turns checked
-    (..., dim) tokens at (..., axes) positions, or with a table block index
-    ``block`` (never given to liere) tokens of that block's coordinates
-    alone, and the closed-form frequency gradient ``grad(encoder, z_q, z_k,
-    p_q, p_k)`` on checked (..., dim) and (..., axes) arrays, or None."""
+    FrequencyTable layout it reads, and its routes on the (blocks, axes)
+    table rows ``freqs``: ``encode(freqs, z, p)`` on checked (..., dim)
+    tokens at (..., axes) positions, and the closed-form frequency gradient
+    ``grad(freqs, z_q, z_k, p_q, p_k)``, or None.  liere's generators set
+    its block and axes, and ``_turn`` routes it: the rest is None."""
 
     block: int | None
     axes: int | None
     table: str | None
-    encode: Callable
+    encode: Callable | None
     grad: Callable | None
 
 
 SCHEMES = {
-    "rope1d": Scheme(2, 1, "rope1d", _on_rows(_encode_pairs), _grad_pairs),
+    "rope1d": Scheme(2, 1, "rope1d", _encode_pairs, _grad_pairs),
     # mixed with both columns w, applied as w * (p_x + p_y) to keep one rounding
-    "trivial2d": Scheme(2, 2, "rope1d", _on_rows(lambda f, z, p: _encode_pairs(f, z, p[..., :1] + p[..., 1:])),
-                        None),
-    "axial": Scheme(4, 2, "axial", _on_rows(_encode_axial), _grad_axial),
-    "mixed": Scheme(2, 2, "mixed", _on_rows(_encode_pairs), _grad_pairs),
-    "spherical": Scheme(3, 2, "spherical", _on_rows(lambda f, z, p: _rotate_triples(z, _axis_angles(f, p))),
+    "trivial2d": Scheme(2, 2, "rope1d", lambda f, z, p: _encode_pairs(f, z, p[..., :1] + p[..., 1:]), None),
+    "axial": Scheme(4, 2, "axial", _encode_axial, _grad_axial),
+    "mixed": Scheme(2, 2, "mixed", _encode_pairs, _grad_pairs),
+    "spherical": Scheme(3, 2, "spherical", lambda f, z, p: _rotate_triples(z, _axis_angles(f, p)),
                         _grad_spherical),
-    "uniform": Scheme(4, 2, "uniform", _on_rows(_encode_axial), _grad_uniform),
-    "liere": Scheme(None, None, None, _encode_liere, None),
+    "uniform": Scheme(4, 2, "uniform", _encode_axial, _grad_uniform),
+    "liere": Scheme(None, None, None, None, None),
 }
 
 
 def _turn(enc, z, p, block=None):
     """The one rotation routine, behind ``Encoder.encode`` and the block
-    rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``.  With
-    a table block index ``block``, ``z`` holds only that block's
-    coordinates and turns by its table row alone; every angle, phasor and
-    product is elementwise, so the result is bit for bit that block's slice
-    of the whole encode."""
-    return SCHEMES[enc.scheme].encode(enc, z, p, block)
+    rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``, a
+    table scheme's by its registry route on the table's rows.  With a table
+    block index ``block``, ``z`` holds only that block's coordinates and
+    turns by its row alone; every angle, phasor and product is elementwise,
+    so the result is bit for bit that block's slice of the whole encode."""
+    if enc.table is None:
+        return _encode_liere(enc, z, p)
+    freqs = enc.table.freqs
+    return SCHEMES[enc.scheme].encode(freqs if block is None else freqs[block:block + 1], z, p)
 
 
 def _pattern_factors(enc, z_q, p_q, z_k, p_k, block=None):
@@ -632,8 +629,8 @@ class Encoder:
         return (self.dim + 1) // 2
 
     def pattern_slice(self, b: int) -> slice:
-        if not 0 <= b < self.pattern_blocks:
-            raise ValueError(f"block index {b} out of range [0, {self.pattern_blocks})")
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or not 0 <= b < self.pattern_blocks:
+            raise ValueError(f"block must be an integer index in [0, {self.pattern_blocks}), got {b!r}")
         if self.scheme == "spherical":
             return slice(3 * b, 3 * b + 3)
         return slice(2 * b, min(2 * b + 2, self.dim))
@@ -653,17 +650,16 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
         raise ValueError(f"unknown scheme {scheme!r}")
     if uniform_freq is not None and scheme != "uniform":
         raise ValueError("'uniform_freq' only applies to the uniform scheme")
-    if scheme == "liere":
-        return Encoder("liere", dim, table, base, generators)
-    if dim is None:
-        raise ValueError(f"{scheme} needs an explicit dim")
-    if scheme == "uniform":
-        if base is not None or table is not None:
-            raise ValueError("uniform takes 'uniform_freq' only")
-        uf = 1.0 if uniform_freq is None else uniform_freq
-        table = FrequencyTable.fixed("uniform", dim, uniform_freq=uf)
-    elif table is None and base is None:
-        base = DEFAULT_BASE
+    if scheme != "liere":
+        if dim is None:
+            raise ValueError(f"{scheme} needs an explicit dim")
+        if scheme == "uniform":
+            if base is not None or table is not None:
+                raise ValueError("uniform takes 'uniform_freq' only")
+            uf = 1.0 if uniform_freq is None else uniform_freq
+            table = FrequencyTable.fixed("uniform", dim, uniform_freq=uf)
+        elif table is None and base is None:
+            base = DEFAULT_BASE
     return Encoder(scheme, dim, table, base, generators)
 
 

@@ -58,7 +58,7 @@ def make_grid(rows: int, cols: int, train_rows: int | None = None,
     train_cols = cols if train_cols is None else train_cols
     for name, v in (("rows", rows), ("cols", cols),
                     ("train_rows", train_rows), ("train_cols", train_cols)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     xs = _axis_coords(cols, train_cols)
     ys = _axis_coords(rows, train_rows)

@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .attention import score, scored_pair
-from .encodings import (SCHEMES, Encoder, FrequencyTable, frequency_schedule, grad_frequencies, liere,
-                        make_encoder, spherical, spherical_fast)
+from .encodings import (SCHEMES, Encoder, FrequencyTable, _table_encode, frequency_schedule, grad_frequencies,
+                        liere, make_encoder, spherical, spherical_fast)
 from .linalg import as_skew, block_diag_skew, joint_canonical_form
 
 EQUIVARIANCE_TOL = 1e-9
@@ -169,17 +169,16 @@ def reduced_score(z_q, z_k, p_q, p_k, table: FrequencyTable, basis: np.ndarray) 
 
     Pairs are consecutive coordinates of ``basis.T @ z``; a trailing unpaired
     coordinate (odd dimension) passes through unrotated.  The pairs turn
-    through the table's own encoder: rope1d tables use angle f*p; mixed
+    by the table scheme's own route: rope1d tables use angle f*p; mixed
     tables use f_x*p_x + f_y*p_y.
     """
     if table.scheme not in ("rope1d", "mixed"):
         raise ValueError(f"unsupported table scheme {table.scheme!r}")
     n2 = 2 * table.blocks
-    pairs = Encoder(table.scheme, n2, table)
 
     def encode(z, p):
         y = basis.T @ np.asarray(z, dtype=float)
-        y[:n2] = pairs.encode(y[:n2], p)
+        y[:n2] = _table_encode(table.scheme, y[:n2], p, table)
         return y
 
     return float(encode(z_q, p_q) @ encode(z_k, p_k))
@@ -283,7 +282,7 @@ def check_mixed_antidiagonal(trials: int = 100, seed: int = 0, dim: int = 16) ->
 # ---------------------------------------------------------------------------
 
 def _table_score(scheme, z_q, z_k, p_q, p_k, table) -> float:
-    return scored_pair(Encoder(scheme, len(z_q), table), z_q, z_k, p_q, p_k)
+    return score(_table_encode(scheme, z_q, p_q, table), _table_encode(scheme, z_k, p_k, table))
 
 
 def finite_difference_grad(scheme, z_q, z_k, p_q, p_k, table: FrequencyTable,
@@ -398,6 +397,9 @@ def locality_probe(encoder, max_shift: float, samples: int, draws: int = 32,
     """
     if samples < 1 or draws < 1:
         raise ValueError("samples and draws must be at least 1")
+    if isinstance(direction, bool) or not isinstance(direction, (int, np.integer)) \
+            or not 0 <= direction < encoder.axes:
+        raise ValueError(f"direction must be an axis index in [0, {encoder.axes}), got {direction!r}")
     rng = np.random.default_rng(seed)
     vecs = [_unit(rng.standard_normal(encoder.dim)) for _ in range(draws)]
     shifts = np.linspace(0.0, max_shift, samples) if samples > 1 else np.zeros(1)

@@ -316,8 +316,11 @@ def test_pattern_mixed_single_pair_closed_form():
 
 def test_pattern_block_out_of_range():
     enc = E.make_encoder("axial", 8)
-    with pytest.raises(ValueError):
-        A.render_pattern(enc, np.ones(8), np.ones(8), 4, 4, block=4)
+    for bad in (4, -1, 1.5, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="integer index"):
+            A.render_pattern(enc, np.ones(8), np.ones(8), 4, 4, block=bad)
+    np.testing.assert_array_equal(A.render_pattern(enc, np.ones(8), np.ones(8), 4, 4, block=np.int64(1)).values,
+                                  A.render_pattern(enc, np.ones(8), np.ones(8), 4, 4, block=1).values)
 
 
 def test_pattern_bad_size():

@@ -43,6 +43,17 @@ def test_freqs_invalid_blocks(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [["freqs", "--base", "inf"],
+                                  ["pattern", "--scheme", "mixed", "--base", "inf"]])
+def test_infinite_base_exits_2(tmp_path, capsys, argv):
+    # an infinite base would zero every frequency past the first
+    out = tmp_path / "p.pgm"
+    code, stdout, err = run_cli(argv + (["-o", str(out)] if argv[0] == "pattern" else []), capsys)
+    assert code == 2
+    assert "base must be positive and finite" in err
+    assert stdout == "" and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pattern
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from ropekit import encodings as E, linalg
+from ropekit import encodings as E, linalg, verify as V
 from ropekit.encodings import FrequencyTable
 
 ISO_RTOL = 1e-10
@@ -45,6 +45,12 @@ def test_schedule_validation():
         E.frequency_schedule(0)
     with pytest.raises(ValueError):
         E.frequency_schedule(4, base=-2.0)
+    # an infinite base would zero every frequency past w_0
+    for base in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            E.frequency_schedule(4, base=base)
+        with pytest.raises(ValueError, match="positive and finite"):
+            E.make_encoder("mixed", 8, base=base)
 
 
 def test_table_rejects_nonfinite():
@@ -1042,6 +1048,88 @@ def test_config_rejects_parameters_its_scheme_does_not_take(cfg, msg):
     # the same rule, and the same message, as make_encoder
     with pytest.raises(ValueError, match=msg):
         E.encoder_from_config(cfg)
+
+
+TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)
+
+
+@seed(2081)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TABLE_SCHEMES), st.integers(1, 6), st.sampled_from(["base", "freqs", "default"]),
+       st.floats(1e-2, 1e6), st.floats(allow_nan=False, allow_infinity=False),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_property_config_round_trip(scheme, blocks, param, base, uniform_freq, rs):
+    spec = E.SCHEMES[scheme]
+    dim = spec.block * blocks
+    if scheme == "uniform":
+        enc = E.make_encoder("uniform", dim, uniform_freq=uniform_freq)
+    elif param == "base":
+        enc = E.make_encoder(scheme, dim, base=base)
+    elif param == "freqs":
+        rng = np.random.default_rng(rs)
+        shape = (blocks, E.SCHEMES[spec.table].axes)
+        freqs = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        enc = E.make_encoder(scheme, dim, table=FrequencyTable(spec.table, freqs))
+    else:
+        enc = E.make_encoder(scheme, dim)
+    text = E.dump_config(E.encoder_to_config(enc))
+    back = E.encoder_from_config(E.parse_config(text))
+    assert back == enc
+    assert back.table.freqs.tobytes() == enc.table.freqs.tobytes()
+    assert E.dump_config(E.encoder_to_config(back)) == text
+    assert E.dump_config(E.parse_config(text)) == text
+
+
+@seed(2083)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 3), st.sampled_from([(), (4,), (2, 3)]),
+       st.sampled_from([1.0, 1e3, 1e6]), st.integers(min_value=0, max_value=2**31 - 1))
+def test_property_zero_generators_fix_every_token(n, m, lead, scale, rs):
+    # zero generators commute: the encoder takes the reduced route, and it
+    # and the per-position exponential both return z to roundoff
+    gens = [np.zeros((n, n))] * m
+    enc = E.make_encoder("liere", generators=gens)
+    assert enc.reduction is not None
+    rng = np.random.default_rng(rs)
+    z = scale * rng.standard_normal(lead + (n,))
+    p = scale * rng.uniform(-1.0, 1.0, lead + (m,))
+    for out in (enc.encode(z, p), E.liere(z, p, gens)):
+        assert out.shape == z.shape
+        assert np.all(np.abs(out - z) <= 1e-15 * np.maximum(1.0, np.abs(z)))
+
+
+def test_table_routes_build_no_encoder(monkeypatch):
+    # a table already fixes its scheme's route: only make_encoder builds encoders
+    init, built = E.Encoder.__post_init__, []
+
+    def counted(self):
+        built.append(self.scheme)
+        init(self)
+
+    monkeypatch.setattr(E.Encoder, "__post_init__", counted)
+    rng = np.random.default_rng(71)
+    z, zk = rng.standard_normal((2, 3, 12))
+    p, pk = rng.uniform(-np.pi, np.pi, (2, 3, 2))
+    pair_table = FrequencyTable.fixed("rope1d", 12)
+    E.rope1d(z, p[..., :1], pair_table)
+    E.trivial2d(z, p, pair_table)
+    E.axial(z, p, FrequencyTable.fixed("axial", 12))
+    E.mixed(z, p, FrequencyTable.fixed("mixed", 12))
+    E.spherical_fast(z, p, FrequencyTable.fixed("spherical", 12))
+    E.uniform(z, p, 0.5)
+    for scheme in ("rope1d", "axial", "mixed", "spherical", "uniform"):
+        table = FrequencyTable.fixed(scheme, 12)
+        axes = table.axes
+        E.grad_frequencies(scheme, z, zk, p[..., :axes], pk[..., :axes], table)
+        V.finite_difference_grad(scheme, z[0], zk[0], p[0, :axes], pk[0, :axes], table)
+    for gens, reduce in (((V.random_skew(5, rng),), V.reduce_liere_1d),
+                         (V.commuting_generators(6, rng), V.reduce_liere_mixed)):
+        table, basis = reduce(*gens)
+        n = len(basis)
+        V.reduced_score(z[0, :n], zk[0, :n], p[0, :len(gens)], pk[0, :len(gens)], table, basis)
+    assert built == []
+    E.make_encoder("mixed", 4)
+    assert built == ["mixed"]
 
 
 def test_encoder_liere_round_trip_dim():

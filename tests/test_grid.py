@@ -70,6 +70,13 @@ def test_rejects_zero_dimensions():
         make_grid(0, 4)
     with pytest.raises(ValueError):
         make_grid(4, 4, 4, 0)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            make_grid(bad, 3)
+        with pytest.raises(ValueError, match="positive integer"):
+            make_grid(3, 3, 3, bad)
+    g = make_grid(np.int8(2), np.int64(3))
+    assert g.positions.shape == (2, 3, 2)
 
 
 def test_flatten_raster_row_major():

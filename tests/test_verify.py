@@ -376,6 +376,15 @@ def test_locality_probe_zero_shift_is_peak():
     assert np.argmax(curve) == 0
 
 
+def test_locality_probe_direction_is_an_axis_index():
+    enc = E.make_encoder("mixed", 8)
+    for bad in (5, 2, -1, True, 1.0):
+        with pytest.raises(ValueError, match="axis index"):
+            V.locality_probe(enc, 1.0, 3, draws=2, direction=bad)
+    np.testing.assert_array_equal(V.locality_probe(enc, 1.0, 3, draws=2, direction=np.int32(1)),
+                                  V.locality_probe(enc, 1.0, 3, draws=2, direction=1))
+
+
 # ---------------------------------------------------------------------------
 # the residual fold and the verdict
 # ---------------------------------------------------------------------------
@@ -400,28 +409,41 @@ def test_checks_reject_zero_trials(case):
         ZERO_TRIAL_CHECKS[case]()
 
 
-NAN_CASES = {  # name: (scheme whose SCHEMES entry turns NaN once, that entry's field, run)
-    "gradients": ("mixed", "grad", lambda: V.check_gradients(E.make_encoder("mixed", 16), 10, 0)),
-    "equivariance": ("mixed", "encode", lambda: V.check_equivariance(E.make_encoder("mixed", 16), 10, 0)),
-    "non-equivariance": ("spherical", "encode",
+def _patch_entry(scheme, field):
+    def patch(monkeypatch, wrap):
+        spec = E.SCHEMES[scheme]
+        monkeypatch.setitem(E.SCHEMES, scheme, spec._replace(**{field: wrap(getattr(spec, field))}))
+    return patch
+
+
+def _patch_liere(monkeypatch, wrap):
+    monkeypatch.setattr(E, "_encode_liere", wrap(E._encode_liere))
+
+
+NAN_CASES = {  # name: (patch that wraps one route to turn NaN once, run)
+    "gradients": (_patch_entry("mixed", "grad"), lambda: V.check_gradients(E.make_encoder("mixed", 16), 10, 0)),
+    "equivariance": (_patch_entry("mixed", "encode"),
+                     lambda: V.check_equivariance(E.make_encoder("mixed", 16), 10, 0)),
+    "non-equivariance": (_patch_entry("spherical", "encode"),
                          lambda: V.check_non_equivariance(E.make_encoder("spherical", 12), 10, 0)),
     # the liere encoder's score against the per-position exponential
-    "reduction": ("liere", "encode", lambda: V.run_checks(["reduction:liere-mixed"], seed=0)[0]),
+    "reduction": (_patch_liere, lambda: V.run_checks(["reduction:liere-mixed"], seed=0)[0]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NAN_CASES))
 def test_nan_residual_fails_bound_and_counterexample_checks(monkeypatch, case):
     # one NaN among finite residuals: a fold that drops it would report the finite worst
-    scheme, field, run = NAN_CASES[case]
-    spec = E.SCHEMES[scheme]
-    real, calls = getattr(spec, field), itertools.count()
+    patch, run = NAN_CASES[case]
+    calls = itertools.count()
 
-    def fifth_call_nan(*args):
-        out = real(*args)
-        return np.full_like(out, np.nan) if next(calls) == 4 else out
+    def wrap(real):
+        def fifth_call_nan(*args):
+            out = real(*args)
+            return np.full_like(out, np.nan) if next(calls) == 4 else out
+        return fifth_call_nan
 
-    monkeypatch.setitem(E.SCHEMES, scheme, spec._replace(**{field: fifth_call_nan}))
+    patch(monkeypatch, wrap)
     r = run()
     assert not r.passed
     assert math.isnan(r.residual)
