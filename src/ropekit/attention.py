@@ -6,9 +6,10 @@ The pattern raster fixes the key at the origin and sweeps the query over a
 score to one block's contribution (one coordinate pair, or one triple for
 the 3D-rotation scheme); per-block patterns sum to the combined pattern.
 A table-scheme raster is computed from one encoded query per row and one
-encoded key per column (see ``render_pattern``), a liere raster from the
-query encoded at every pixel.  A table scheme's block raster turns only the
-table block that holds its pattern block.
+encoded key per column, in one turn of W + H tokens (see
+``render_pattern``), a liere raster from the query encoded at every pixel.
+A table scheme's block raster turns only the table block that holds its
+pattern block.
 """
 
 from __future__ import annotations
@@ -99,32 +100,41 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     ``block`` restricts the dot product to that block's coordinates.  A
     table scheme's rotation factors per axis, ``R(p_x, p_y) = R(p_x, 0)
     R(0, p_y)``, each factor acting inside every block, so pixel ``(r, c)``
-    is ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: the query is turned
-    to the ``height`` row offsets and the key to the ``width`` column
-    offsets, two batched turns of ``width + height`` tokens.  A block
-    raster turns only the table block holding its pattern block, by the
-    rotation routine ``encode`` uses, so its pixels are bit for bit those
-    of the combined raster's factors on the block.
+    is ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: ``height`` copies
+    of the query at the row offsets stacked over ``width`` copies of the key
+    at the column offsets, one turn of ``width + height`` tokens.  Every
+    angle, phasor and product is elementwise, so each factor is bit for bit
+    the token's own encode.  A block raster turns only the table block
+    holding its pattern block, by the rotation routine ``encode`` uses, so
+    its pixels are bit for bit those of the combined raster's factors on
+    the block.
     liere generators need not commute, and a liere block is not invariant
     under the rotation, so a liere encoder encodes the query at every pixel
-    and the key at the origin.
+    and the key at the origin, in two encodes: stacked in one, the reduced
+    route's basis products round differently at the other batch shape.
     """
     if width < 1 or height < 1:
         raise ValueError("pattern size must be at least 1x1")
     if encoder.axes not in (1, 2):
         raise ValueError("pattern rendering needs a 1- or 2-axis encoder")
-    if np.ndim(z_q) != 1 or np.ndim(z_k) != 1:
-        raise ValueError("pattern rendering takes one query and one key vector")
+    if np.shape(z_q) != (encoder.dim,) or np.shape(z_k) != (encoder.dim,):
+        raise ValueError(f"pattern rendering takes one query and one key vector of length {encoder.dim}, "
+                         f"got shapes {np.shape(z_q)} and {np.shape(z_k)}")
     positions = make_grid(height, width).positions[..., :encoder.axes]
     if encoder.table is None:
-        at_q, at_k = positions, (0.0,) * encoder.axes
+        sl = slice(None) if block is None else encoder.pattern_slice(block)
+        q, k = encoder.encode(z_q, positions), encoder.encode(z_k, (0.0,) * encoder.axes)
     else:
-        # a one-axis encoder has no y factor: its query rows are z_q itself
-        at_q = np.zeros((height, 1, encoder.axes))
-        at_q[..., 1:] = positions[:, :1, 1:]
-        at_k = np.zeros((width, encoder.axes))
-        at_k[:, 0] = -positions[0, :, 0]
-    q, k, sl = encodings._pattern_factors(encoder, z_q, at_q, z_k, at_k, block)
+        # the query at each row's (0, y_r) stacked over the key at each
+        # column's (-x_c, 0); a one-axis encoder has no y factor, so its
+        # query rows are z_q itself
+        z = np.empty((height + width, encoder.dim))
+        z[:height], z[height:] = z_q, z_k
+        at = np.zeros((height + width, encoder.axes))
+        at[:height, 1:] = positions[:, 0, 1:]
+        at[height:, 0] = -positions[0, :, 0]
+        f, sl = encodings._pattern_factors(encoder, z, at, block)
+        q, k = f[:height, None], f[height:]
     # a stack of (1, k) @ (k, 1) products, not one matrix product: each pixel
     # is the dot product that scoring its two factors alone would compute, so
     # equal factors give exactly equal pixels

@@ -57,11 +57,20 @@ DEFAULT_BASE = 100.0
 _REDUCED_STRUCT_RTOL = 1e-12
 
 
+def _integer(name: str, v) -> int:
+    """``v`` as a Python int; a bool or a value of a non-integer type (a
+    float, even a whole one) raises ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
     """The geometric frequency ladder ``w_d = base ** (-2d / blocks)``.
 
     ``w_0`` is always 1; for a finite ``base > 1`` it is strictly decreasing.
     """
+    blocks = _integer("blocks", blocks)
     if blocks < 1:
         raise ValueError(f"blocks must be >= 1, got {blocks}")
     if not 0.0 < base < np.inf:
@@ -131,6 +140,7 @@ class FrequencyTable:
         if not _is_table_scheme(scheme):
             raise ValueError(f"unknown frequency-table scheme {scheme!r}")
         block, axes = SCHEMES[scheme].block, SCHEMES[scheme].axes
+        dim = _integer("dim", dim)
         if dim < block or dim % block != 0:
             raise ValueError(f"{scheme} needs dim divisible by {block}, got {dim}")
         blocks = dim // block
@@ -509,24 +519,21 @@ def _turn(enc, z, p, block=None):
     return SCHEMES[enc.scheme].encode(freqs if block is None else freqs[block:block + 1], z, p)
 
 
-def _pattern_factors(enc, z_q, p_q, z_k, p_k, block=None):
-    """``enc.encode(z_q, p_q)``, ``enc.encode(z_k, p_k)`` and the slice of
-    their coordinates that pattern block ``block`` (None: all) reads.  A
-    table scheme's pattern block (a pair, an axial quadruple's pair or a
-    spherical triple) lies in one table block, and only that block turns:
-    the two results hold its coordinates alone, and the slice is taken
-    within them.  liere turns the whole vector."""
+def _pattern_factors(enc, z, p, block=None):
+    """A table encoder's raster factors, one turn of the stacked W + H
+    tokens ``z`` at positions ``p``: ``enc.encode(z, p)`` and the slice of
+    its coordinates that pattern block ``block`` (None: all) reads.  A
+    pattern block (a pair, an axial quadruple's pair or a spherical triple)
+    lies in one table block, and only that block turns: the result holds
+    its coordinates alone, and the slice is taken within them."""
     if block is None:
-        return enc.encode(z_q, p_q), enc.encode(z_k, p_k), slice(None)
+        return enc.encode(z, p), slice(None)
     sl = enc.pattern_slice(block)
-    if enc.table is None:
-        return enc.encode(z_q, p_q), enc.encode(z_k, p_k), sl
     size = SCHEMES[enc.scheme].block
     t = sl.start // size
     own = slice(t * size, (t + 1) * size)
-    (zq, pq), (zk, pk) = _inputs(z_q, p_q, enc.dim, enc.axes), _inputs(z_k, p_k, enc.dim, enc.axes)
-    return (_turn(enc, zq[..., own], pq, t), _turn(enc, zk[..., own], pk, t),
-            slice(sl.start - own.start, sl.stop - own.start))
+    z, p = _inputs(z, p, enc.dim, enc.axes)
+    return _turn(enc, z[..., own], p, t), slice(sl.start - own.start, sl.stop - own.start)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +568,8 @@ class Encoder:
         spec = SCHEMES.get(self.scheme)
         if spec is None:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.dim is not None or self.scheme != "liere":
+            object.__setattr__(self, "dim", _integer("dim", self.dim))
         if self.scheme == "liere":
             if self.table is not None or self.base is not None:
                 raise ValueError("liere takes generators, not a table or base")
@@ -689,16 +698,14 @@ def encoder_from_config(cfg: dict) -> Encoder:
     scheme = cfg["scheme"]
     if scheme not in SCHEMES or SCHEMES[scheme].table is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    dim = cfg["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
     if "axes" in cfg and cfg["axes"] != SCHEMES[scheme].axes:
         raise ValueError(f"{scheme} has {SCHEMES[scheme].axes} axes, config says {cfg['axes']}")
     table = None
     if "freqs" in cfg:
         table = FrequencyTable(SCHEMES[scheme].table, np.asarray(cfg["freqs"], dtype=float))
-    # make_encoder decides which of base, table and uniform_freq the scheme takes
-    return make_encoder(scheme, dim, base=cfg.get("base"), table=table, uniform_freq=cfg.get("uniform_freq"))
+    # make_encoder checks dim and decides which of base, table and uniform_freq
+    # the scheme takes
+    return make_encoder(scheme, cfg["dim"], base=cfg.get("base"), table=table, uniform_freq=cfg.get("uniform_freq"))
 
 
 def dump_config(cfg: dict) -> str:

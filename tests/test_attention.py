@@ -392,13 +392,16 @@ def test_pattern_rejects_batched_vectors():
         A.render_pattern(enc, np.ones((2, 8)), np.ones(8), 4, 4)
     with pytest.raises(ValueError):
         A.render_pattern(enc, np.ones(8), np.ones((3, 8)), 4, 4)
+    for zq, zk in ((np.ones(6), np.ones(8)), (np.ones(8), np.ones(6)), (np.ones(6), np.ones(6))):
+        with pytest.raises(ValueError, match="vector of length 8"):
+            A.render_pattern(enc, zq, zk, 4, 4)
 
 
 @pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
 def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
-    # a table scheme factors each pixel into a row and a column turn, of the
-    # whole table or of one block; liere encodes the query at every pixel
-    # and the key once
+    # a table scheme factors each pixel into a row and a column turn, made
+    # as one turn of the stacked rows and columns, of the whole table or of
+    # one block; liere encodes the query at every pixel and the key once
     enc = PATTERN_ENCODERS[name]
     turn, tokens = E._turn, []
 
@@ -412,8 +415,37 @@ def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
     for block in (None, 0):
         tokens.clear()
         A.render_pattern(enc, zq, zk, 7, 5, block)
-        assert len(tokens) == 2
-        assert sum(tokens) == (7 * 5 + 1 if enc.table is None else 7 + 5)
+        assert tokens == ([7 * 5, 1] if enc.table is None else [7 + 5])
+
+
+@pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))
+def test_combined_table_raster_is_one_encode(scheme, monkeypatch):
+    # Encoder.encode is the call a traced benchmark run counts
+    enc = PATTERN_ENCODERS[scheme]
+    encode, calls = E.Encoder.encode, []
+
+    def counted(self, z, p):
+        calls.append((np.shape(z), np.shape(p)))
+        return encode(self, z, p)
+
+    monkeypatch.setattr(E.Encoder, "encode", counted)
+    A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), 7, 5)
+    assert calls == [((5 + 7, enc.dim), (5 + 7, enc.axes))]
+
+
+@pytest.mark.parametrize("name", ["liere-commuting", "liere-random"])
+def test_liere_raster_is_the_product_of_two_encodes(name):
+    # the query at every pixel and the key at the origin, each encoded on
+    # its own: stacked in one call the reduced route rounds differently
+    enc = PATTERN_ENCODERS[name]
+    rng = np.random.default_rng(17)
+    zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
+    eq = enc.encode(zq, make_grid(5, 7).positions)
+    ek = enc.encode(zk, np.zeros(enc.axes))
+    for block in [None, *range(enc.pattern_blocks)]:
+        sl = slice(None) if block is None else enc.pattern_slice(block)
+        want = (eq[..., None, sl] @ ek[sl, None])[..., 0, 0]
+        np.testing.assert_array_equal(A.render_pattern(enc, zq, zk, 7, 5, block).values, want)
 
 
 TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)

@@ -53,6 +53,14 @@ def test_schedule_validation():
             E.make_encoder("mixed", 8, base=base)
 
 
+def test_schedule_takes_an_integer_block_count():
+    # a float count would build a ladder of another length than it names
+    for blocks in (2.5, 3.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="blocks must be an integer"):
+            E.frequency_schedule(blocks)
+    np.testing.assert_array_equal(E.frequency_schedule(np.int64(3)), E.frequency_schedule(3))
+
+
 def test_table_rejects_nonfinite():
     with pytest.raises(ValueError):
         FrequencyTable("mixed", np.array([[1.0, np.inf]]))
@@ -839,6 +847,33 @@ def test_make_encoder_validation():
         E.make_encoder("liere")
     with pytest.raises(ValueError):
         E.make_encoder("uniform", 8, table=FrequencyTable.fixed("axial", 8))
+
+
+@pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))
+def test_encoder_dim_is_an_integer(scheme):
+    # a whole float is refused too: its config would not round-trip
+    for dim in (12.0, 12.5, True, np.float64(12.0)):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            E.make_encoder(scheme, dim)
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            FrequencyTable.fixed(E.SCHEMES[scheme].table, dim)
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            E.encoder_from_config({"scheme": scheme, "dim": dim})
+    # a numpy integer is stored as an int, so its config is JSON
+    enc = E.make_encoder(scheme, np.int64(12))
+    assert type(enc.dim) is int
+    text = E.dump_config(E.encoder_to_config(enc))
+    assert text == E.dump_config(E.encoder_to_config(E.make_encoder(scheme, 12)))
+    assert E.encoder_from_config(E.parse_config(text)) == enc
+
+
+def test_liere_encoder_dim_is_an_integer():
+    gen = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
+    for dim in (4.0, True, np.float64(4.0)):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            E.make_encoder("liere", dim, generators=[gen])
+    enc = E.make_encoder("liere", np.int64(4), generators=[gen])
+    assert type(enc.dim) is int and enc == E.make_encoder("liere", generators=[gen])
 
 
 def test_encoder_rejects_table_that_does_not_fit():
