@@ -345,8 +345,9 @@ def spherical_fast(z, p, table: FrequencyTable) -> np.ndarray:
 def liere(z, p, generators) -> np.ndarray:
     """``exp(sum_m p_m * A_m) @ z`` for skew-symmetric generators ``A_m``,
     every position of the broadcast leading shape in one stacked
-    exponential.  Each generator is antisymmetrised where it enters, so
-    whether it is accepted does not depend on the position."""
+    exponential (``linalg.matrix_exp``'s real SVD route).  Each generator
+    is antisymmetrised where it enters, so whether it is accepted does not
+    depend on the position."""
     gens = linalg._skew_generators(generators)
     z, p = _inputs(z, p, gens[0].shape[0], len(gens))
     return _liere_exp(z, p, gens)
@@ -356,7 +357,9 @@ def _liere_exp(z, p, gens) -> np.ndarray:
     """``liere`` on checked inputs and exactly skew generators.  The sum
     ``sum_m p[..., m] * A_m`` is built elementwise, like a table's angles, so
     a position's matrix does not depend on its batch; a sum of exactly skew
-    terms is exactly skew, so only its finiteness is left to check."""
+    terms is exactly skew, so only its finiteness is left to check.  The
+    stacked ``linalg._exp_skew`` (one real SVD per position) works per
+    matrix, so a batched encode equals its per-token encodes bit for bit."""
     a = p[..., 0, None, None] * gens[0]
     for m in range(1, len(gens)):
         a += p[..., m, None, None] * gens[m]

@@ -459,7 +459,8 @@ def test_property_batched_encode_matches_per_token(name, lead, shared_z, scale, 
     assert got.shape == lead + (enc.dim,)
     want = np.array([enc.encode(z if shared_z else z[i], p[i]) for i in np.ndindex(lead)])
     want = want.reshape(got.shape)
-    if enc.scheme == "liere":
+    if enc.reduction is not None:
+        # stacking moves the rounding of the reduced route's basis products
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
     else:
         np.testing.assert_array_equal(got, want)

@@ -8,8 +8,11 @@ from ropekit import linalg
 
 RECON_RTOL = 1e-9
 ORTHO_TOL = 1e-9
-EXP_AGREE_TOL = 1e-9
 EIG_AGREE_TOL = 1e-8
+EPS = np.finfo(float).eps
+# matrix_exp against matrix_exp_series, and its orthogonality defect, in units
+# of eps * n * max(1, ||a||_2); the earlier Hermitian-eigh route met it too
+EXP_UNITS = 8.0
 
 # so(3) generators: yaw rotates the (1,2)-plane, roll the (2,3)-plane
 G_YAW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -43,6 +46,12 @@ def test_as_skew_symmetrizes_exactly():
 def test_as_skew_rejects_symmetric_part():
     with pytest.raises(ValueError):
         linalg.as_skew(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_as_skew_rejects_a_huge_symmetric_part():
+    # a + a.T of finite entries overflows; the check must still say why
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        linalg.as_skew(1e308 * np.ones((2, 2)))
 
 
 def test_as_skew_rejects_non_square():
@@ -233,7 +242,7 @@ def test_exp_skew_takes_a_stack():
     out = linalg._exp_skew(stack)
     assert out.shape == stack.shape
     for i in np.ndindex(2, 3):
-        assert np.max(np.abs(out[i] - linalg.matrix_exp(stack[i]))) <= 1e-14
+        np.testing.assert_array_equal(out[i], linalg.matrix_exp(stack[i]))
     assert linalg._exp_skew(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
 
@@ -245,13 +254,26 @@ def test_block_diag_skew_is_the_canonical_block_matrix():
         linalg.block_diag_skew([1.0, 2.0], 3)
 
 
-def test_matrix_exp_routes_agree():
-    rng = np.random.default_rng(13)
-    for n in (2, 4, 8, 16):
-        a = random_skew(n, rng)
-        spectral = linalg.matrix_exp(a)
-        series = linalg.matrix_exp_series(a)
-        assert np.linalg.norm(spectral - series) <= EXP_AGREE_TOL
+def assert_exp_accurate(a):
+    """matrix_exp(a) within EXP_UNITS * eps * n * max(1, ||a||_2) of the
+    series route, entrywise, and as far from orthogonal at most."""
+    n = a.shape[0]
+    bound = EXP_UNITS * EPS * n * max(1.0, np.linalg.norm(a, 2))
+    r = linalg.matrix_exp(a)
+    assert np.max(np.abs(r - linalg.matrix_exp_series(a))) <= bound
+    assert np.max(np.abs(r.T @ r - np.eye(n))) <= bound
+
+
+@seed(2031)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4, 7, 8, 16]),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_matrix_exp_routes_agree(n, log_norm, rs):
+    a = random_skew(n, np.random.default_rng(rs))
+    assert_exp_accurate(a * (10.0 ** log_norm / np.linalg.norm(a, 2)))
 
 
 def test_matrix_exp_repeated_frequency_matches_series():
@@ -263,6 +285,33 @@ def test_matrix_exp_repeated_frequency_matches_series():
         a = linalg.as_skew(q @ block_diag(freqs, n) @ q.T, atol=1e-9)
         diff = linalg.matrix_exp(a) - linalg.matrix_exp_series(a)
         assert np.max(np.abs(diff)) <= 1e-12
+    # zero modes, odd dimensions and repeated frequencies from 1e-3 to 1e3
+    for n, freqs in ((3, [0.0]), (3, [1.0]), (7, [0.6, 0.0, 0.0]), (7, [1.0, 1.0, 1.0]),
+                     (8, [1.0, 1.0, 0.0, 0.0]), (16, [1.0] * 4 + [0.25] * 2 + [0.0] * 2)):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for scale in (1e-3, 1.0, 1e3):
+            assert_exp_accurate(linalg.as_skew(q @ block_diag(scale * np.array(freqs), n) @ q.T,
+                                               atol=1e-9))
+
+
+def test_matrix_exp_stays_orthogonal_at_large_norms():
+    # a generic generator's computed singular values miss their exact pairs
+    # by about eps * ||a||; the exponential keeps orthogonality to eps anyway.
+    # At 1e308 the 2x2 case has entries of 1e308, where a - a.T overflows.
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 7, 8, 16):
+        g = random_skew(n, rng)
+        g /= np.linalg.norm(g, 2)
+        for scale in (1e6, 1e10, 1e14, 1e308):
+            r = linalg.matrix_exp(scale * g)
+            assert np.all(np.isfinite(r))
+            assert np.max(np.abs(r.T @ r - np.eye(n))) <= EXP_UNITS * EPS * n
+
+
+def test_matrix_exp_series_rejects_an_overflowing_norm():
+    # squares of entries near 1e154 overflow, and so would log2 of the norm
+    with pytest.raises(ValueError, match="norm"):
+        linalg.matrix_exp_series(1e154 * np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_matrix_exp_against_scipy():
@@ -355,3 +404,10 @@ def test_property_canonical_form_structured(case):
     assert cf.zero_modes == kernel_dim
     oracle = np.sort(np.linalg.eigvalsh(1j * a))[::-1][: n // 2]
     assert np.max(np.abs(cf.frequencies - oracle)) <= EIG_AGREE_TOL
+
+
+@seed(2032)
+@settings(max_examples=60, deadline=None)
+@given(structured_skew(), st.floats(min_value=-3.0, max_value=3.0))
+def test_property_matrix_exp_structured(case, log_scale):
+    assert_exp_accurate(case[0] * 10.0 ** log_scale)
