@@ -13,10 +13,9 @@ from .attention import (AttentionPattern, attention_weights, render_pattern,
 from .encodings import (DEFAULT_BASE, Encoder, FrequencyTable, axial,
                         dump_config, encoder_from_config, encoder_to_config,
                         frequency_schedule, grad_frequencies, liere,
-                        make_encoder, mixed, parse_config, rope1d,
-                        sinusoidal_ape, spherical, spherical_fast, trivial2d,
-                        uniform)
-from .grid import PatchGrid, flatten_raster, make_grid
+                        make_encoder, mixed, parse_config, rope1d, spherical,
+                        spherical_fast, trivial2d, uniform)
+from .grid import PatchGrid, make_grid
 from .linalg import (CanonicalForm, as_skew, canonical_form, commutator,
                      is_commuting, matrix_exp, matrix_exp_series)
 from .verify import (CheckReport, check_axial_separability, check_equivariance,
@@ -38,11 +37,11 @@ __all__ = [
     "check_mixed_antidiagonal", "check_names", "check_non_equivariance",
     "check_trivial_degeneracy", "commutator", "commuting_generators",
     "dump_config", "encoder_from_config", "encoder_to_config",
-    "flatten_raster", "frequency_schedule", "grad_frequencies",
+    "frequency_schedule", "grad_frequencies",
     "is_commuting", "liere", "locality_probe", "make_encoder", "make_grid",
     "matrix_exp", "matrix_exp_series", "mixed", "parse_config",
     "reduce_liere_1d", "reduce_liere_mixed", "reduced_score",
     "render_pattern", "rope1d", "run_checks", "score", "scored_pair",
-    "sinusoidal_ape", "softmax_attention", "spherical", "spherical_fast",
+    "softmax_attention", "spherical", "spherical_fast",
     "trivial2d", "uniform",
 ]

@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import render_pattern
-from .encodings import (SCHEMES, encoder_from_config, frequency_schedule, make_encoder,
-                        parse_config, spherical_fast)
+from .encodings import SCHEMES, encoder_from_config, frequency_schedule, make_encoder, parse_config
 from .verify import check_names, commuting_generators, run_checks
 
 _BENCH_LIERE_DIM_CAP = 256
@@ -103,14 +102,8 @@ def _bench_callables(dim: int, include_liere: bool, rng: np.random.Generator):
             enc = make_encoder(scheme, dim)
         except ValueError as exc:
             print(f"skipping {scheme}: {exc}", file=sys.stderr)
-            if scheme == "spherical":  # fast path rides on the same encoder
-                print(f"skipping spherical-fast: {exc}", file=sys.stderr)
             continue
         jobs.append((scheme, enc.encode, enc.axes))
-        if scheme == "spherical":
-            table = enc.table
-            jobs.append(("spherical-fast",
-                         lambda z, p, t=table: spherical_fast(z, p, t), 2))
     if include_liere:
         enc = make_encoder("liere", generators=commuting_generators(dim, rng))
         jobs.append(("liere", enc.encode, enc.axes))

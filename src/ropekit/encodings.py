@@ -29,11 +29,10 @@ scheme's routes on table rows; ``_turn``, the one rotation routine behind
 call them on their table, so only ``make_encoder`` builds an ``Encoder``.  Every
 encoder takes token vectors of shape (..., dim) and positions of shape
 (..., axes) whose leading shapes broadcast; one token is the ``()`` case.
-``grad_frequencies`` takes the same shapes and differentiates the same products;
-3x3 rotation matrices remain only in ``spherical``, the triple route's reference.
-
-``sinusoidal_ape`` (additive sin/cos features) is included as the non-rotary
-baseline.
+``grad_frequencies`` takes the same shapes and differentiates the same products.
+``spherical``, the triple route's reference, keeps the paper's definition:
+per triple, the ordered product of two so(3) generator exponentials taken by
+``linalg``, no phasors.
 """
 
 from __future__ import annotations
@@ -310,30 +309,29 @@ def uniform(z, p, freq: float = 1.0) -> np.ndarray:
                                                                 uniform_freq=freq))
 
 
-def _plane_rotations(theta: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Stack of rotations of the ``(i, j)`` coordinate plane of R^3, one per angle."""
-    c, s = np.cos(theta), np.sin(theta)
-    m = np.zeros(theta.shape + (3, 3))
-    m[..., [0, 1, 2], [0, 1, 2]] = 1.0
-    m[..., i, i] = m[..., j, j] = c
-    m[..., i, j], m[..., j, i] = -s, s
-    return m
+# a triple's so(3) generators: yaw turns its (x0, x1) plane, roll its (x1, x2) plane
+_YAW = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_ROLL = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 
 
 def spherical(z, p, table: FrequencyTable) -> np.ndarray:
-    """Rotate triple ``d`` by ``yaw(w_dx * p_x) @ roll(w_dy * p_y)``.
+    """Turn triple ``d`` by ``exp(w_dx p_x YAW) @ exp(w_dy p_y ROLL)``.
 
     The roll acts first.  Yaw and roll do not commute, so this family is not
     shift-equivariant; it trades that away for a 3-D rotation group per triple.
-    This 3x3-matrix route is the reference that ``check_fast_path`` holds
-    ``spherical_fast``, the encoders' route, to.
+    This route is the paper's definition, each factor one stacked
+    ``linalg`` exponential of a scaled generator, and is the reference that
+    ``check_fast_path`` holds ``spherical_fast``, the encoders' route, to.
+    A non-finite angle raises ValueError: LAPACK's SVD does not return on
+    an infinite entry.
     """
     z, p = _table_inputs("spherical", table, z, p)
-    # yaw turns the (x0, x1)-plane, roll the (x1, x2)-plane
-    rot = (_plane_rotations(p[..., :1] * table.freqs[:, 0], 0, 1)
-           @ _plane_rotations(p[..., 1:] * table.freqs[:, 1], 1, 2))
-    out = np.einsum("...dij,...dj->...di", rot, z.reshape(z.shape[:-1] + (table.blocks, 3)))
-    return out.reshape(out.shape[:-2] + (3 * table.blocks,))
+    yaw, roll = p[..., :1] * table.freqs[:, 0], p[..., 1:] * table.freqs[:, 1]
+    if not (np.isfinite(yaw).all() and np.isfinite(roll).all()):
+        raise ValueError("spherical angles must be finite: non-finite or overflowing position")
+    rot = linalg._exp_skew(yaw[..., None, None] * _YAW) @ linalg._exp_skew(roll[..., None, None] * _ROLL)
+    out = rot @ z.reshape(z.shape[:-1] + (table.blocks, 3, 1))
+    return out.reshape(out.shape[:-3] + (3 * table.blocks,))
 
 
 def spherical_fast(z, p, table: FrequencyTable) -> np.ndarray:
@@ -394,19 +392,6 @@ def _commuting_reduction(gens):
         return linalg._joint_canonical_form(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
-
-
-def sinusoidal_ape(x, p, table: FrequencyTable) -> np.ndarray:
-    """Additive sinusoidal features: ``x + PE(p)`` with interleaved
-    ``sin(p * w_d), cos(p * w_d)`` entries."""
-    if table.axes != 1:
-        raise ValueError(f"sinusoidal_ape needs a 1-axis table, got {table.axes} axes")
-    x, p = _inputs(x, p, 2 * table.blocks, 1)
-    angles = p * table.freqs[:, 0]
-    pe = np.empty(angles.shape[:-1] + (2 * table.blocks,))
-    pe[..., 0::2] = np.sin(angles)
-    pe[..., 1::2] = np.cos(angles)
-    return x + pe
 
 
 # ---------------------------------------------------------------------------
@@ -482,30 +467,34 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
 
 
 class Scheme(NamedTuple):
-    """One scheme: coordinates per rotation block, position axes, the
-    FrequencyTable layout it reads, and its routes on the (blocks, axes)
+    """One scheme: coordinates per rotation block and per pattern block (the
+    bilinear piece of a score that a block raster shows), position axes,
+    the FrequencyTable layout it reads, and its routes on the (blocks, axes)
     table rows ``freqs``: ``encode(freqs, z, p)`` on checked (..., dim)
     tokens at (..., axes) positions, and the closed-form frequency gradient
     ``grad(freqs, z_q, z_k, p_q, p_k)``, or None.  liere's generators set
     its block and axes, and ``_turn`` routes it: the rest is None."""
 
     block: int | None
+    pattern: int
     axes: int | None
     table: str | None
     encode: Callable | None
     grad: Callable | None
 
 
+# a score splits into pairs (an axial quadruple is an x-pair and a y-pair;
+# liere's last pair is short at an odd dim) or, for spherical, triples
 SCHEMES = {
-    "rope1d": Scheme(2, 1, "rope1d", _encode_pairs, _grad_pairs),
+    "rope1d": Scheme(2, 2, 1, "rope1d", _encode_pairs, _grad_pairs),
     # mixed with both columns w, applied as w * (p_x + p_y) to keep one rounding
-    "trivial2d": Scheme(2, 2, "rope1d", lambda f, z, p: _encode_pairs(f, z, p[..., :1] + p[..., 1:]), None),
-    "axial": Scheme(4, 2, "axial", _encode_axial, _grad_axial),
-    "mixed": Scheme(2, 2, "mixed", _encode_pairs, _grad_pairs),
-    "spherical": Scheme(3, 2, "spherical", lambda f, z, p: _rotate_triples(z, _axis_angles(f, p)),
+    "trivial2d": Scheme(2, 2, 2, "rope1d", lambda f, z, p: _encode_pairs(f, z, p[..., :1] + p[..., 1:]), None),
+    "axial": Scheme(4, 2, 2, "axial", _encode_axial, _grad_axial),
+    "mixed": Scheme(2, 2, 2, "mixed", _encode_pairs, _grad_pairs),
+    "spherical": Scheme(3, 3, 2, "spherical", lambda f, z, p: _rotate_triples(z, _axis_angles(f, p)),
                         _grad_spherical),
-    "uniform": Scheme(4, 2, "uniform", _encode_axial, _grad_uniform),
-    "liere": Scheme(None, None, None, None, None),
+    "uniform": Scheme(4, 2, 2, "uniform", _encode_axial, _grad_uniform),
+    "liere": Scheme(None, 2, None, None, None, None),
 }
 
 
@@ -631,21 +620,17 @@ class Encoder:
         z, p = _inputs(z, p, self.dim, self.axes)
         return _turn(self, z, p)
 
-    # bilinear decomposition of the score: pairs for the pair/quadruple
-    # schemes (a quadruple is one x-pair plus one y-pair), triples for
-    # spherical, pairs (last possibly short) for liere
+    # the bilinear decomposition of the score, in blocks of the registry's
+    # pattern width (the last one short when the width does not divide dim)
     @property
     def pattern_blocks(self) -> int:
-        if self.scheme == "spherical":
-            return self.dim // 3
-        return (self.dim + 1) // 2
+        return -(-self.dim // SCHEMES[self.scheme].pattern)
 
     def pattern_slice(self, b: int) -> slice:
         if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or not 0 <= b < self.pattern_blocks:
             raise ValueError(f"block must be an integer index in [0, {self.pattern_blocks}), got {b!r}")
-        if self.scheme == "spherical":
-            return slice(3 * b, 3 * b + 3)
-        return slice(2 * b, min(2 * b + 2, self.dim))
+        w = SCHEMES[self.scheme].pattern
+        return slice(w * b, min(w * b + w, self.dim))
 
 
 def make_encoder(scheme: str, dim: int = None, *, base: float = None,

@@ -66,8 +66,3 @@ def make_grid(rows: int, cols: int, train_rows: int | None = None,
     positions[:, :, 0] = xs[None, :]
     positions[:, :, 1] = ys[:, None]
     return PatchGrid(rows, cols, train_rows, train_cols, positions)
-
-
-def flatten_raster(grid: PatchGrid) -> np.ndarray:
-    """Row-major (rows*cols, 2) view of the grid positions; index 0 is top-left."""
-    return grid.positions.reshape(grid.rows * grid.cols, 2)

@@ -258,7 +258,8 @@ def matrix_exp(a) -> np.ndarray:
     A real skew ``a`` has ``a @ a = -a.T @ a``, so ``exp(a) = cos|a| +
     a sinc|a|`` with ``|a| = sqrt(a.T @ a)``; with ``a = U diag(s) V^T`` that
     is ``exp(a) = (V diag(cos s) + U diag(sin s)) V^T``.  The result is
-    orthogonal with determinant +1.
+    orthogonal with determinant +1.  Raises ValueError when the 2-norm
+    ``||a||_2 = s_max`` overflows (finite entries near 1e308).
     """
     return _exp_skew(as_skew(a))
 
@@ -275,11 +276,15 @@ def _exp_skew(a: np.ndarray) -> np.ndarray:
     and values at numpy's ``matrix_rank`` tolerance ``n * eps * s_max`` are
     zero; both moves are within the decomposition's own rounding.  Every
     step after the ``svd`` is elementwise or per matrix, so a matrix's
-    exponential does not depend on its stack.
+    exponential does not depend on its stack.  A 2-norm that overflows
+    (``s_max = inf``) raises ValueError before ``cos(inf)`` makes NaN.
     """
     u, s, vt = np.linalg.svd(a)
+    top = s[..., :1]
+    if not np.isfinite(top).all():
+        raise ValueError("the skew exponential needs a finite 2-norm ||a||_2; it overflows")
     s[..., 1::2] = s[..., :-1:2]
-    s *= s > a.shape[-1] * np.finfo(float).eps * s[..., :1]
+    s *= s > a.shape[-1] * np.finfo(float).eps * top
     return (vt.swapaxes(-1, -2) * np.cos(s)[..., None, :] + u * np.sin(s)[..., None, :]) @ vt
 
 

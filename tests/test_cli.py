@@ -256,7 +256,7 @@ def test_bench_tiny_run_csv(capsys):
     rows = [line.split(",") for line in lines[1:]]
     names = [r[0] for r in rows]
     assert names == ["rope1d", "trivial2d", "axial", "mixed", "spherical",
-                     "spherical-fast", "uniform", "liere"]
+                     "uniform", "liere"]
     assert all(float(r[1]) > 0 for r in rows)
     assert all(len(r) == 3 for r in rows)
 
@@ -278,7 +278,6 @@ def test_bench_skips_incompatible_dims(capsys):
     assert "axial" not in names and "spherical" not in names
     assert "rope1d" in names and "mixed" in names
     assert "skipping" in err
-    assert "skipping spherical-fast" in err  # dropped with its parent encoder
 
 
 def test_bench_invalid_sizes_exit_2(capsys):

@@ -190,6 +190,47 @@ def test_spherical_fast_matches_matrix_route():
     assert worst <= FAST_TOL
 
 
+def _triple_generators(table):
+    """The dim-3B block-diagonal yaw and roll generators, triple d's blocks
+    scaled by the table's row d."""
+    return np.kron(np.diag(table.freqs[:, 0]), G_YAW), np.kron(np.diag(table.freqs[:, 1]), G_ROLL)
+
+
+@seed(2087)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(min_value=0, max_value=2**31 - 1))
+def test_property_spherical_is_the_ordered_product_of_generator_exponentials(blocks, rs):
+    # the paper's definition by a third route: two one-axis liere encodes,
+    # the roll first, then the yaw
+    rng = np.random.default_rng(rs)
+    table = FrequencyTable("spherical", rng.uniform(0.1, 2.0, (blocks, 2)))
+    yaw, roll = _triple_generators(table)
+    z = rng.standard_normal(3 * blocks)
+    p = rng.uniform(-np.pi, np.pi, 2)
+    ordered = E.liere(E.liere(z, p[1], [roll]), p[0], [yaw])
+    assert np.max(np.abs(E.spherical_fast(z, p, table) - ordered)) <= FAST_TOL
+
+
+def test_spherical_is_not_the_exponential_of_the_generator_sum():
+    table = FrequencyTable.fixed("spherical", 12)
+    gens = _triple_generators(table)
+    rng = np.random.default_rng(2089)
+    worst = 0.0
+    for _ in range(20):
+        z = rng.standard_normal(12)
+        p = rng.uniform(-np.pi, np.pi, 2)
+        worst = max(worst, np.max(np.abs(E.spherical_fast(z, p, table) - E.liere(z, p, gens))))
+    assert worst > V.COUNTEREXAMPLE_TOL
+
+
+def test_spherical_reference_rejects_non_finite_angles():
+    # an infinite generator entry would never return from LAPACK's SVD
+    table = FrequencyTable.fixed("spherical", 6)
+    for p in ((np.inf, 0.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            E.spherical(np.ones(6), p, table)
+
+
 def test_uniform_equals_axial_constant_table():
     rng = np.random.default_rng(5)
     z = rng.standard_normal(8)
@@ -249,6 +290,22 @@ def test_liere_rejects_non_finite_inputs():
     assert commuting.reduction is not None
     with pytest.raises(ValueError, match="finite"):
         commuting.encode(np.ones(6), [1e308, 1e308])
+
+
+def test_liere_exponential_route_rejects_an_overflowing_two_norm():
+    # finite positions and a finite generator sum whose 2-norm overflows:
+    # entries of at most 1e308, a 2-norm of about 4.4e308
+    rng = np.random.default_rng(49)
+    ones = np.triu(np.ones((7, 7)), k=1)
+    gens = [ones - ones.T, V.random_skew(7, rng)]
+    enc = E.make_encoder("liere", generators=gens)
+    assert enc.reduction is None
+    z = rng.standard_normal(7)
+    assert np.all(np.isfinite(E.liere(z, [1e300, 0.0], gens)))
+    with pytest.raises(ValueError, match="2-norm"):
+        E.liere(z, [1e308, 0.0], gens)
+    with pytest.raises(ValueError, match="2-norm"):
+        enc.encode(np.stack([z, z]), [[0.5, 0.5], [1e308, 0.0]])
 
 
 def test_liere_accepts_a_generator_at_every_position():
@@ -315,22 +372,6 @@ def test_liere_encoder_non_commuting_uses_exponential():
     assert enc.reduction is None
     z, p = rng.standard_normal(5), rng.uniform(-np.pi, np.pi, 2)
     np.testing.assert_array_equal(enc.encode(z, p), E.liere(z, p, gens))
-
-
-def test_sinusoidal_ape_frozen():
-    t = unit_table("rope1d", 2, 1)
-    np.testing.assert_allclose(
-        E.sinusoidal_ape(np.zeros(4), 0.0, t), [0.0, 1.0, 0.0, 1.0], atol=0
-    )
-    t1 = unit_table("rope1d", 1, 1)
-    out = E.sinusoidal_ape(np.zeros(2), np.pi / 2, t1)
-    assert out[0] == pytest.approx(1.0)
-
-
-def test_sinusoidal_ape_not_isometric():
-    t = unit_table("rope1d", 2, 1)
-    x = np.ones(4)
-    assert abs(np.linalg.norm(E.sinusoidal_ape(x, 0.7, t)) - np.linalg.norm(x)) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +955,10 @@ def test_encoder_pattern_slices():
     assert sph.pattern_slice(3) == slice(9, 12)
     with pytest.raises(ValueError):
         sph.pattern_slice(4)
+    # liere reads pairs too, the last one short at an odd dim
+    odd = E.make_encoder("liere", generators=[V.random_skew(5, np.random.default_rng(61))])
+    assert odd.pattern_blocks == 3
+    assert odd.pattern_slice(2) == slice(4, 5)
 
 
 def test_encoders_and_tables_compare_and_hash_by_value():

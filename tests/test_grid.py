@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ropekit.grid import PatchGrid, flatten_raster, make_grid
+from ropekit.grid import PatchGrid, make_grid
 
 SPACING_TOL = 1e-12
 
@@ -77,22 +77,6 @@ def test_rejects_zero_dimensions():
             make_grid(3, 3, 3, bad)
     g = make_grid(np.int8(2), np.int64(3))
     assert g.positions.shape == (2, 3, 2)
-
-
-def test_flatten_raster_row_major():
-    g = make_grid(2, 2)
-    flat = flatten_raster(g)
-    assert flat.shape == (4, 2)
-    np.testing.assert_array_equal(flat[0], [-np.pi, -np.pi])
-    np.testing.assert_array_equal(flat[1], [np.pi, -np.pi])
-
-
-def test_flatten_raster_round_trip_indexing():
-    g = make_grid(3, 4)
-    flat = flatten_raster(g)
-    for i in range(3):
-        for j in range(4):
-            np.testing.assert_array_equal(flat[i * 4 + j], g.positions[i, j])
 
 
 def test_positions_immutable():

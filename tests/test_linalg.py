@@ -314,6 +314,17 @@ def test_matrix_exp_series_rejects_an_overflowing_norm():
         linalg.matrix_exp_series(1e154 * np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
+def test_matrix_exp_rejects_an_overflowing_two_norm():
+    # finite entries up to 1e308 whose 2-norm overflows: the SVD returns an
+    # infinite singular value, and cos(inf) would be NaN
+    rng = np.random.default_rng(43)
+    g = random_skew(7, rng)
+    g /= np.max(np.abs(g))
+    assert np.all(np.isfinite(linalg.matrix_exp(1e300 * g)))
+    with pytest.raises(ValueError, match="2-norm"):
+        linalg.matrix_exp(1e308 * g)
+
+
 def test_matrix_exp_against_scipy():
     import scipy.linalg
 
