@@ -21,12 +21,13 @@ import numpy as np
 from . import encodings
 from .encodings import Encoder
 from .grid import make_grid
+from .linalg import _as_real
 
 
 def score(q, k) -> float:
     """Dot-product attention score between two token vectors."""
-    q = np.asarray(q, dtype=float)
-    k = np.asarray(k, dtype=float)
+    q = _as_real(q, "score vectors")
+    k = _as_real(k, "score vectors")
     if q.ndim != 1 or k.ndim != 1 or q.shape != k.shape:
         raise ValueError(f"score needs equal-length vectors, got {q.shape} and {k.shape}")
     return float(q @ k)
@@ -34,8 +35,8 @@ def score(q, k) -> float:
 
 def _softmax_numerator(q_mat, k_mat, scale):
     """Checked ``e = exp(L - rowmax L)``, ``L = (scale Q) K^T``, the one N x M array, and its row sums."""
-    q_mat = np.asarray(q_mat, dtype=float)
-    k_mat = np.asarray(k_mat, dtype=float)
+    q_mat = _as_real(q_mat, "attention Q")
+    k_mat = _as_real(k_mat, "attention K")
     if q_mat.ndim != 2 or k_mat.ndim != 2 or q_mat.shape[1] != k_mat.shape[1]:
         raise ValueError(f"incompatible Q/K shapes {q_mat.shape} and {k_mat.shape}")
     if q_mat.size == 0 or k_mat.size == 0:
@@ -62,7 +63,7 @@ def attention_weights(q_mat, k_mat, scale: float | None = None) -> np.ndarray:
 def softmax_attention(q_mat, k_mat, v_mat, scale: float | None = None) -> np.ndarray:
     """Single-head attention softmax(scale * QK^T) V, by default scale = 1/sqrt(d) with d
     the key width; rows are normalised after the V product."""
-    v_mat = np.asarray(v_mat, dtype=float)
+    v_mat = _as_real(v_mat, "attention V")
     if v_mat.ndim != 2 or v_mat.shape[0] != np.shape(k_mat)[0]:
         raise ValueError(f"V shape {v_mat.shape} does not match K shape {np.shape(k_mat)}")
     if not np.isfinite(v_mat).all():
@@ -117,9 +118,10 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
         raise ValueError("pattern size must be at least 1x1")
     if encoder.axes not in (1, 2):
         raise ValueError("pattern rendering needs a 1- or 2-axis encoder")
-    if np.shape(z_q) != (encoder.dim,) or np.shape(z_k) != (encoder.dim,):
+    z_q, z_k = _as_real(z_q, "pattern vectors"), _as_real(z_k, "pattern vectors")
+    if z_q.shape != (encoder.dim,) or z_k.shape != (encoder.dim,):
         raise ValueError(f"pattern rendering takes one query and one key vector of length {encoder.dim}, "
-                         f"got shapes {np.shape(z_q)} and {np.shape(z_k)}")
+                         f"got shapes {z_q.shape} and {z_k.shape}")
     positions = make_grid(height, width).positions[..., :encoder.axes]
     if encoder.table is None:
         sl = slice(None) if block is None else encoder.pattern_slice(block)

@@ -17,29 +17,29 @@ axes:
                     generators ``A_m``; encoders of commuting generators
                     apply it as pair rotations in one precomputed basis
 
-A table scheme's angles come straight from its (blocks, axes) frequency
-table, as the products ``x[..., j, m] = p[..., m] * freqs[j, m]``: pair
-``j`` of a pair scheme turns by ``sum_m x[..., j, m]``, added in axis order;
-an axial quadruple's x- and y-pairs and a spherical triple's yaw and roll
-turn by the products themselves.  A turn is the complex number ``a + ib``
-times the unit phasor ``exp(1j * theta)``; a spherical triple is two such
-products.  ``SCHEMES``, the one registry of schemes, holds each table
-scheme's routes on table rows; ``_turn``, the one rotation routine behind
-``Encoder.encode`` and the block rasters, calls them, and the free functions
-call them on their table, so only ``make_encoder`` builds an ``Encoder``.  Every
-encoder takes token vectors of shape (..., dim) and positions of shape
-(..., axes) whose leading shapes broadcast; one token is the ``()`` case.
-``grad_frequencies`` takes the same shapes and differentiates the same products.
-``spherical``, the triple route's reference, keeps the paper's definition:
-per triple, the ordered product of two so(3) generator exponentials taken by
-``linalg``, no phasors.
+A table scheme is Mixed RoPE on a pair table with some entries zero and turns
+by that table's pair form, angle terms ``(index, freqs)`` with angle ``j =
+sum_t p[..., index_t][j] * freqs_t[j]``, added in order: rope1d, mixed and
+trivial2d (at ``p_x + p_y``) sum a term per column, ``index = slice(m, m +
+1)``; axial, uniform and spherical interleave one, ``index = [0, 1, 0, 1,
+...]`` over ``freqs.ravel()`` (an axial quadruple's x- and y-pair, a
+spherical triple's yaw and roll).  A turn is the pair ``a + ib`` times the
+unit phasor ``exp(1j * theta)``; a spherical triple is two.  ``SCHEMES``,
+the one registry, holds each scheme's layout and rotation; ``_turn``, behind
+``Encoder.encode`` and the block rasters, turns by the encoder's form (a
+reduced liere encoder's is its joint table's), and the free functions build
+their table's, so only ``make_encoder`` builds an ``Encoder``.  Encoders
+take tokens (..., dim) at positions (..., axes), the leading shapes
+broadcasting; ``grad_frequencies`` takes the same shapes and differentiates
+the same products.  ``spherical``, the triple route's reference, keeps the
+paper's definition: per triple, the ordered product of two so(3) generator
+exponentials taken by ``linalg``, no phasors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -98,13 +98,13 @@ class FrequencyTable:
     def __post_init__(self):
         if not _is_table_scheme(self.scheme):
             raise ValueError(f"unknown frequency-table scheme {self.scheme!r}")
-        f = np.asarray(self.freqs, dtype=float)
+        f = linalg._as_real(self.freqs, "frequencies")
         axes = SCHEMES[self.scheme].axes
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != axes:
             raise ValueError(f"{self.scheme} freqs must be a (blocks, {axes}) array, got shape {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValueError("frequencies must all be finite")
-        if self.scheme == "uniform" and f.size and not np.all(f == f.flat[0]):
+        if SCHEMES[self.scheme].shared and f.size and not np.all(f == f.flat[0]):
             raise ValueError("uniform tables must hold a single shared frequency")
         f = f.copy()
         f.flags.writeable = False
@@ -158,9 +158,9 @@ class FrequencyTable:
 
 def _inputs(z, p, dim: int, axes: int):
     """``z`` as a C-contiguous (..., dim) and ``p`` as a (..., axes) float
-    array; a scalar position stands for one coordinate."""
-    z = np.asarray(z, dtype=float, order="C")
-    p = np.asarray(p, dtype=float)
+    array (``linalg._as_real``); a scalar position stands for one coordinate."""
+    z = linalg._as_real(z, "token vectors", order="C")
+    p = linalg._as_real(p, "positions")
     if p.ndim == 0:
         p = p.reshape(1)
     if z.ndim == 0 or z.shape[-1] != dim:
@@ -184,39 +184,28 @@ def _check_table(scheme: str, table: FrequencyTable) -> None:
         raise ValueError(f"{scheme} reads {layout!r} tables, got {getattr(table, 'scheme', None)!r}")
 
 
-def _pair_angles(freqs: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Pair ``j``'s angle ``sum_m p[..., m] * freqs[j, m]``, the axis products
-    added in axis order, so an angle is the same whatever batch it is in.
-    Each product takes one table column, a long loop over the pairs; the
-    broadcast ``p[..., None, :] * freqs`` loops over the axes innermost and
-    is several times slower on a batch."""
-    a = p[..., :1] * freqs[:, 0]
-    for m in range(1, freqs.shape[1]):
-        a += p[..., m:m + 1] * freqs[:, m]
-    return a
+def _summed(freqs: np.ndarray) -> tuple:
+    """The pair form turning pair ``j`` by ``sum_m p_m * freqs[j, m]``: a term per column."""
+    return tuple((slice(m, m + 1), freqs[:, m]) for m in range(freqs.shape[1]))
 
 
-# up to this many angles one broadcast product is the faster route, past it
-# the column products are (the two cross at 500 to 750 angles on a 2-core
-# Xeon with numpy 2.4: 12 to 32 blocks, 32 to 12 positions)
-_BROADCAST_ANGLES = 512
+def _interleaved(freqs: np.ndarray) -> tuple:
+    """The pair form turning angle ``2j + m`` by ``p_m * freqs[j, m]``: one term."""
+    index = np.arange(freqs.size) % 2
+    index.flags.writeable = False
+    return ((index, freqs.ravel()),)
 
 
-def _axis_angles(freqs: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Block ``j``'s x-angle ``p_x * freqs[j, 0]`` at ``2j`` and its y-angle
-    ``p_y * freqs[j, 1]`` at ``2j + 1``: an axial quadruple's x- and y-pair,
-    a spherical triple's yaw and roll.  A few angles take the broadcast
-    product in one call; more take one table column per product, into
-    every other entry, as ``_pair_angles`` does, since the broadcast loops
-    over the two axes innermost (on 1024 positions and 24 blocks it is
-    four times slower).  Every angle is the same one product either way."""
-    if p.size * len(freqs) <= _BROADCAST_ANGLES:
-        x = p[..., None, :] * freqs
-        return x.reshape(x.shape[:-2] + (freqs.size,))
-    x = np.empty(p.shape[:-1] + (freqs.size,))
-    np.multiply(p[..., :1], freqs[:, 0], out=x[..., 0::2])
-    np.multiply(p[..., 1:], freqs[:, 1], out=x[..., 1::2])
-    return x
+def _angles(pairs: tuple, p: np.ndarray) -> np.ndarray:
+    """Angle ``j = sum_t p[..., index_t][j] * freqs_t[j]`` of the pair form
+    ``pairs``, the terms added in order, each step elementwise, so an angle
+    does not depend on its batch.  A batch's gather of an index array comes
+    out index-major, which the phasors read slower than one copy to C order."""
+    (index, f), *rest = pairs
+    a = p[..., index] * f
+    for index, f in rest:
+        a += p[..., index] * f
+    return np.ascontiguousarray(a)
 
 
 def _phasors(angles: np.ndarray) -> np.ndarray:
@@ -255,12 +244,12 @@ def _rotate_triples(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
 
 
-def _encode_pairs(freqs, z, p):
-    return _rotate_pairs(z, _pair_angles(freqs, p))
-
-
-def _encode_axial(freqs, z, p):
-    return _rotate_pairs(z, _axis_angles(freqs, p))
+def _table_turn(scheme: str, pairs: tuple, z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Checked ``z`` at ``p`` turned by ``scheme``'s rotation through ``pairs``."""
+    spec = SCHEMES[scheme]
+    if spec.axes > SCHEMES[spec.table].axes:  # trivial2d: mixed (w, w) as w * (p_x + p_y), one rounding
+        p = p[..., :1] + p[..., 1:]
+    return spec.rotate(z, _angles(pairs, p))
 
 
 def _table_inputs(scheme: str, table: FrequencyTable, z, p):
@@ -272,9 +261,9 @@ def _table_inputs(scheme: str, table: FrequencyTable, z, p):
 
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
-    """``scheme``'s route on the rows of ``table``, as its encoder turns them."""
+    """``table`` turned by ``scheme``'s rotation, as its encoder turns it."""
     z, p = _table_inputs(scheme, table, z, p)
-    return SCHEMES[scheme].encode(table.freqs, z, p)
+    return _table_turn(scheme, SCHEMES[scheme].layout(table.freqs), z, p)
 
 
 def rope1d(z, p, table: FrequencyTable) -> np.ndarray:
@@ -304,9 +293,8 @@ def mixed(z, p, table: FrequencyTable) -> np.ndarray:
 
 def uniform(z, p, freq: float = 1.0) -> np.ndarray:
     """Axial with the single shared frequency ``freq`` (exactly that code path)."""
-    z = np.asarray(z, dtype=float)
-    return _table_encode("uniform", z, p, FrequencyTable.fixed("uniform", z.shape[-1] if z.ndim else 0,
-                                                                uniform_freq=freq))
+    table = FrequencyTable.fixed("uniform", np.shape(z)[-1] if np.ndim(z) else 0, uniform_freq=freq)
+    return _table_encode("uniform", z, p, table)
 
 
 # a triple's so(3) generators: yaw turns its (x0, x1) plane, roll its (x1, x2) plane
@@ -369,19 +357,18 @@ def _liere_exp(z, p, gens) -> np.ndarray:
 def _encode_liere(enc, z, p):
     if enc.reduction is None:
         return _liere_exp(z, p, enc.generators)
-    return _check_finite(_liere_reduced(z, p, *enc.reduction))
+    return _check_finite(_liere_reduced(z, p, enc.reduction[0], enc.pairs))
 
 
-def _liere_reduced(z, p, basis: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``liere`` for commuting generators through their joint ``(basis, freqs)``
-    form: the pairs of ``z @ basis`` turn as a mixed table ``freqs`` turns
-    its pairs and ``basis.T`` maps them back; a coordinate past the pairs
-    (an odd dimension's last) is fixed."""
+def _liere_reduced(z, p, basis: np.ndarray, pairs: tuple) -> np.ndarray:
+    """``liere`` for commuting generators through their joint ``(basis,
+    freqs)`` form: the pairs of ``z @ basis`` turn by ``freqs``'s pair form
+    ``pairs``, ``basis.T`` maps them back, and an odd dim's last is fixed."""
     y = z @ basis
-    k2 = 2 * len(freqs)
+    k2 = 2 * len(pairs[0][1])
     if k2 == len(basis):
-        return _encode_pairs(freqs, y, p) @ basis.T
-    return (_encode_pairs(freqs, y[..., :k2], p) @ basis[:, :k2].T
+        return _rotate_pairs(y, _angles(pairs, p)) @ basis.T
+    return (_rotate_pairs(y[..., :k2], _angles(pairs, p)) @ basis[:, :k2].T
             + y[..., k2:] @ basis[:, k2:].T)
 
 
@@ -395,29 +382,23 @@ def _commuting_reduction(gens):
 
 
 # ---------------------------------------------------------------------------
-# frequency gradients: grad(freqs, z_q, z_k, p_q, p_k) on table rows, checked
-# (..., dim) tokens and (..., axes) positions, returning (..., blocks, axes)
+# frequency gradients: grad(pairs, z_q, z_k, p_q, p_k) on a table's pair form,
+# checked (..., dim) tokens and (..., axes) positions, returning an array that
+# reshapes to (..., blocks, axes)
 # ---------------------------------------------------------------------------
 
 
-def _grad_turns(angles, freqs, zq, zk, pq, pk):
+def _grad_pairs(pairs, zq, zk, pq, pk):
     # score = sum_j Re(conj(q_j) k_j e^{i theta_j}) over the complex pairs,
-    # theta = angles(freqs, p_k - p_q), so
-    # d score / d theta_j = -Im(conj(q_j) k_j e^{i theta_j})
+    # theta = _angles(pairs, d), d = p_k - p_q, so d score / d theta_j =
+    # -Im(conj(q_j) k_j e^{i theta_j}), times d[..., index_t][j] per term
     d = pk - pq
-    e = _phasors(angles(freqs, d))
+    e = _phasors(_angles(pairs, d))
     g = -(zq.view(complex).conj() * zk.view(complex) * e).imag
-    return g.reshape(g.shape[:-1] + (len(freqs), -1)) * d[..., None, :]
-
-
-_grad_pairs = partial(_grad_turns, _pair_angles)
-# an axial quadruple is an x-pair then a y-pair
-_grad_axial = partial(_grad_turns, _axis_angles)
-
-
-def _grad_uniform(freqs, zq, zk, pq, pk):
-    g = _grad_axial(freqs, zq, zk, pq, pk)
-    return np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
+    out = np.empty(g.shape + (len(pairs),))
+    for t, (index, _) in enumerate(pairs):
+        np.multiply(g, d[..., index], out=out[..., t])
+    return out
 
 
 def _roll(z, angles):
@@ -429,10 +410,11 @@ def _roll(z, angles):
     return u, t[..., 0] + 1j * u.real
 
 
-def _grad_spherical(f, zq, zk, pq, pk):
+def _grad_spherical(pairs, zq, zk, pq, pk):
     # per triple, score = Re(conj(y_q) y_k e) + Im(u_q) Im(u_k) with the yaw
     # phasor e = e^{i f_x (pk_x - pq_x)}; by the product rule the roll turns u
     # by i u, moving Re(u) by -Im(u) and Im(u) by Re(u)
+    f = pairs[0][1].reshape(-1, 2)  # the interleaved yaw and roll frequencies
     d = pk[..., :1] - pq[..., :1]
     (uq, yq), (uk, yk) = _roll(zq, pq[..., 1:] * f[:, 1]), _roll(zk, pk[..., 1:] * f[:, 1])
     e = _phasors(d * f[:, 0])
@@ -458,7 +440,11 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
         raise ValueError(f"grad_frequencies does not support scheme {scheme!r}")
     zq, pq = _table_inputs(scheme, table, z_q, p_q)
     zk, pk = _table_inputs(scheme, table, z_k, p_k)
-    return spec.grad(table.freqs, zq, zk, pq, pk)
+    g = spec.grad(spec.layout(table.freqs), zq, zk, pq, pk)
+    g = g.reshape(g.shape[:-2] + table.freqs.shape)
+    if spec.shared:
+        return np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -469,46 +455,47 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
 class Scheme(NamedTuple):
     """One scheme: coordinates per rotation block and per pattern block (the
     bilinear piece of a score that a block raster shows), position axes,
-    the FrequencyTable layout it reads, and its routes on the (blocks, axes)
-    table rows ``freqs``: ``encode(freqs, z, p)`` on checked (..., dim)
-    tokens at (..., axes) positions, and the closed-form frequency gradient
-    ``grad(freqs, z_q, z_k, p_q, p_k)``, or None.  liere's generators set
-    its block and axes, and ``_turn`` routes it: the rest is None."""
+    the FrequencyTable layout it reads, ``layout(freqs)``, the pair form of
+    such a table, ``rotate(z, angles)`` on checked (..., dim) tokens, the
+    frequency gradient ``grad(pairs, z_q, z_k, p_q, p_k)`` or None, whether
+    its table's entries are one ``shared`` parameter, and whether its scores
+    are shift-``equivariant``.  liere's generators set its block, axes and
+    equivariance, and ``_turn`` routes it: the rest is None or False."""
 
     block: int | None
     pattern: int
     axes: int | None
     table: str | None
-    encode: Callable | None
+    layout: Callable | None
+    rotate: Callable | None
     grad: Callable | None
+    shared: bool
+    equivariant: bool | None
 
 
 # a score splits into pairs (an axial quadruple is an x-pair and a y-pair;
 # liere's last pair is short at an odd dim) or, for spherical, triples
 SCHEMES = {
-    "rope1d": Scheme(2, 2, 1, "rope1d", _encode_pairs, _grad_pairs),
-    # mixed with both columns w, applied as w * (p_x + p_y) to keep one rounding
-    "trivial2d": Scheme(2, 2, 2, "rope1d", lambda f, z, p: _encode_pairs(f, z, p[..., :1] + p[..., 1:]), None),
-    "axial": Scheme(4, 2, 2, "axial", _encode_axial, _grad_axial),
-    "mixed": Scheme(2, 2, 2, "mixed", _encode_pairs, _grad_pairs),
-    "spherical": Scheme(3, 3, 2, "spherical", lambda f, z, p: _rotate_triples(z, _axis_angles(f, p)),
-                        _grad_spherical),
-    "uniform": Scheme(4, 2, 2, "uniform", _encode_axial, _grad_uniform),
-    "liere": Scheme(None, 2, None, None, None, None),
+    "rope1d": Scheme(2, 2, 1, "rope1d", _summed, _rotate_pairs, _grad_pairs, False, True),
+    "trivial2d": Scheme(2, 2, 2, "rope1d", _summed, _rotate_pairs, None, False, True),
+    "axial": Scheme(4, 2, 2, "axial", _interleaved, _rotate_pairs, _grad_pairs, False, True),
+    "mixed": Scheme(2, 2, 2, "mixed", _summed, _rotate_pairs, _grad_pairs, False, True),
+    "spherical": Scheme(3, 3, 2, "spherical", _interleaved, _rotate_triples, _grad_spherical, False, False),
+    "uniform": Scheme(4, 2, 2, "uniform", _interleaved, _rotate_pairs, _grad_pairs, True, True),
+    "liere": Scheme(None, 2, None, None, None, None, None, False, None),
 }
 
 
 def _turn(enc, z, p, block=None):
     """The one rotation routine, behind ``Encoder.encode`` and the block
     rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``, a
-    table scheme's by its registry route on the table's rows.  With a table
-    block index ``block``, ``z`` holds only that block's coordinates and
-    turns by its row alone; every angle, phasor and product is elementwise,
-    so the result is bit for bit that block's slice of the whole encode."""
+    table scheme's by its pair form.  With a table block index ``block``,
+    ``z`` holds only that block's coordinates and turns by that block's
+    pair form; every angle, phasor and product is elementwise, so the
+    result is bit for bit that block's slice of the whole encode."""
     if enc.table is None:
         return _encode_liere(enc, z, p)
-    freqs = enc.table.freqs
-    return SCHEMES[enc.scheme].encode(freqs if block is None else freqs[block:block + 1], z, p)
+    return _table_turn(enc.scheme, enc.pairs if block is None else enc.block_pairs[block], z, p)
 
 
 def _pattern_factors(enc, z, p, block=None):
@@ -542,10 +529,11 @@ class Encoder:
     round-trips); liere takes ``generators`` only, stored antisymmetrised,
     and reads ``dim`` off them when it is None.
     The position-independent forms are derived on construction: ``axes``;
+    a table's pair form ``pairs`` and one per table block, ``block_pairs``;
     for liere with commuting generators ``reduction``, their ``(basis,
-    freqs)`` joint canonical form, so that ``encode`` costs two matrix
-    products instead of an exponential per position.  A table scheme reads
-    its angles straight from ``table.freqs``.
+    freqs)`` joint canonical form, and ``pairs`` of ``freqs``, so that
+    ``encode`` costs two matrix products instead of an exponential per
+    position.
     """
 
     scheme: str
@@ -555,6 +543,8 @@ class Encoder:
     generators: tuple = field(default=None, repr=False)
     reduction: tuple = field(init=False, default=None, repr=False, compare=False)
     axes: int = field(init=False, default=None, repr=False, compare=False)
+    pairs: tuple = field(init=False, default=None, repr=False, compare=False)
+    block_pairs: tuple = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         spec = SCHEMES.get(self.scheme)
@@ -574,6 +564,8 @@ class Encoder:
             object.__setattr__(self, "generators", gens)
             object.__setattr__(self, "reduction", reduction)
             object.__setattr__(self, "axes", len(gens))
+            if reduction is not None:
+                object.__setattr__(self, "pairs", _summed(reduction[1]))
             return
         if self.generators is not None:
             raise ValueError("only liere takes generators")
@@ -591,6 +583,8 @@ class Encoder:
             raise ValueError(f"table has {self.table.blocks} blocks, "
                              f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
         object.__setattr__(self, "axes", spec.axes)
+        object.__setattr__(self, "pairs", spec.layout(self.table.freqs))
+        object.__setattr__(self, "block_pairs", tuple(spec.layout(row) for row in self.table.freqs[:, None]))
 
     @property
     def uniform_freq(self) -> float | None:
@@ -690,7 +684,7 @@ def encoder_from_config(cfg: dict) -> Encoder:
         raise ValueError(f"{scheme} has {SCHEMES[scheme].axes} axes, config says {cfg['axes']}")
     table = None
     if "freqs" in cfg:
-        table = FrequencyTable(SCHEMES[scheme].table, np.asarray(cfg["freqs"], dtype=float))
+        table = FrequencyTable(SCHEMES[scheme].table, cfg["freqs"])
     # make_encoder checks dim and decides which of base, table and uniform_freq
     # the scheme takes
     return make_encoder(scheme, cfg["dim"], base=cfg.get("base"), table=table, uniform_freq=cfg.get("uniform_freq"))

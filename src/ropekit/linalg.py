@@ -23,10 +23,24 @@ SKEW_ATOL = 1e-12          # construction-time antisymmetry tolerance
 COMMUTE_RTOL = 1e-9        # default relative tolerance for is_commuting
 ZERO_FREQ_RTOL = 1e-10     # lam <= ZERO_FREQ_RTOL * max(1, ||A||_F) counts as a zero mode
 JOINT_STRUCT_RTOL = 1e-6   # off-block bound (relative) for a joint canonical form
+_FLOAT64 = np.dtype(float)
 
 # generic mixing coefficients for the joint block-diagonalisation; if one
 # produces frequency collisions the structure test fails and the next is tried
 _GAMMAS = (0.6180339887498949, 1.7548776662466927, 0.1353352832366127)
+
+
+def _as_real(x, what: str, order: str = "K") -> np.ndarray:
+    """``x`` as a float64 array, the entry points' one dtype rule: what numpy
+    casts to float64 under ``casting="same_kind"`` (bool, integer, real float)
+    passes; complex, object (a None entry) or string input raises ValueError.
+    A float64 array already in ``order`` is returned after one conversion call."""
+    x = np.asarray(x)
+    if x.dtype is not _FLOAT64 or order == "C" and not x.flags.c_contiguous:
+        if x.dtype.kind not in "biuf":
+            raise ValueError(f"{what} must be real (bool, integer or float), got dtype {x.dtype}")
+        x = np.asarray(x, dtype=float, order=order)
+    return x
 
 
 def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
@@ -41,7 +55,7 @@ def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
         halves are taken first, so finite entries cannot overflow; for
         normal values this equals ``0.5 * (a - a.T)`` bit for bit.
     """
-    a = np.asarray(a, dtype=float)
+    a = _as_real(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -68,8 +82,8 @@ def _skew_generators(generators) -> tuple:
 
 def commutator(a, b) -> np.ndarray:
     """Lie bracket ``[a, b] = a @ b - b @ a``, re-antisymmetrised exactly."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _as_real(a, "matrices")
+    b = _as_real(b, "matrices")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     c = a @ b - b @ a
@@ -93,7 +107,7 @@ def is_commuting(a, b, rel_tol: float = COMMUTE_RTOL) -> bool:
 def block_diag_skew(freqs, n: int) -> np.ndarray:
     """Block-diagonal n x n skew matrix with one 2x2 rotation generator
     ``[[0, -f], [f, 0]]`` per frequency, zero past the last pair."""
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = _as_real(freqs, "frequencies")
     if 2 * len(freqs) > n:
         raise ValueError("too many frequencies for the dimension")
     m = np.zeros((n, n))

@@ -26,7 +26,7 @@ import numpy as np
 from .attention import score, scored_pair
 from .encodings import (SCHEMES, Encoder, FrequencyTable, _table_encode, frequency_schedule, grad_frequencies,
                         liere, make_encoder, spherical, spherical_fast)
-from .linalg import as_skew, block_diag_skew, joint_canonical_form
+from .linalg import _as_real, as_skew, block_diag_skew, joint_canonical_form
 
 EQUIVARIANCE_TOL = 1e-9
 COUNTEREXAMPLE_TOL = 1e-4
@@ -177,7 +177,7 @@ def reduced_score(z_q, z_k, p_q, p_k, table: FrequencyTable, basis: np.ndarray) 
     n2 = 2 * table.blocks
 
     def encode(z, p):
-        y = basis.T @ np.asarray(z, dtype=float)
+        y = basis.T @ _as_real(z, "token vectors")
         y[:n2] = _table_encode(table.scheme, y[:n2], p, table)
         return y
 
@@ -287,24 +287,14 @@ def _table_score(scheme, z_q, z_k, p_q, p_k, table) -> float:
 
 def finite_difference_grad(scheme, z_q, z_k, p_q, p_k, table: FrequencyTable,
                            h: float = 1e-5) -> np.ndarray:
-    """Central-difference d score / d freqs, entry by entry (the uniform
-    scheme's one shared parameter moves every entry together)."""
-    f = np.asarray(table.freqs)
-    if scheme == "uniform":
-        up = FrequencyTable("uniform", f + h)
-        dn = FrequencyTable("uniform", f - h)
-        val = (_table_score(scheme, z_q, z_k, p_q, p_k, up)
-               - _table_score(scheme, z_q, z_k, p_q, p_k, dn)) / (2 * h)
-        return np.full_like(f, val)
-    out = np.zeros_like(f)
-    for d in range(f.shape[0]):
-        for m in range(f.shape[1]):
-            fp, fm = f.copy(), f.copy()
-            fp[d, m] += h
-            fm[d, m] -= h
-            out[d, m] = (_table_score(scheme, z_q, z_k, p_q, p_k, FrequencyTable(scheme, fp))
-                         - _table_score(scheme, z_q, z_k, p_q, p_k, FrequencyTable(scheme, fm))) / (2 * h)
-    return out
+    """Central-difference d score / d freqs, entry by entry (a shared
+    table's one parameter moves every entry together)."""
+    f, layout, shared = table.freqs, SCHEMES[scheme].table, SCHEMES[scheme].shared
+    steps = [np.ones_like(f)] if shared else np.eye(f.size).reshape((f.size,) + f.shape)
+    grad = [(_table_score(scheme, z_q, z_k, p_q, p_k, FrequencyTable(layout, f + h * step))
+             - _table_score(scheme, z_q, z_k, p_q, p_k, FrequencyTable(layout, f - h * step))) / (2 * h)
+            for step in steps]
+    return np.full_like(f, grad[0]) if shared else np.reshape(grad, f.shape)
 
 
 def _gradient(encoder, rng) -> float:
@@ -335,8 +325,10 @@ def check_gradients(encoder, trials: int = 100, seed: int = 0) -> CheckReport:
 # isometry, flow, fast path, locality
 # ---------------------------------------------------------------------------
 
-_ISOMETRY_SCHEMES = tuple((s, 12 if spec.block == 3 else 16) for s, spec in SCHEMES.items() if spec.table)
-_ABELIAN_SCHEMES = tuple(case for case in _ISOMETRY_SCHEMES if case[0] != "spherical")
+# every table scheme at its check dim: 12 for triples, 16 otherwise
+_TABLE_CASES = tuple((s, 12 if spec.block == 3 else 16) for s, spec in SCHEMES.items() if spec.table)
+_ABELIAN_SCHEMES = tuple(case for case in _TABLE_CASES if SCHEMES[case[0]].equivariant)
+_NONABELIAN_SCHEMES = tuple(case for case in _TABLE_CASES if not SCHEMES[case[0]].equivariant)
 
 
 def _isometry(enc, rng) -> float:
@@ -348,7 +340,7 @@ def _isometry(enc, rng) -> float:
 def check_isometry(trials: int = 100, seed: int = 0) -> CheckReport:
     """Every rotary encoder must preserve vector norms (relative residual)."""
     rng = np.random.default_rng(seed)
-    encoders = [make_encoder(s, d) for s, d in _ISOMETRY_SCHEMES] + [_random_liere(rng)]
+    encoders = [make_encoder(s, d) for s, d in _TABLE_CASES] + [_random_liere(rng)]
     worst = _worst(trials, rng, *(partial(_isometry, enc) for enc in encoders))
     return _report("isometry:rotary", worst, ISOMETRY_TOL, trials, seed)
 
@@ -432,16 +424,15 @@ def _fixed(scheme, dim):
     return lambda rng: make_encoder(scheme, dim)
 
 
-# name -> (runner(trials, seed), default trials, included in default run)
+# name -> (runner(trials, seed), default trials, included in default run); the per-scheme
+# lines follow SCHEMES' order, so a new scheme's lines append and no seed offset moves
 _REGISTRY = {
-    "equivariance:rope1d": (_on(check_equivariance, _fixed("rope1d", 16)), 200, True),
-    "equivariance:trivial2d": (_on(check_equivariance, _fixed("trivial2d", 16)), 200, True),
-    "equivariance:axial": (_on(check_equivariance, _fixed("axial", 16)), 200, True),
-    "equivariance:mixed": (_on(check_equivariance, _fixed("mixed", 16)), 200, True),
-    "equivariance:uniform": (_on(check_equivariance, _fixed("uniform", 16)), 200, True),
+    **{f"equivariance:{s}": (_on(check_equivariance, _fixed(s, dim)), 200, True)
+       for s, dim in _ABELIAN_SCHEMES},
     "equivariance:liere-commuting": (
         _on(check_equivariance, _commuting_liere, "equivariance:liere-commuting"), 200, True),
-    "non-equivariance:spherical": (_on(check_non_equivariance, _fixed("spherical", 12)), 100, True),
+    **{f"non-equivariance:{s}": (_on(check_non_equivariance, _fixed(s, dim)), 100, True)
+       for s, dim in _NONABELIAN_SCHEMES},
     "non-equivariance:liere-random": (
         _on(check_non_equivariance, _random_liere, "non-equivariance:liere-random"), 100, True),
     "separability:axial": (check_axial_separability, 100, True),
@@ -451,19 +442,17 @@ _REGISTRY = {
                                    lambda n, rng: (random_skew(n, rng),), reduce_liere_1d), 10, True),
     "reduction:liere-mixed": (partial(_run_reduction, "reduction:liere-mixed",
                                       commuting_generators, reduce_liere_mixed), 10, True),
-    "gradients:rope1d": (_on(check_gradients, _fixed("rope1d", 16)), 100, True),
-    "gradients:axial": (_on(check_gradients, _fixed("axial", 16)), 100, True),
-    "gradients:mixed": (_on(check_gradients, _fixed("mixed", 16)), 100, True),
-    "gradients:spherical": (_on(check_gradients, _fixed("spherical", 12)), 100, True),
-    "gradients:uniform": (_on(check_gradients, _fixed("uniform", 16)), 100, True),
+    **{f"gradients:{s}": (_on(check_gradients, _fixed(s, dim)), 100, True)
+       for s, dim in _TABLE_CASES if SCHEMES[s].grad is not None},
     "fast-path:spherical": (check_fast_path, 1000, True),
     "isometry:rotary": (check_isometry, 100, True),
     "flow:abelian": (check_flow, 100, True),
     "flow:spherical-counterexample": (check_flow_counterexample, 100, True),
-    # deliberate demonstration: asserting shift-invariance of the
+    # deliberate demonstrations: asserting shift-invariance of a
     # non-commutative scheme fails; excluded from default runs
-    "equivariance:spherical-positive": (_on(check_equivariance, _fixed("spherical", 12),
-                                            "equivariance:spherical-positive"), 100, False),
+    **{f"equivariance:{s}-positive": (_on(check_equivariance, _fixed(s, dim), f"equivariance:{s}-positive"),
+                                      100, False)
+       for s, dim in _NONABELIAN_SCHEMES},
 }
 
 

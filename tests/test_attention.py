@@ -489,3 +489,28 @@ def test_property_table_raster_matches_per_pixel_loop(scheme, size, blocks, zero
         assert np.max(np.abs(got - want)) <= bound
         # a block raster turns its own table block only, bit for bit
         np.testing.assert_array_equal(got, (fq[..., None, sl] @ fk[..., sl, None])[..., 0, 0])
+
+
+# the dtype rule: complex, object (a None entry) and string input is
+# rejected, not cast to its real part or to NaN
+_QKV = np.random.default_rng(99).standard_normal((3, 4, 8))
+ATTENTION_ENTRIES = {  # name: (call with one argument replaced, the good value of that argument)
+    "score": (lambda v: A.score(v, _QKV[1, 0]), _QKV[0, 0]),
+    "weights-q": (lambda v: A.attention_weights(v, _QKV[1]), _QKV[0]),
+    "weights-k": (lambda v: A.attention_weights(_QKV[0], v), _QKV[1]),
+    "softmax-v": (lambda v: A.softmax_attention(_QKV[0], _QKV[1], v), _QKV[2]),
+    "pattern-q": (lambda v: A.render_pattern(E.make_encoder("axial", 8), v, _QKV[1, 0], 3, 3), _QKV[0, 0]),
+    "pattern-k-liere": (lambda v: A.render_pattern(E.make_encoder("liere", generators=[np.zeros((8, 8))]),
+                                                   _QKV[0, 0], v, 3, 3), _QKV[1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_ENTRIES))
+def test_attention_entry_points_reject_complex_object_and_string_input(name):
+    call, good = ATTENTION_ENTRIES[name]
+    call(good)
+    obj = good.astype(object)
+    obj.flat[0] = None
+    for bad in (good + 0j, obj, good.astype(str)):
+        with pytest.raises(ValueError, match="must be real"):
+            call(bad)

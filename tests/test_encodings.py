@@ -665,6 +665,36 @@ def test_property_phasor_route_matches_real_rotations(name, lead, shared_z, scal
     assert np.all(np.abs(got - want) <= PHASOR_RTOL * bound)
 
 
+# The reduction theorem across the registry: a commuting table scheme is
+# Mixed RoPE on its dense pair table W (axes, angles), so its encode is
+# liere on the block-diagonal generators of W's rows.  trivial2d's one
+# table column reads both axes, so its W is that column twice.
+COMMUTING_TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table and spec.equivariant)
+THEOREM_TOL = 1e-12
+
+
+@seed(2053)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(COMMUTING_TABLE_SCHEMES),
+    st.sampled_from([12, 24]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_table_schemes_are_liere_on_their_pair_table(scheme, dim, rs):
+    rng = np.random.default_rng(rs)
+    spec = E.SCHEMES[scheme]
+    shape = (dim // spec.block, E.SCHEMES[spec.table].axes)
+    freqs = np.full(shape, rng.uniform(-2.0, 2.0)) if spec.shared else rng.uniform(-2.0, 2.0, shape)
+    enc = E.Encoder(scheme, dim, FrequencyTable(spec.table, freqs))
+    w = _ref_angle_matrix(enc.table.freqs, spec.block)
+    if scheme == "trivial2d":
+        w = np.vstack([w, w])
+    gens = [linalg.block_diag_skew(row, dim) for row in w]
+    z = rng.standard_normal(dim)
+    p = rng.uniform(-4.0, 4.0, enc.axes)
+    assert np.max(np.abs(enc.encode(z, p) - E.liere(z, p, gens))) <= THEOREM_TOL
+
+
 def test_single_token_shapes_and_scalar_position():
     enc = BATCH_ENCODERS["rope1d"]
     z = np.arange(12.0)
@@ -1220,3 +1250,71 @@ def test_encoder_liere_round_trip_dim():
     assert enc.axes == 2
     out = enc.encode([1.0, 0.0], [0.3, 0.4])
     assert np.linalg.norm(out) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the dtype rule at the entry points
+# ---------------------------------------------------------------------------
+
+
+def _not_real(good):
+    """``good`` as complex, as object with a None entry, and as strings:
+    each must be rejected rather than cast to its real part or to NaN."""
+    good = np.asarray(good, dtype=float)
+    obj = good.astype(object)
+    obj.flat[0] = None
+    return [good + 0j, obj, good.astype(str)]
+
+
+_Z, _ZK = np.random.default_rng(97).standard_normal((2, 8))
+_P, _PK = (0.3, -1.2), (0.5, 0.25)
+_GEN = V.random_skew(8, np.random.default_rng(98))
+_MIXED = FrequencyTable.fixed("mixed", 8)
+DTYPE_ENTRIES = {  # name: (call with one argument replaced, the good value of that argument)
+    "encode-tokens": (lambda v: E.make_encoder("mixed", 8).encode(v, _P), _Z),
+    "encode-positions": (lambda v: E.make_encoder("mixed", 8).encode(_Z, v), _P),
+    "grad-tokens": (lambda v: E.grad_frequencies("mixed", _Z, v, _P, _PK, _MIXED), _ZK),
+    "grad-positions": (lambda v: E.grad_frequencies("mixed", _Z, _ZK, v, _PK, _MIXED), _P),
+    "liere-tokens": (lambda v: E.liere(v, _P, [_GEN, _GEN]), _Z),
+    "liere-positions": (lambda v: E.liere(_Z, v, [_GEN, _GEN]), _P),
+    "liere-generators": (lambda v: E.liere(_Z, _P, [v, _GEN]), _GEN),
+    "table-freqs": (lambda v: FrequencyTable("mixed", v), _MIXED.freqs),
+    "matrix-exp": (lambda v: linalg.matrix_exp(v), _GEN),
+    "commutator": (lambda v: linalg.commutator(v, _GEN), _GEN),
+    "block-diag-skew": (lambda v: linalg.block_diag_skew(v, 8), _Z[:4]),
+    "reduced-score": (lambda v: V.reduced_score(v, _ZK, 0.3, -1.2, *V.reduce_liere_1d(_GEN)), _Z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_ENTRIES))
+def test_entry_points_reject_complex_object_and_string_input(name):
+    call, good = DTYPE_ENTRIES[name]
+    call(good)
+    for bad in _not_real(good):
+        with pytest.raises(ValueError, match="must be real"):
+            call(bad)
+
+
+def _outcome(call, v):
+    try:
+        out = call(v)
+    except ValueError as exc:
+        return str(exc)
+    return np.asarray(out.freqs if isinstance(out, FrequencyTable) else out).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_ENTRIES))
+def test_entry_points_cast_bool_integer_and_float16_as_float64(name):
+    # the same outcome as the float64 cast, result or error (a bool matrix
+    # is not skew)
+    call, good = DTYPE_ENTRIES[name]
+    for dtype in (bool, np.int64, np.float16):
+        v = np.round(np.asarray(good)).astype(dtype)
+        assert _outcome(call, v) == _outcome(call, v.astype(float))
+
+
+def test_a_none_position_is_rejected_not_encoded_as_nan():
+    for scheme in ("rope1d", "mixed"):
+        enc = E.make_encoder(scheme, 8)
+        with pytest.raises(ValueError, match="must be real"):
+            enc.encode(_Z, [None] if enc.axes == 1 else [None, 1.0])

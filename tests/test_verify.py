@@ -166,8 +166,8 @@ def test_reduce_1d_block_diagonal_input():
 def test_reduction_checks_catch_a_wrong_encoder(monkeypatch, name):
     # a reduced encoder that rotates the wrong way is still equivariant and a
     # flow; only the comparison with the per-position exponential sees it
-    def backwards(z, p, basis, freqs):
-        return reduced(z, -np.asarray(p), basis, freqs)
+    def backwards(z, p, basis, pairs):
+        return reduced(z, -np.asarray(p), basis, pairs)
 
     reduced = E._liere_reduced
     monkeypatch.setattr(E, "_liere_reduced", backwards)
@@ -422,9 +422,9 @@ def _patch_liere(monkeypatch, wrap):
 
 NAN_CASES = {  # name: (patch that wraps one route to turn NaN once, run)
     "gradients": (_patch_entry("mixed", "grad"), lambda: V.check_gradients(E.make_encoder("mixed", 16), 10, 0)),
-    "equivariance": (_patch_entry("mixed", "encode"),
+    "equivariance": (_patch_entry("mixed", "rotate"),
                      lambda: V.check_equivariance(E.make_encoder("mixed", 16), 10, 0)),
-    "non-equivariance": (_patch_entry("spherical", "encode"),
+    "non-equivariance": (_patch_entry("spherical", "rotate"),
                          lambda: V.check_non_equivariance(E.make_encoder("spherical", 12), 10, 0)),
     # the liere encoder's score against the per-position exponential
     "reduction": (_patch_liere, lambda: V.run_checks(["reduction:liere-mixed"], seed=0)[0]),
