@@ -21,7 +21,7 @@ import numpy as np
 from . import encodings
 from .encodings import Encoder
 from .grid import make_grid
-from .linalg import _as_real
+from .linalg import _as_real, _real_scalar
 
 
 def score(q, k) -> float:
@@ -44,8 +44,7 @@ def _softmax_numerator(q_mat, k_mat, scale):
     # checked directly: an inf key whose logits are all -inf leaves the row sums finite
     if not (np.isfinite(q_mat).all() and np.isfinite(k_mat).all()):
         raise ValueError("attention Q and K must be finite")
-    if scale is None:
-        scale = 1.0 / np.sqrt(k_mat.shape[1])
+    scale = 1.0 / np.sqrt(k_mat.shape[1]) if scale is None else _real_scalar(scale, "scale")
     e = (scale * q_mat) @ k_mat.T
     e -= e.max(axis=1, keepdims=True)
     rowsum = np.exp(e, out=e).sum(axis=1, keepdims=True)

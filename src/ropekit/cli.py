@@ -17,6 +17,7 @@ import numpy as np
 
 from .attention import render_pattern
 from .encodings import SCHEMES, encoder_from_config, frequency_schedule, make_encoder, parse_config
+from .linalg import _integer
 from .verify import check_names, commuting_generators, run_checks
 
 _BENCH_LIERE_DIM_CAP = 256
@@ -43,10 +44,7 @@ def _load_encoder(args):
         return encoder_from_config(parse_config(Path(args.config).read_text()))
     if args.scheme is None:
         raise ValueError("either --scheme or --config is required")
-    kwargs = {}
-    if args.base is not None:
-        kwargs["base"] = args.base
-    return make_encoder(args.scheme, args.dim, **kwargs)
+    return make_encoder(args.scheme, args.dim, base=args.base)
 
 
 def _write_pgm(path: str, values: np.ndarray) -> None:
@@ -112,8 +110,7 @@ def _bench_callables(dim: int, include_liere: bool, rng: np.random.Generator):
 
 def _cmd_bench(args) -> int:
     for name in ("batch", "tokens", "dim", "reps"):
-        if getattr(args, name) < 1:
-            raise ValueError(f"--{name} must be at least 1")
+        _integer(f"--{name}", getattr(args, name), 1, what="at least 1")
     rng = _pattern_rng(args.seed)
     include_liere = args.include_liere or args.dim <= _BENCH_LIERE_DIM_CAP
     jobs = _bench_callables(args.dim, include_liere, rng)

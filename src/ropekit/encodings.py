@@ -19,27 +19,33 @@ axes:
 
 A table scheme is Mixed RoPE on a pair table with some entries zero and turns
 by that table's pair form, angle terms ``(index, freqs)`` with angle ``j =
-sum_t p[..., index_t][j] * freqs_t[j]``, added in order: rope1d, mixed and
-trivial2d (at ``p_x + p_y``) sum a term per column, ``index = slice(m, m +
-1)``; axial, uniform and spherical interleave one, ``index = [0, 1, 0, 1,
-...]`` over ``freqs.ravel()`` (an axial quadruple's x- and y-pair, a
-spherical triple's yaw and roll).  A turn is the pair ``a + ib`` times the
-unit phasor ``exp(1j * theta)``; a spherical triple is two.  ``SCHEMES``,
-the one registry, holds each scheme's layout and rotation; ``_turn``, behind
-``Encoder.encode`` and the block rasters, turns by the encoder's form (a
-reduced liere encoder's is its joint table's), and the free functions build
-their table's, so only ``make_encoder`` builds an ``Encoder``.  Encoders
-take tokens (..., dim) at positions (..., axes), the leading shapes
-broadcasting; ``grad_frequencies`` takes the same shapes and differentiates
-the same products.  ``spherical``, the triple route's reference, keeps the
-paper's definition: per triple, the ordered product of two so(3) generator
-exponentials taken by ``linalg``, no phasors.
+sum_t p[..., index_t][j] * freqs_t[j]``, added in order.  The form belongs
+to the ``FrequencyTable``, built once by its constructor, and its layout
+follows from the scheme's block width: a two-coordinate block is one plane
+turned by the sum over the axes, a term per column, ``index = slice(m, m +
+1)`` (rope1d, mixed, and trivial2d at ``p_x + p_y``); a wider block holds
+one plane per axis, one term ``index = [0, 1, 0, 1, ...]`` over
+``freqs.ravel()`` (an axial quadruple's x- and y-pair, a spherical triple's
+yaw and roll).  A turn is the pair ``a + ib`` times the unit phasor ``exp(1j
+* theta)``; a spherical triple is two.  ``SCHEMES``, the one registry, holds
+each scheme's block width and rotation; ``_turn``, behind ``Encoder.encode``
+and the block rasters, turns by the table's form (a block raster by its
+table block's, which the table builds on its first block raster; a reduced
+liere encoder by its joint table's, kept in its ``reduction``), and the free
+functions and ``grad_frequencies`` read their table's, so only
+``make_encoder`` builds an ``Encoder``.  Encoders take tokens (..., dim) at
+positions (..., axes), the leading shapes broadcasting; ``grad_frequencies``
+takes the same shapes and differentiates the same products.  ``spherical``,
+the triple route's reference, keeps the paper's definition: per triple, the
+ordered product of two so(3) generator exponentials taken by ``linalg``, no
+phasors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,22 +62,13 @@ DEFAULT_BASE = 100.0
 _REDUCED_STRUCT_RTOL = 1e-12
 
 
-def _integer(name: str, v) -> int:
-    """``v`` as a Python int; a bool or a value of a non-integer type (a
-    float, even a whole one) raises ValueError."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    return int(v)
-
-
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
     """The geometric frequency ladder ``w_d = base ** (-2d / blocks)``.
 
     ``w_0`` is always 1; for a finite ``base > 1`` it is strictly decreasing.
     """
-    blocks = _integer("blocks", blocks)
-    if blocks < 1:
-        raise ValueError(f"blocks must be >= 1, got {blocks}")
+    blocks = linalg._integer("blocks", blocks, 1, what="an integer of at least 1")
+    base = linalg._real_scalar(base, "base")
     if not 0.0 < base < np.inf:
         raise ValueError(f"base must be positive and finite, got {base}")
     d = np.arange(blocks, dtype=float)
@@ -89,11 +86,15 @@ class FrequencyTable:
 
     ``freqs`` has shape (blocks, axes).  The scheme tag records which encoder
     family the table is meant for; the uniform scheme additionally requires a
-    single shared value.
+    single shared value.  The constructor derives ``pairs``, the table's
+    Mixed RoPE pair form, which every encode of the table turns by;
+    ``block_pairs``, one form per table block, is built on first use.
+    Neither enters equality, hashing or the repr.
     """
 
     scheme: str
     freqs: np.ndarray
+    pairs: tuple = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_table_scheme(self.scheme):
@@ -109,6 +110,7 @@ class FrequencyTable:
         f = f.copy()
         f.flags.writeable = False
         object.__setattr__(self, "freqs", f)
+        object.__setattr__(self, "pairs", _pair_form(f, SCHEMES[self.scheme].block))
 
     # by value; the hash takes the array's shape only, so that tables equal
     # under array_equal (where -0.0 == 0.0) hash alike
@@ -119,6 +121,12 @@ class FrequencyTable:
 
     def __hash__(self):
         return hash((self.scheme, self.freqs.shape))
+
+    @cached_property
+    def block_pairs(self) -> tuple:
+        """One pair form per table block, for the block rasters: built on
+        the first one, then kept."""
+        return tuple(_pair_form(row, SCHEMES[self.scheme].block) for row in self.freqs[:, None])
 
     @property
     def blocks(self) -> int:
@@ -139,12 +147,12 @@ class FrequencyTable:
         if not _is_table_scheme(scheme):
             raise ValueError(f"unknown frequency-table scheme {scheme!r}")
         block, axes = SCHEMES[scheme].block, SCHEMES[scheme].axes
-        dim = _integer("dim", dim)
+        dim = linalg._integer("dim", dim)
         if dim < block or dim % block != 0:
             raise ValueError(f"{scheme} needs dim divisible by {block}, got {dim}")
         blocks = dim // block
         if scheme == "uniform":
-            f = np.full((blocks, 2), float(uniform_freq))
+            f = np.full((blocks, 2), linalg._real_scalar(uniform_freq, "uniform_freq"))
         else:
             sched = frequency_schedule(blocks, base)
             f = sched[:, None] if axes == 1 else np.column_stack([sched, sched])
@@ -184,14 +192,16 @@ def _check_table(scheme: str, table: FrequencyTable) -> None:
         raise ValueError(f"{scheme} reads {layout!r} tables, got {getattr(table, 'scheme', None)!r}")
 
 
-def _summed(freqs: np.ndarray) -> tuple:
-    """The pair form turning pair ``j`` by ``sum_m p_m * freqs[j, m]``: a term per column."""
-    return tuple((slice(m, m + 1), freqs[:, m]) for m in range(freqs.shape[1]))
-
-
-def _interleaved(freqs: np.ndarray) -> tuple:
-    """The pair form turning angle ``2j + m`` by ``p_m * freqs[j, m]``: one term."""
-    index = np.arange(freqs.size) % 2
+def _pair_form(freqs: np.ndarray, block: int) -> tuple:
+    """The Mixed RoPE pair form of ``freqs`` (blocks, axes) for blocks of
+    ``block`` coordinates.  A two-coordinate block is one plane, turned by
+    the sum over the axes: pair ``j`` by ``sum_m p_m * freqs[j, m]``, a term
+    per column.  A wider block (an axial quadruple, a spherical triple)
+    holds one plane per axis: angle ``axes * j + m`` by ``p_m * freqs[j,
+    m]``, one term."""
+    if block == 2:
+        return tuple((slice(m, m + 1), freqs[:, m]) for m in range(freqs.shape[1]))
+    index = np.arange(freqs.size) % freqs.shape[1]
     index.flags.writeable = False
     return ((index, freqs.ravel()),)
 
@@ -262,8 +272,7 @@ def _table_inputs(scheme: str, table: FrequencyTable, z, p):
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
     """``table`` turned by ``scheme``'s rotation, as its encoder turns it."""
-    z, p = _table_inputs(scheme, table, z, p)
-    return _table_turn(scheme, SCHEMES[scheme].layout(table.freqs), z, p)
+    return _table_turn(scheme, table.pairs, *_table_inputs(scheme, table, z, p))
 
 
 def rope1d(z, p, table: FrequencyTable) -> np.ndarray:
@@ -357,7 +366,8 @@ def _liere_exp(z, p, gens) -> np.ndarray:
 def _encode_liere(enc, z, p):
     if enc.reduction is None:
         return _liere_exp(z, p, enc.generators)
-    return _check_finite(_liere_reduced(z, p, enc.reduction[0], enc.pairs))
+    basis, _, pairs = enc.reduction
+    return _check_finite(_liere_reduced(z, p, basis, pairs))
 
 
 def _liere_reduced(z, p, basis: np.ndarray, pairs: tuple) -> np.ndarray:
@@ -373,26 +383,28 @@ def _liere_reduced(z, p, basis: np.ndarray, pairs: tuple) -> np.ndarray:
 
 
 def _commuting_reduction(gens):
-    """The joint ``(basis, freqs)`` of pairwise-commuting skew generators, or
-    None when they do not commute or share no block structure."""
+    """The joint ``(basis, freqs)`` of pairwise-commuting skew generators and
+    the pair form of ``freqs``, or None when they do not commute or share no
+    block structure."""
     try:
-        return linalg._joint_canonical_form(gens, _REDUCED_STRUCT_RTOL)
+        basis, freqs = linalg._joint_canonical_form(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
+    return basis, freqs, _pair_form(freqs, 2)
 
 
 # ---------------------------------------------------------------------------
-# frequency gradients: grad(pairs, z_q, z_k, p_q, p_k) on a table's pair form,
+# frequency gradients: grad(table, z_q, z_k, p_q, p_k) on a FrequencyTable,
 # checked (..., dim) tokens and (..., axes) positions, returning an array that
 # reshapes to (..., blocks, axes)
 # ---------------------------------------------------------------------------
 
 
-def _grad_pairs(pairs, zq, zk, pq, pk):
+def _grad_pairs(table, zq, zk, pq, pk):
     # score = sum_j Re(conj(q_j) k_j e^{i theta_j}) over the complex pairs,
     # theta = _angles(pairs, d), d = p_k - p_q, so d score / d theta_j =
     # -Im(conj(q_j) k_j e^{i theta_j}), times d[..., index_t][j] per term
-    d = pk - pq
+    pairs, d = table.pairs, pk - pq
     e = _phasors(_angles(pairs, d))
     g = -(zq.view(complex).conj() * zk.view(complex) * e).imag
     out = np.empty(g.shape + (len(pairs),))
@@ -410,12 +422,11 @@ def _roll(z, angles):
     return u, t[..., 0] + 1j * u.real
 
 
-def _grad_spherical(pairs, zq, zk, pq, pk):
+def _grad_spherical(table, zq, zk, pq, pk):
     # per triple, score = Re(conj(y_q) y_k e) + Im(u_q) Im(u_k) with the yaw
     # phasor e = e^{i f_x (pk_x - pq_x)}; by the product rule the roll turns u
     # by i u, moving Re(u) by -Im(u) and Im(u) by Re(u)
-    f = pairs[0][1].reshape(-1, 2)  # the interleaved yaw and roll frequencies
-    d = pk[..., :1] - pq[..., :1]
+    f, d = table.freqs, pk[..., :1] - pq[..., :1]
     (uq, yq), (uk, yk) = _roll(zq, pq[..., 1:] * f[:, 1]), _roll(zk, pk[..., 1:] * f[:, 1])
     e = _phasors(d * f[:, 0])
     c = yq.conj() * e
@@ -440,7 +451,7 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
         raise ValueError(f"grad_frequencies does not support scheme {scheme!r}")
     zq, pq = _table_inputs(scheme, table, z_q, p_q)
     zk, pk = _table_inputs(scheme, table, z_k, p_k)
-    g = spec.grad(spec.layout(table.freqs), zq, zk, pq, pk)
+    g = spec.grad(table, zq, zk, pq, pk)
     g = g.reshape(g.shape[:-2] + table.freqs.shape)
     if spec.shared:
         return np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
@@ -453,11 +464,11 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
 
 
 class Scheme(NamedTuple):
-    """One scheme: coordinates per rotation block and per pattern block (the
-    bilinear piece of a score that a block raster shows), position axes,
-    the FrequencyTable layout it reads, ``layout(freqs)``, the pair form of
-    such a table, ``rotate(z, angles)`` on checked (..., dim) tokens, the
-    frequency gradient ``grad(pairs, z_q, z_k, p_q, p_k)`` or None, whether
+    """One scheme: coordinates per rotation block (which fixes its table's
+    pair form) and per pattern block (the bilinear piece of a score that a
+    block raster shows), position axes, the FrequencyTable layout it reads,
+    ``rotate(z, angles)`` on checked (..., dim) tokens, the frequency
+    gradient ``grad(table, z_q, z_k, p_q, p_k)`` or None, whether
     its table's entries are one ``shared`` parameter, and whether its scores
     are shift-``equivariant``.  liere's generators set its block, axes and
     equivariance, and ``_turn`` routes it: the rest is None or False."""
@@ -466,7 +477,6 @@ class Scheme(NamedTuple):
     pattern: int
     axes: int | None
     table: str | None
-    layout: Callable | None
     rotate: Callable | None
     grad: Callable | None
     shared: bool
@@ -476,26 +486,26 @@ class Scheme(NamedTuple):
 # a score splits into pairs (an axial quadruple is an x-pair and a y-pair;
 # liere's last pair is short at an odd dim) or, for spherical, triples
 SCHEMES = {
-    "rope1d": Scheme(2, 2, 1, "rope1d", _summed, _rotate_pairs, _grad_pairs, False, True),
-    "trivial2d": Scheme(2, 2, 2, "rope1d", _summed, _rotate_pairs, None, False, True),
-    "axial": Scheme(4, 2, 2, "axial", _interleaved, _rotate_pairs, _grad_pairs, False, True),
-    "mixed": Scheme(2, 2, 2, "mixed", _summed, _rotate_pairs, _grad_pairs, False, True),
-    "spherical": Scheme(3, 3, 2, "spherical", _interleaved, _rotate_triples, _grad_spherical, False, False),
-    "uniform": Scheme(4, 2, 2, "uniform", _interleaved, _rotate_pairs, _grad_pairs, True, True),
-    "liere": Scheme(None, 2, None, None, None, None, None, False, None),
+    "rope1d": Scheme(2, 2, 1, "rope1d", _rotate_pairs, _grad_pairs, False, True),
+    "trivial2d": Scheme(2, 2, 2, "rope1d", _rotate_pairs, None, False, True),
+    "axial": Scheme(4, 2, 2, "axial", _rotate_pairs, _grad_pairs, False, True),
+    "mixed": Scheme(2, 2, 2, "mixed", _rotate_pairs, _grad_pairs, False, True),
+    "spherical": Scheme(3, 3, 2, "spherical", _rotate_triples, _grad_spherical, False, False),
+    "uniform": Scheme(4, 2, 2, "uniform", _rotate_pairs, _grad_pairs, True, True),
+    "liere": Scheme(None, 2, None, None, None, None, False, None),
 }
 
 
 def _turn(enc, z, p, block=None):
     """The one rotation routine, behind ``Encoder.encode`` and the block
     rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``, a
-    table scheme's by its pair form.  With a table block index ``block``,
-    ``z`` holds only that block's coordinates and turns by that block's
-    pair form; every angle, phasor and product is elementwise, so the
+    table scheme's by its table's pair form.  With a table block index
+    ``block``, ``z`` holds only that block's coordinates and turns by that
+    block's pair form; every angle, phasor and product is elementwise, so the
     result is bit for bit that block's slice of the whole encode."""
     if enc.table is None:
         return _encode_liere(enc, z, p)
-    return _table_turn(enc.scheme, enc.pairs if block is None else enc.block_pairs[block], z, p)
+    return _table_turn(enc.scheme, enc.table.pairs if block is None else enc.table.block_pairs[block], z, p)
 
 
 def _pattern_factors(enc, z, p, block=None):
@@ -529,11 +539,11 @@ class Encoder:
     round-trips); liere takes ``generators`` only, stored antisymmetrised,
     and reads ``dim`` off them when it is None.
     The position-independent forms are derived on construction: ``axes``;
-    a table's pair form ``pairs`` and one per table block, ``block_pairs``;
     for liere with commuting generators ``reduction``, their ``(basis,
-    freqs)`` joint canonical form, and ``pairs`` of ``freqs``, so that
+    freqs)`` joint canonical form and the pair form of ``freqs``, so that
     ``encode`` costs two matrix products instead of an exponential per
-    position.
+    position.  A table encoder turns by its table's pair form, so building
+    one on an existing table derives nothing.
     """
 
     scheme: str
@@ -543,15 +553,13 @@ class Encoder:
     generators: tuple = field(default=None, repr=False)
     reduction: tuple = field(init=False, default=None, repr=False, compare=False)
     axes: int = field(init=False, default=None, repr=False, compare=False)
-    pairs: tuple = field(init=False, default=None, repr=False, compare=False)
-    block_pairs: tuple = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         spec = SCHEMES.get(self.scheme)
         if spec is None:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dim is not None or self.scheme != "liere":
-            object.__setattr__(self, "dim", _integer("dim", self.dim))
+            object.__setattr__(self, "dim", linalg._integer("dim", self.dim))
         if self.scheme == "liere":
             if self.table is not None or self.base is not None:
                 raise ValueError("liere takes generators, not a table or base")
@@ -560,12 +568,9 @@ class Encoder:
                 object.__setattr__(self, "dim", gens[0].shape[0])
             elif gens[0].shape[0] != self.dim:
                 raise ValueError(f"dim {self.dim} does not match generator size {gens[0].shape[0]}")
-            reduction = _commuting_reduction(gens)
             object.__setattr__(self, "generators", gens)
-            object.__setattr__(self, "reduction", reduction)
+            object.__setattr__(self, "reduction", _commuting_reduction(gens))
             object.__setattr__(self, "axes", len(gens))
-            if reduction is not None:
-                object.__setattr__(self, "pairs", _summed(reduction[1]))
             return
         if self.generators is not None:
             raise ValueError("only liere takes generators")
@@ -576,15 +581,13 @@ class Encoder:
                 raise ValueError("pass either base or an explicit table, not both")
             if self.scheme == "uniform":
                 raise ValueError("uniform reads a uniform table, not base")
-            object.__setattr__(self, "base", float(self.base))
+            object.__setattr__(self, "base", linalg._real_scalar(self.base, "base"))
             object.__setattr__(self, "table", FrequencyTable.fixed(spec.table, self.dim, base=self.base))
         _check_table(self.scheme, self.table)
         if self.table.blocks != self.dim // spec.block:
             raise ValueError(f"table has {self.table.blocks} blocks, "
                              f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
         object.__setattr__(self, "axes", spec.axes)
-        object.__setattr__(self, "pairs", spec.layout(self.table.freqs))
-        object.__setattr__(self, "block_pairs", tuple(spec.layout(row) for row in self.table.freqs[:, None]))
 
     @property
     def uniform_freq(self) -> float | None:
@@ -621,8 +624,7 @@ class Encoder:
         return -(-self.dim // SCHEMES[self.scheme].pattern)
 
     def pattern_slice(self, b: int) -> slice:
-        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) or not 0 <= b < self.pattern_blocks:
-            raise ValueError(f"block must be an integer index in [0, {self.pattern_blocks}), got {b!r}")
+        b = linalg._integer("block", b, 0, self.pattern_blocks, "an integer index in [0, {hi})")
         w = SCHEMES[self.scheme].pattern
         return slice(w * b, min(w * b + w, self.dim))
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _integer
+
 
 def _axis_coords(n: int, train_n: int) -> np.ndarray:
     """``np.linspace(-extent, extent, n)``, ``extent = pi * n / train_n``,
@@ -58,8 +60,7 @@ def make_grid(rows: int, cols: int, train_rows: int | None = None,
     train_cols = cols if train_cols is None else train_cols
     for name, v in (("rows", rows), ("cols", cols),
                     ("train_rows", train_rows), ("train_cols", train_cols)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        _integer(name, v, 1, what="a positive integer")
     xs = _axis_coords(cols, train_cols)
     ys = _axis_coords(rows, train_rows)
     positions = np.empty((rows, cols, 2))

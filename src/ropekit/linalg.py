@@ -24,6 +24,7 @@ COMMUTE_RTOL = 1e-9        # default relative tolerance for is_commuting
 ZERO_FREQ_RTOL = 1e-10     # lam <= ZERO_FREQ_RTOL * max(1, ||A||_F) counts as a zero mode
 JOINT_STRUCT_RTOL = 1e-6   # off-block bound (relative) for a joint canonical form
 _FLOAT64 = np.dtype(float)
+_INTEGER_TYPES = (int, np.integer)
 
 # generic mixing coefficients for the joint block-diagonalisation; if one
 # produces frequency collisions the structure test fails and the next is tried
@@ -41,6 +42,25 @@ def _as_real(x, what: str, order: str = "K") -> np.ndarray:
             raise ValueError(f"{what} must be real (bool, integer or float), got dtype {x.dtype}")
         x = np.asarray(x, dtype=float, order=order)
     return x
+
+
+def _real_scalar(x, what: str) -> float:
+    """``x`` under ``_as_real``'s rule as one 0-d value, a Python float."""
+    x = _as_real(x, what)
+    if x.ndim != 0:
+        raise ValueError(f"{what} must be a single value, got shape {x.shape}")
+    return float(x)
+
+
+def _integer(name: str, v, lo=-np.inf, hi=np.inf, what: str = "an integer") -> int:
+    """``v`` as a Python int in ``[lo, hi)``, the entry points' one integer
+    rule for counts, indices and seeds: a bool, a value of a non-integer type
+    (a float, even a whole one) or one out of range raises ValueError,
+    ``"{name} must be {what}"``, ``what`` formatted with ``lo`` and ``hi``
+    only then."""
+    if isinstance(v, bool) or not isinstance(v, _INTEGER_TYPES) or not lo <= v < hi:
+        raise ValueError(f"{name} must be {what.format(lo=lo, hi=hi)}, got {v!r}")
+    return v if type(v) is int else int(v)
 
 
 def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:

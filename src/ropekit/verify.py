@@ -26,7 +26,7 @@ import numpy as np
 from .attention import score, scored_pair
 from .encodings import (SCHEMES, Encoder, FrequencyTable, _table_encode, frequency_schedule, grad_frequencies,
                         liere, make_encoder, spherical, spherical_fast)
-from .linalg import _as_real, as_skew, block_diag_skew, joint_canonical_form
+from .linalg import _as_real, _integer, _real_scalar, as_skew, block_diag_skew, joint_canonical_form
 
 EQUIVARIANCE_TOL = 1e-9
 COUNTEREXAMPLE_TOL = 1e-4
@@ -113,7 +113,7 @@ def _worst(trials: int, rng: np.random.Generator, *kernels) -> float:
     """The largest ``kernel(rng)`` over ``trials`` draws of each kernel in
     turn.  A NaN residual propagates into the result, and no trials is an
     error rather than a vacuous residual of 0."""
-    if trials < 1:
+    if _integer("trials", trials) < 1:
         raise ValueError("trials must be at least 1")
     return float(np.max([kernel(rng) for kernel in kernels for _ in range(trials)]))
 
@@ -384,14 +384,17 @@ def locality_probe(encoder, max_shift: float, samples: int, draws: int = 32,
     """Mean |score| between matched random unit tokens as distance grows.
 
     Returns an array of length ``samples`` for shifts evenly spaced on
-    [0, max_shift] along one axis.  Emitted for inspection only: rotary
-    encodings are not local, so no decay to zero should be expected.
+    [0, max_shift] along one axis; ``max_shift`` is a finite real value and
+    ``samples``, ``draws`` and ``direction`` are integers.  Emitted for
+    inspection only: rotary encodings are not local, so no decay to zero
+    should be expected.
     """
-    if samples < 1 or draws < 1:
-        raise ValueError("samples and draws must be at least 1")
-    if isinstance(direction, bool) or not isinstance(direction, (int, np.integer)) \
-            or not 0 <= direction < encoder.axes:
-        raise ValueError(f"direction must be an axis index in [0, {encoder.axes}), got {direction!r}")
+    max_shift = _real_scalar(max_shift, "max_shift")
+    if not np.isfinite(max_shift):
+        raise ValueError(f"max_shift must be finite, got {max_shift}")
+    samples = _integer("samples", samples, 1, what="a positive integer")
+    draws = _integer("draws", draws, 1, what="a positive integer")
+    direction = _integer("direction", direction, 0, encoder.axes, "an axis index in [0, {hi})")
     rng = np.random.default_rng(seed)
     vecs = [_unit(rng.standard_normal(encoder.dim)) for _ in range(draws)]
     shifts = np.linspace(0.0, max_shift, samples) if samples > 1 else np.zeros(1)
@@ -464,16 +467,19 @@ def check_names(include_hidden: bool = False) -> list[str]:
 def run_checks(names=None, seed: int = 0) -> list[CheckReport]:
     """Run the named checks (default: the standard suite) deterministically.
 
-    Each check's stream is keyed by seed + its fixed registry index, so a
-    subset run reproduces exactly the reports of the full run.
+    ``names`` is a sequence of check names, not one string; ``seed`` is a
+    non-negative integer.  Each check's stream is keyed by seed + its fixed
+    registry index, so a subset run reproduces exactly the reports of the
+    full run.
     """
+    seed = _integer("seed", seed, 0, what="a non-negative integer")
+    if isinstance(names, str):
+        raise ValueError(f"names must be a list of check names, not the one string {names!r}")
+    names = check_names() if names is None else list(names)
+    unknown = [n for n in names if n not in _REGISTRY]
+    if unknown:
+        raise KeyError(f"unknown check name(s): {', '.join(unknown)}")
     index = {n: i for i, n in enumerate(_REGISTRY)}
-    if names is None:
-        names = check_names()
-    else:
-        unknown = [n for n in names if n not in _REGISTRY]
-        if unknown:
-            raise KeyError(f"unknown check name(s): {', '.join(unknown)}")
     reports = []
     for n in names:
         runner, default_trials, _ = _REGISTRY[n]

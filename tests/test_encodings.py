@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from ropekit import encodings as E, linalg, verify as V
+from ropekit import attention as A, encodings as E, linalg, verify as V
 from ropekit.encodings import FrequencyTable
 
 ISO_RTOL = 1e-10
@@ -617,7 +617,7 @@ def _ref_encode(enc, z, p):
     """``enc.encode`` through the real updates, and each entry's bound scale:
     the norm of its rotation block (the token for liere), at least 1."""
     if enc.scheme == "liere":
-        basis, freqs = enc.reduction
+        basis, freqs, _ = enc.reduction
         y = z @ basis
         k2 = 2 * len(freqs)
         out = (_ref_rotate_pairs(y[..., :k2], _ref_angles(p, freqs.T)) @ basis[:, :k2].T
@@ -693,6 +693,54 @@ def test_property_table_schemes_are_liere_on_their_pair_table(scheme, dim, rs):
     z = rng.standard_normal(dim)
     p = rng.uniform(-4.0, 4.0, enc.axes)
     assert np.max(np.abs(enc.encode(z, p) - E.liere(z, p, gens))) <= THEOREM_TOL
+
+
+FREE_FUNCTIONS = {"rope1d": E.rope1d, "trivial2d": E.trivial2d, "axial": E.axial, "mixed": E.mixed,
+                  "spherical": E.spherical_fast}
+
+
+def test_a_table_builds_its_pair_form_once(monkeypatch):
+    # a table's constructor builds its form, and its first block raster one
+    # form per table block; encoders, encodes, gradients and the free
+    # functions only read them
+    built = []
+    pair_form = E._pair_form
+    monkeypatch.setattr(E, "_pair_form", lambda freqs, block: built.append(block) or pair_form(freqs, block))
+    schemes = [s for s, spec in E.SCHEMES.items() if spec.table]
+    tables = {s: FrequencyTable.fixed(E.SCHEMES[s].table, 24) for s in schemes}
+    assert len(built) == len(tables)
+    built.clear()
+    encoders = {s: E.Encoder(s, 24, t) if s == "uniform" else E.make_encoder(s, 24, table=t)
+                for s, t in tables.items()}
+    rng = np.random.default_rng(5)
+    for s, enc in encoders.items():
+        z, zk = rng.standard_normal((2, 3, 24))
+        p, pk = rng.uniform(-1.0, 1.0, (2, 3, enc.axes))
+        enc.encode(z, p)
+        if s in FREE_FUNCTIONS:
+            FREE_FUNCTIONS[s](z, p, enc.table)
+        if s == "spherical":
+            E.spherical(z, p, enc.table)
+        if E.SCHEMES[s].grad is not None:
+            E.grad_frequencies(s, z, zk, p, pk, enc.table)
+        A.render_pattern(enc, z[0], zk[0], 5, 4)
+    assert built == []
+    for s, enc in encoders.items():
+        zq, zk = rng.standard_normal((2, 24))
+        A.render_pattern(enc, zq, zk, 5, 4, block=0)
+        assert len(built) == enc.table.blocks
+        A.render_pattern(enc, zq, zk, 5, 4, block=enc.pattern_blocks - 1)
+        A.render_pattern(enc, zq, zk, 5, 4)
+        assert len(built) == enc.table.blocks
+        built.clear()
+    # a uniform encode at a frequency builds that frequency's table
+    E.uniform(z, p, 2.0)
+    assert built == [4]
+    built.clear()
+    liere = E.make_encoder("liere", generators=V.commuting_generators(8, rng))
+    assert liere.reduction is not None and built == [2]
+    liere.encode(rng.standard_normal(8), (0.5, -0.25))
+    assert built == [2]
 
 
 def test_single_token_shapes_and_scalar_position():
@@ -1270,6 +1318,7 @@ _Z, _ZK = np.random.default_rng(97).standard_normal((2, 8))
 _P, _PK = (0.3, -1.2), (0.5, 0.25)
 _GEN = V.random_skew(8, np.random.default_rng(98))
 _MIXED = FrequencyTable.fixed("mixed", 8)
+_QK = np.random.default_rng(99).standard_normal((3, 4))
 DTYPE_ENTRIES = {  # name: (call with one argument replaced, the good value of that argument)
     "encode-tokens": (lambda v: E.make_encoder("mixed", 8).encode(v, _P), _Z),
     "encode-positions": (lambda v: E.make_encoder("mixed", 8).encode(_Z, v), _P),
@@ -1283,6 +1332,16 @@ DTYPE_ENTRIES = {  # name: (call with one argument replaced, the good value of t
     "commutator": (lambda v: linalg.commutator(v, _GEN), _GEN),
     "block-diag-skew": (lambda v: linalg.block_diag_skew(v, 8), _Z[:4]),
     "reduced-score": (lambda v: V.reduced_score(v, _ZK, 0.3, -1.2, *V.reduce_liere_1d(_GEN)), _Z),
+    # scalar parameters, taken as 0-d values
+    "schedule-base": (lambda v: E.frequency_schedule(4, v), 100.0),
+    "encoder-base": (lambda v: E.make_encoder("mixed", 8, base=v).table.freqs, 100.0),
+    "config-base": (lambda v: E.encoder_from_config({"scheme": "mixed", "dim": 8, "base": v}).table.freqs, 100.0),
+    "encoder-uniform-freq": (lambda v: E.make_encoder("uniform", 8, uniform_freq=v).table.freqs, 2.0),
+    "table-uniform-freq": (lambda v: FrequencyTable.fixed("uniform", 8, uniform_freq=v), 3.0),
+    "uniform-freq": (lambda v: E.uniform(_Z, _P, v), 2.0),
+    "attention-scale": (lambda v: A.attention_weights(_QK, _QK, scale=v), 2.0),
+    "softmax-scale": (lambda v: A.softmax_attention(_QK, _QK, _QK, scale=v), 2.0),
+    "locality-max-shift": (lambda v: V.locality_probe(E.make_encoder("mixed", 8), v, 3, draws=2), 1.0),
 }
 
 
@@ -1311,6 +1370,15 @@ def test_entry_points_cast_bool_integer_and_float16_as_float64(name):
     for dtype in (bool, np.int64, np.float16):
         v = np.round(np.asarray(good)).astype(dtype)
         assert _outcome(call, v) == _outcome(call, v.astype(float))
+
+
+def test_scalar_parameters_are_single_values():
+    for call in (lambda: A.attention_weights(_QK, _QK, scale=np.ones(3)),
+                 lambda: E.make_encoder("mixed", 8, base=[100.0]),
+                 lambda: E.uniform(_Z, _P, np.ones((1, 1)))):
+        with pytest.raises(ValueError, match="single value"):
+            call()
+    assert type(E.make_encoder("mixed", 8, base=np.int32(10)).base) is float
 
 
 def test_a_none_position_is_rejected_not_encoded_as_nan():

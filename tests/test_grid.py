@@ -70,7 +70,7 @@ def test_rejects_zero_dimensions():
         make_grid(0, 4)
     with pytest.raises(ValueError):
         make_grid(4, 4, 4, 0)
-    for bad in (True, 2.0):
+    for bad in (True, 2.0, np.float64(2.0), -1, "2"):
         with pytest.raises(ValueError, match="positive integer"):
             make_grid(bad, 3)
         with pytest.raises(ValueError, match="positive integer"):

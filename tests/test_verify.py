@@ -385,28 +385,45 @@ def test_locality_probe_direction_is_an_axis_index():
                                   V.locality_probe(enc, 1.0, 3, draws=2, direction=1))
 
 
+def test_locality_probe_takes_integer_counts_and_a_finite_shift():
+    enc = E.make_encoder("mixed", 8)
+    for samples, draws in ((True, 2), (2.0, 2), (0, 2), (3, 2.0), (3, False), (3, 0)):
+        with pytest.raises(ValueError, match="positive integer"):
+            V.locality_probe(enc, 1.0, samples, draws=draws)
+    # a NaN shift gave a NaN curve and an infinite one a RuntimeWarning
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="max_shift must be finite"):
+            V.locality_probe(enc, bad, 3, draws=2)
+    np.testing.assert_array_equal(V.locality_probe(enc, np.float32(1.0), np.int16(3), draws=np.int64(2)),
+                                  V.locality_probe(enc, 1.0, 3, draws=2))
+
+
 # ---------------------------------------------------------------------------
 # the residual fold and the verdict
 # ---------------------------------------------------------------------------
 
 
 ZERO_TRIAL_CHECKS = {
-    "equivariance": lambda: V.check_equivariance(E.make_encoder("rope1d", 8), trials=0),
-    "non-equivariance": lambda: V.check_non_equivariance(E.make_encoder("spherical", 12), trials=0),
-    "gradients": lambda: V.check_gradients(E.make_encoder("rope1d", 8), trials=0),
-    "separability": lambda: V.check_axial_separability(trials=0),
-    "degeneracy": lambda: V.check_trivial_degeneracy(trials=0),
-    "isometry": lambda: V.check_isometry(trials=0),
-    "flow": lambda: V.check_flow(trials=0),
-    "fast-path": lambda: V.check_fast_path(trials=0),
+    "equivariance": lambda t: V.check_equivariance(E.make_encoder("rope1d", 8), t),
+    "non-equivariance": lambda t: V.check_non_equivariance(E.make_encoder("spherical", 12), t),
+    "gradients": lambda t: V.check_gradients(E.make_encoder("rope1d", 8), t),
+    "separability": lambda t: V.check_axial_separability(t),
+    "degeneracy": lambda t: V.check_trivial_degeneracy(t),
+    "isometry": lambda t: V.check_isometry(t, 0),
+    "flow": lambda t: V.check_flow(t),
+    "fast-path": lambda t: V.check_fast_path(t),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ZERO_TRIAL_CHECKS))
 def test_checks_reject_zero_trials(case):
-    # a residual over no trials is no evidence: a bound check must not pass on it
+    # a residual over no trials is no evidence: a bound check must not pass
+    # on it; a bool or float count is not taken as an integer (True ran one)
     with pytest.raises(ValueError, match="trials must be at least 1"):
-        ZERO_TRIAL_CHECKS[case]()
+        ZERO_TRIAL_CHECKS[case](0)
+    for bad in (True, 2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            ZERO_TRIAL_CHECKS[case](bad)
 
 
 def _patch_entry(scheme, field):
@@ -480,6 +497,17 @@ def test_run_checks_deterministic():
 def test_run_checks_unknown_name():
     with pytest.raises(KeyError):
         V.run_checks(["equivariance:nope"])
+
+
+def test_run_checks_takes_a_list_of_names_and_a_non_negative_integer_seed():
+    # a bare string was split into characters, each an unknown name
+    with pytest.raises(ValueError, match="list of check names"):
+        V.run_checks("separability:axial")
+    # a negative seed ran or failed by the check's registry index
+    for bad in (-1, -100, 1.0, True, None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            V.run_checks(["separability:axial"], seed=bad)
+    assert V.run_checks(iter(["separability:axial"]), seed=np.int64(2)) == V.run_checks(["separability:axial"], seed=2)
 
 
 def test_hidden_check_fails_by_design():
