@@ -8,8 +8,8 @@ the 3D-rotation scheme); per-block patterns sum to the combined pattern.
 A table-scheme raster is computed from one encoded query per row and one
 encoded key per column, in one turn of W + H tokens (see
 ``render_pattern``), a liere raster from the query encoded at every pixel.
-A table scheme's block raster turns only the table block that holds its
-pattern block.
+A table scheme's block raster stacks and turns only the table block that
+holds its pattern block.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import encodings
 from .encodings import Encoder
 from .grid import make_grid
-from .linalg import _as_real, _real_scalar
+from .linalg import _as_real, _integer, _real_scalar
 
 
 def score(q, k) -> float:
@@ -97,24 +97,26 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
                    block: int | None = None) -> AttentionPattern:
     """Score raster with the key at the origin and the query at each pixel.
 
-    ``block`` restricts the dot product to that block's coordinates.  A
-    table scheme's rotation factors per axis, ``R(p_x, p_y) = R(p_x, 0)
-    R(0, p_y)``, each factor acting inside every block, so pixel ``(r, c)``
-    is ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: ``height`` copies
-    of the query at the row offsets stacked over ``width`` copies of the key
-    at the column offsets, one turn of ``width + height`` tokens.  Every
-    angle, phasor and product is elementwise, so each factor is bit for bit
-    the token's own encode.  A block raster turns only the table block
-    holding its pattern block, by the rotation routine ``encode`` uses, so
-    its pixels are bit for bit those of the combined raster's factors on
-    the block.
+    ``width`` and ``height`` are positive integers.  ``block`` restricts the
+    dot product to that block's coordinates.  A table scheme's rotation
+    factors per axis, ``R(p_x, p_y) = R(p_x, 0) R(0, p_y)``, each factor
+    acting inside every block, so pixel ``(r, c)`` is ``R(0, y_r) z_q .
+    R(-x_c, 0) z_k`` on the block: ``height`` copies of the query at the row
+    offsets stacked over ``width`` copies of the key at the column offsets,
+    one encode of ``width + height`` tokens.  Every angle, phasor and product
+    is elementwise, so each factor is bit for bit the token's own encode.  A
+    pattern block (a pair, an axial quadruple's pair or a spherical triple)
+    lies in one table block, so a block raster stacks only that table
+    block's coordinates, ``(width + height, block width)``, and turns them
+    by the rotation routine ``encode`` uses: its pixels are bit for bit
+    those of the combined raster's factors on the block.
     liere generators need not commute, and a liere block is not invariant
     under the rotation, so a liere encoder encodes the query at every pixel
     and the key at the origin, in two encodes: stacked in one, the reduced
     route's basis products round differently at the other batch shape.
     """
-    if width < 1 or height < 1:
-        raise ValueError("pattern size must be at least 1x1")
+    width = _integer("width", width, 1, what="a positive integer")
+    height = _integer("height", height, 1, what="a positive integer")
     if encoder.axes not in (1, 2):
         raise ValueError("pattern rendering needs a 1- or 2-axis encoder")
     z_q, z_k = _as_real(z_q, "pattern vectors"), _as_real(z_k, "pattern vectors")
@@ -122,24 +124,30 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
         raise ValueError(f"pattern rendering takes one query and one key vector of length {encoder.dim}, "
                          f"got shapes {z_q.shape} and {z_k.shape}")
     positions = make_grid(height, width).positions[..., :encoder.axes]
+    sl = slice(None) if block is None else encoder.pattern_slice(block)
     if encoder.table is None:
-        sl = slice(None) if block is None else encoder.pattern_slice(block)
         q, k = encoder.encode(z_q, positions), encoder.encode(z_k, (0.0,) * encoder.axes)
     else:
         # the query at each row's (0, y_r) stacked over the key at each
         # column's (-x_c, 0); a one-axis encoder has no y factor, so its
         # query rows are z_q itself
-        z = np.empty((height + width, encoder.dim))
-        z[:height], z[height:] = z_q, z_k
         at = np.zeros((height + width, encoder.axes))
         at[:height, 1:] = positions[:, 0, 1:]
         at[height:, 0] = -positions[0, :, 0]
-        f, sl = encodings._pattern_factors(encoder, z, at, block)
+        if block is None:
+            own, size = 0, encoder.dim
+        else:  # only the table block holding the pattern block, from its first coordinate
+            size = encodings.SCHEMES[encoder.scheme].block
+            own = sl.start - sl.start % size
+            sl = slice(sl.start - own, sl.stop - own)
+        z = np.empty((height + width, size))
+        z[:height], z[height:] = z_q[own:own + size], z_k[own:own + size]
+        f = encoder.encode(z, at) if block is None else encodings._turn(encoder, z, at, own // size)
         q, k = f[:height, None], f[height:]
     # a stack of (1, k) @ (k, 1) products, not one matrix product: each pixel
     # is the dot product that scoring its two factors alone would compute, so
     # equal factors give exactly equal pixels
     values = (q[..., None, sl] @ k[..., sl, None])[..., 0, 0]
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("pattern values must be finite")
     return AttentionPattern(width, height, values, encoder.scheme, block)

@@ -28,7 +28,9 @@ def _table_schemes() -> list[str]:
 
 
 def _pattern_rng(seed: int) -> np.random.Generator:
-    # counter-based generator: same seed, same draws, on every platform
+    # counter-based generator: same seed, same draws, on every platform; a
+    # Philox key is below 2**128
+    seed = _integer("--seed", seed, 0, 2**128, "a non-negative integer below 2**128")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

@@ -29,13 +29,14 @@ one plane per axis, one term ``index = [0, 1, 0, 1, ...]`` over
 yaw and roll).  A turn is the pair ``a + ib`` times the unit phasor ``exp(1j
 * theta)``; a spherical triple is two.  ``SCHEMES``, the one registry, holds
 each scheme's block width and rotation; ``_turn``, behind ``Encoder.encode``
-and the block rasters, turns by the table's form (a block raster by its
-table block's, which the table builds on its first block raster; a reduced
-liere encoder by its joint table's, kept in its ``reduction``), and the free
-functions and ``grad_frequencies`` read their table's, so only
-``make_encoder`` builds an ``Encoder``.  Encoders take tokens (..., dim) at
-positions (..., axes), the leading shapes broadcasting; ``grad_frequencies``
-takes the same shapes and differentiates the same products.  ``spherical``,
+and the block rasters, turns by the table's form (a block raster, which
+stacks only its table block's coordinates, by that block's form, which the
+table builds on its first block raster; a reduced liere encoder by its
+joint table's, kept in its ``reduction``), and the free functions and
+``grad_frequencies`` read their table's, so only ``make_encoder`` builds an
+``Encoder``.  Encoders take tokens (..., dim) at positions (..., axes), the
+leading shapes broadcasting; ``grad_frequencies`` takes the same shapes and
+differentiates the same products.  ``spherical``,
 the triple route's reference, keeps the paper's definition: per triple, the
 ordered product of two so(3) generator exponentials taken by ``linalg``, no
 phasors.
@@ -506,23 +507,6 @@ def _turn(enc, z, p, block=None):
     if enc.table is None:
         return _encode_liere(enc, z, p)
     return _table_turn(enc.scheme, enc.table.pairs if block is None else enc.table.block_pairs[block], z, p)
-
-
-def _pattern_factors(enc, z, p, block=None):
-    """A table encoder's raster factors, one turn of the stacked W + H
-    tokens ``z`` at positions ``p``: ``enc.encode(z, p)`` and the slice of
-    its coordinates that pattern block ``block`` (None: all) reads.  A
-    pattern block (a pair, an axial quadruple's pair or a spherical triple)
-    lies in one table block, and only that block turns: the result holds
-    its coordinates alone, and the slice is taken within them."""
-    if block is None:
-        return enc.encode(z, p), slice(None)
-    sl = enc.pattern_slice(block)
-    size = SCHEMES[enc.scheme].block
-    t = sl.start // size
-    own = slice(t * size, (t + 1) * size)
-    z, p = _inputs(z, p, enc.dim, enc.axes)
-    return _turn(enc, z[..., own], p, t), slice(sl.start - own.start, sl.stop - own.start)
 
 
 # ---------------------------------------------------------------------------

@@ -54,15 +54,17 @@ def make_grid(rows: int, cols: int, train_rows: int | None = None,
     """Build a rows x cols position lattice relative to a reference size.
 
     The reference size defaults to the actual size, giving the plain
-    [-pi, pi]^2 lattice.
+    [-pi, pi]^2 lattice; a reference size is checked only when it is
+    passed.  Equal axes (the same size at the same reference size, as on a
+    square lattice at its own size) share one ``_axis_coords`` array: the
+    same call on the same arguments gives the same bits.
     """
-    train_rows = rows if train_rows is None else train_rows
-    train_cols = cols if train_cols is None else train_cols
-    for name, v in (("rows", rows), ("cols", cols),
-                    ("train_rows", train_rows), ("train_cols", train_cols)):
-        _integer(name, v, 1, what="a positive integer")
+    what = "a positive integer"
+    rows, cols = _integer("rows", rows, 1, what=what), _integer("cols", cols, 1, what=what)
+    train_rows = rows if train_rows is None else _integer("train_rows", train_rows, 1, what=what)
+    train_cols = cols if train_cols is None else _integer("train_cols", train_cols, 1, what=what)
     xs = _axis_coords(cols, train_cols)
-    ys = _axis_coords(rows, train_rows)
+    ys = xs if (rows, train_rows) == (cols, train_cols) else _axis_coords(rows, train_rows)
     positions = np.empty((rows, cols, 2))
     positions[:, :, 0] = xs[None, :]
     positions[:, :, 1] = ys[:, None]

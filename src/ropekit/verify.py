@@ -68,6 +68,12 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
+def _rng(seed) -> np.random.Generator:
+    """The stream a check draws from, keyed by ``seed``, which is taken under
+    the integer rule: a non-negative integer."""
+    return np.random.default_rng(_integer("seed", seed, 0, what="a non-negative integer"))
+
+
 def random_skew(n: int, rng: np.random.Generator) -> np.ndarray:
     """Skew matrix with standard-normal strictly-upper entries."""
     upper = np.triu(rng.standard_normal((n, n)), k=1)
@@ -147,14 +153,14 @@ def _shift(encoder, rng) -> float:
 def check_equivariance(encoder, trials: int = 200, seed: int = 0,
                        name: str | None = None) -> CheckReport:
     """Attention scores must be invariant under a common position shift."""
-    worst = _worst(trials, np.random.default_rng(seed), partial(_shift, encoder))
+    worst = _worst(trials, _rng(seed), partial(_shift, encoder))
     return _report(name or f"equivariance:{encoder.scheme}", worst, EQUIVARIANCE_TOL, trials, seed)
 
 
 def check_non_equivariance(encoder, trials: int = 100, seed: int = 0,
                            name: str | None = None) -> CheckReport:
     """Passes when some trial violates shift-invariance beyond the threshold."""
-    worst = _worst(trials, np.random.default_rng(seed), partial(_shift, encoder))
+    worst = _worst(trials, _rng(seed), partial(_shift, encoder))
     return _report(name or f"non-equivariance:{encoder.scheme}", worst, COUNTEREXAMPLE_TOL, trials, seed,
                    counterexample=True)
 
@@ -229,7 +235,7 @@ def _run_reduction(name, draw_generators, reduce, trials: int, seed: int, dim: i
         enc = make_encoder("liere", generators=gens)
         return _worst(tuples, rng, partial(_reduction, gens, table, basis, enc))
 
-    return _report(name, _worst(trials, np.random.default_rng(seed), trial), SCORE_EQUIV_TOL, trials, seed)
+    return _report(name, _worst(trials, _rng(seed), trial), SCORE_EQUIV_TOL, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +256,7 @@ def _separability(enc, rng) -> float:
 
 def check_axial_separability(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
     """Total axial score must equal the x-pair plus y-pair partial scores."""
-    worst = _worst(trials, np.random.default_rng(seed), partial(_separability, make_encoder("axial", dim)))
+    worst = _worst(trials, _rng(seed), partial(_separability, make_encoder("axial", dim)))
     return _report("separability:axial", worst, SEPARABILITY_TOL, trials, seed)
 
 
@@ -263,7 +269,7 @@ def _antidiagonal(enc, rng) -> float:
 def check_trivial_degeneracy(trials: int = 100, seed: int = 0, dim: int = 16) -> CheckReport:
     """Summed-coordinate rotary encoding is constant along anti-diagonals."""
     enc = make_encoder("trivial2d", dim)
-    worst = _worst(trials, np.random.default_rng(seed), partial(_antidiagonal, enc))
+    worst = _worst(trials, _rng(seed), partial(_antidiagonal, enc))
     return _report("degeneracy:trivial2d", worst, DEGENERACY_TOL, trials, seed)
 
 
@@ -273,7 +279,7 @@ def check_mixed_antidiagonal(trials: int = 100, seed: int = 0, dim: int = 16) ->
     sched = frequency_schedule(dim // 2)
     table = FrequencyTable("mixed", np.column_stack([sched, 0.5 * sched]))
     enc = make_encoder("mixed", dim, table=table)
-    worst = _worst(trials, np.random.default_rng(seed), partial(_antidiagonal, enc))
+    worst = _worst(trials, _rng(seed), partial(_antidiagonal, enc))
     return _report("degeneracy:mixed-contrast", worst, CONTRAST_TOL, trials, seed, counterexample=True)
 
 
@@ -317,7 +323,7 @@ def check_gradients(encoder, trials: int = 100, seed: int = 0) -> CheckReport:
     """
     if SCHEMES[encoder.scheme].grad is None:
         raise ValueError(f"no frequency gradients for scheme {encoder.scheme!r}")
-    worst = _worst(trials, np.random.default_rng(seed), partial(_gradient, encoder))
+    worst = _worst(trials, _rng(seed), partial(_gradient, encoder))
     return _report(f"gradients:{encoder.scheme}", worst, GRADIENT_TOL, trials, seed)
 
 
@@ -339,7 +345,7 @@ def _isometry(enc, rng) -> float:
 
 def check_isometry(trials: int = 100, seed: int = 0) -> CheckReport:
     """Every rotary encoder must preserve vector norms (relative residual)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     encoders = [make_encoder(s, d) for s, d in _TABLE_CASES] + [_random_liere(rng)]
     worst = _worst(trials, rng, *(partial(_isometry, enc) for enc in encoders))
     return _report("isometry:rotary", worst, ISOMETRY_TOL, trials, seed)
@@ -354,7 +360,7 @@ def _flow(enc, rng) -> float:
 
 def check_flow(trials: int = 100, seed: int = 0) -> CheckReport:
     """encode(encode(z, p1), p2) == encode(z, p1+p2) for the abelian schemes."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     encoders = [make_encoder(s, d) for s, d in _ABELIAN_SCHEMES] + [_commuting_liere(rng)]
     worst = _worst(trials, rng, *(partial(_flow, enc) for enc in encoders))
     return _report("flow:abelian", worst, FLOW_TOL, trials, seed)
@@ -362,7 +368,7 @@ def check_flow(trials: int = 100, seed: int = 0) -> CheckReport:
 
 def check_flow_counterexample(trials: int = 100, seed: int = 0) -> CheckReport:
     """The 3D-rotation scheme must violate the flow property somewhere."""
-    worst = _worst(trials, np.random.default_rng(seed), partial(_flow, make_encoder("spherical", 12)))
+    worst = _worst(trials, _rng(seed), partial(_flow, make_encoder("spherical", 12)))
     return _report("flow:spherical-counterexample", worst, CONTRAST_TOL, trials, seed, counterexample=True)
 
 
@@ -375,7 +381,7 @@ def _fast_path(table, rng) -> float:
 def check_fast_path(trials: int = 1000, seed: int = 0, dim: int = 12) -> CheckReport:
     """Elementwise pair-update route against the rotation-matrix route."""
     table = FrequencyTable.fixed("spherical", dim)
-    worst = _worst(trials, np.random.default_rng(seed), partial(_fast_path, table))
+    worst = _worst(trials, _rng(seed), partial(_fast_path, table))
     return _report("fast-path:spherical", worst, FAST_PATH_TOL, trials, seed)
 
 
@@ -395,7 +401,7 @@ def locality_probe(encoder, max_shift: float, samples: int, draws: int = 32,
     samples = _integer("samples", samples, 1, what="a positive integer")
     draws = _integer("draws", draws, 1, what="a positive integer")
     direction = _integer("direction", direction, 0, encoder.axes, "an axis index in [0, {hi})")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     vecs = [_unit(rng.standard_normal(encoder.dim)) for _ in range(draws)]
     shifts = np.linspace(0.0, max_shift, samples) if samples > 1 else np.zeros(1)
     origin = np.zeros(encoder.axes)
@@ -416,7 +422,7 @@ def _on(check, build_encoder, name=None):
     """Registry runner: ``check`` on the encoder ``build_encoder(rng)``, with
     ``rng`` seeded like the check; the report is named ``name`` when given."""
     def run(trials, seed):
-        enc = build_encoder(np.random.default_rng(seed))
+        enc = build_encoder(_rng(seed))
         return check(enc, trials, seed) if name is None else check(enc, trials, seed, name=name)
 
     return run

@@ -386,6 +386,21 @@ def test_pattern_rejects_sizes_that_are_not_whole_pixels(name, size):
         A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), *size)
 
 
+@pytest.mark.parametrize("name", ["mixed", "liere-random"])
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), 0, -2])
+def test_pattern_size_errors_name_width_and_height(name, bad):
+    # the integer rule names the raster's own parameters, not make_grid's
+    # cols and rows
+    enc = PATTERN_ENCODERS[name]
+    z = np.ones(enc.dim)
+    with pytest.raises(ValueError, match="^width must be a positive integer"):
+        A.render_pattern(enc, z, z, bad, 4)
+    with pytest.raises(ValueError, match="^height must be a positive integer"):
+        A.render_pattern(enc, z, z, 4, bad)
+    np.testing.assert_array_equal(A.render_pattern(enc, z, z, np.int64(3), np.int8(2)).values,
+                                  A.render_pattern(enc, z, z, 3, 2).values)
+
+
 def test_pattern_rejects_batched_vectors():
     enc = E.make_encoder("axial", 8)
     with pytest.raises(ValueError):
@@ -416,6 +431,30 @@ def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
         tokens.clear()
         A.render_pattern(enc, zq, zk, 7, 5, block)
         assert tokens == ([7 * 5, 1] if enc.table is None else [7 + 5])
+
+
+@pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))
+def test_block_raster_turns_a_stack_of_its_table_block_alone(scheme, monkeypatch):
+    # the W + H stack holds the pattern block's table block only, made here
+    # at its final shape, so no input check runs a second time
+    enc = PATTERN_ENCODERS[scheme]
+    turn, inputs, calls = E._turn, E._inputs, []
+
+    def spy_turn(enc, z, p, *block):
+        calls.append((np.shape(z), np.shape(p), block))
+        return turn(enc, z, p, *block)
+
+    def spy_inputs(*args):
+        calls.append("_inputs")
+        return inputs(*args)
+
+    monkeypatch.setattr(E, "_turn", spy_turn)
+    monkeypatch.setattr(E, "_inputs", spy_inputs)
+    size = E.SCHEMES[scheme].block
+    for b in range(enc.pattern_blocks):
+        calls.clear()
+        A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), 7, 5, b)
+        assert calls == [((5 + 7, size), (5 + 7, enc.axes), (enc.pattern_slice(b).start // size,))]
 
 
 @pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))

@@ -285,6 +285,18 @@ def test_bench_invalid_sizes_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["pattern", "--scheme", "mixed", "--dim", "4", "--width", "2", "--height", "2"],
+                                  ["bench", "--batch", "1", "--tokens", "1", "--dim", "4", "--reps", "1"]])
+def test_negative_seed_exits_2_naming_seed(tmp_path, capsys, argv):
+    # Philox's own message was "key must be positive and less than 2**128"
+    for bad in ("-1", str(2**128)):
+        code, _, err = run_cli(argv + ["--seed", bad], capsys)
+        assert code == 2
+        assert f"--seed must be a non-negative integer below 2**128, got {bad}" in err
+    assert run_cli(argv + ["--seed", "0"] + (["-o", str(tmp_path / "p.pgm")] if argv[0] == "pattern" else []),
+                   capsys)[0] == 0
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

@@ -83,3 +83,45 @@ def test_positions_immutable():
     g = make_grid(2, 3)
     with pytest.raises(ValueError):
         g.positions[0, 0, 0] = 1.0
+
+
+def _linspace(n, train):
+    extent = np.pi * n / train
+    return np.zeros(1) if n == 1 else np.linspace(-extent, extent, n)
+
+
+@pytest.mark.parametrize("size", [(16, 16), (32, 32, 16, 16), (7, 5), (5, 7, 3, 2), (1, 9), (9, 1),
+                                  (28, 28, 14, 14), (16, 16, 16, 8), (6, 6, None, 3),
+                                  (np.int64(6), np.int32(6)), (np.int8(4), 4, np.int64(2), 2)])
+def test_lattice_axes_are_linspace_bit_for_bit(size):
+    # a square lattice at its own size shares one axis for x and y; the
+    # others build each axis from its own size and reference size
+    rows, cols, train_rows, train_cols = (*size, None, None)[:4]
+    g = make_grid(*size)
+    want_x = _linspace(int(cols), int(cols if train_cols is None else train_cols))
+    want_y = _linspace(int(rows), int(rows if train_rows is None else train_rows))
+    np.testing.assert_array_equal(g.positions[..., 0], np.broadcast_to(want_x, (rows, cols)))
+    np.testing.assert_array_equal(g.positions[..., 1], np.broadcast_to(want_y[:, None], (rows, cols)))
+    assert (g.rows, g.cols) == (rows, cols)
+    assert not g.positions.flags.writeable
+    with pytest.raises(ValueError):
+        g.positions[-1, -1, 1] = 0.0
+
+
+def test_lattice_checks_passed_sizes_and_builds_each_distinct_axis_once(monkeypatch):
+    from ropekit import grid
+
+    axes, checked = [], []
+    axis_coords, integer = grid._axis_coords, grid._integer
+    monkeypatch.setattr(grid, "_axis_coords", lambda n, train: axes.append((n, train)) or axis_coords(n, train))
+    monkeypatch.setattr(grid, "_integer", lambda name, *a, **k: checked.append(name) or integer(name, *a, **k))
+    for size, want_axes, want_checked in (
+            ((16, 16), [(16, 16)], ["rows", "cols"]),
+            ((16, 16, 16, 16), [(16, 16)], ["rows", "cols", "train_rows", "train_cols"]),
+            ((16, 8), [(8, 8), (16, 16)], ["rows", "cols"]),
+            ((16, 16, 16, 8), [(16, 8), (16, 16)], ["rows", "cols", "train_rows", "train_cols"]),
+            ((4, 4, None, 2), [(4, 2), (4, 4)], ["rows", "cols", "train_cols"])):
+        axes.clear()
+        checked.clear()
+        make_grid(*size)
+        assert (axes, checked) == (want_axes, want_checked)

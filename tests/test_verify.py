@@ -510,6 +510,35 @@ def test_run_checks_takes_a_list_of_names_and_a_non_negative_integer_seed():
     assert V.run_checks(iter(["separability:axial"]), seed=np.int64(2)) == V.run_checks(["separability:axial"], seed=2)
 
 
+CHECKS_BY_SEED = {  # each check_* function and locality_probe at one trial, the seed left open
+    "equivariance": lambda seed: V.check_equivariance(E.make_encoder("rope1d", 4), 1, seed=seed),
+    "non-equivariance": lambda seed: V.check_non_equivariance(E.make_encoder("spherical", 6), 1, seed=seed),
+    "separability": lambda seed: V.check_axial_separability(1, seed=seed),
+    "degeneracy": lambda seed: V.check_trivial_degeneracy(1, seed=seed),
+    "mixed-contrast": lambda seed: V.check_mixed_antidiagonal(1, seed=seed),
+    "gradients": lambda seed: V.check_gradients(E.make_encoder("mixed", 4), 1, seed=seed),
+    "isometry": lambda seed: V.check_isometry(1, seed=seed),
+    "flow": lambda seed: V.check_flow(1, seed=seed),
+    "flow-counterexample": lambda seed: V.check_flow_counterexample(1, seed=seed),
+    "fast-path": lambda seed: V.check_fast_path(1, seed=seed),
+    "locality": lambda seed: V.locality_probe(E.make_encoder("mixed", 4), 1.0, 3, draws=2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS_BY_SEED))
+def test_checks_take_a_non_negative_integer_seed(name):
+    # a float seed raised numpy's TypeError and a bool ran as 0 or 1
+    run = CHECKS_BY_SEED[name]
+    for bad in (2.5, True, np.float64(1.0), -1, None, "1"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run(bad)
+    a, b = run(np.int64(2)), run(2)
+    if isinstance(a, V.CheckReport):
+        assert a == b and type(a.seed) is int
+    else:
+        np.testing.assert_array_equal(a, b)
+
+
 def test_hidden_check_fails_by_design():
     (r,) = V.run_checks(["equivariance:spherical-positive"], seed=0)
     assert not r.passed
