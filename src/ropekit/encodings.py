@@ -36,7 +36,12 @@ joint table's, kept in its ``reduction``), and the free functions and
 ``grad_frequencies`` read their table's, so only ``make_encoder`` builds an
 ``Encoder``.  Encoders take tokens (..., dim) at positions (..., axes), the
 leading shapes broadcasting; ``grad_frequencies`` takes the same shapes and
-differentiates the same products.  ``spherical``,
+differentiates the same products.  A turn depends on the position alone,
+never on the token, so ``_turn`` applies a position operator, the phasors
+or a liere route's rotation matrix, built by ``_operator``; an encoder
+keeps the operator of each distinct single position it encodes, read-only,
+within ``_STORE_BYTES`` (2 MiB) per encoder, and builds it again on every
+call once that budget is full.  Batched calls do not store.  ``spherical``,
 the triple route's reference, keeps the paper's definition: per triple, the
 ordered product of two so(3) generator exponentials taken by ``linalg``, no
 phasors.
@@ -61,6 +66,12 @@ DEFAULT_BASE = 100.0
 # the symmetric part it drops), so it agrees with the per-position
 # exponential to roundoff; the theorem-reduction checks accept looser forms.
 _REDUCED_STRUCT_RTOL = 1e-12
+
+# The bytes of operators and keys that one encoder keeps, one operator per
+# distinct single position it has encoded: 2 MiB holds a 32 x 32 lattice of
+# dim-96 table phasors, or about 1000 rotations of a 16 x 16 generator.  A
+# full store takes no more; positions past it are built on every call.
+_STORE_BYTES = 2 << 20
 
 
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
@@ -230,21 +241,20 @@ def _phasors(angles: np.ndarray) -> np.ndarray:
     return e
 
 
-def _rotate_pairs(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate consecutive coordinate pairs of ``z`` (..., 2k) by ``angles``
-    (..., k): pair ``a + ib`` times the unit phasor ``exp(1j * angle)``.  The
-    last axis of ``z`` must be contiguous."""
-    # a named operand: numpy may reuse a large temporary as the output and
-    # swap the operands, and the fused complex product is not commutative
-    e = _phasors(angles)
+def _rotate_pairs(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Rotate consecutive coordinate pairs of ``z`` (..., 2k) by the unit
+    phasors ``e`` (..., k): pair ``a + ib`` times ``e``.  The last axis of
+    ``z`` must be contiguous."""
+    # ``e`` is a named operand: numpy may reuse a large temporary as the
+    # output and swap the operands, and the fused complex product is not
+    # commutative
     return (z.view(complex) * e).view(float)
 
 
-def _rotate_triples(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _rotate_triples(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Per triple ``(x0, x1, x2)`` of ``z``: roll the ``(x1, x2)`` plane by
-    ``angles[..., 2d + 1]``, then yaw the ``(x0, x1)`` plane by
-    ``angles[..., 2d]``, each as one complex product."""
-    e = _phasors(angles)
+    the phasor ``e[..., 2d + 1]``, then yaw the ``(x0, x1)`` plane by
+    ``e[..., 2d]``, each as one complex product."""
     t = z.reshape(z.shape[:-1] + (z.shape[-1] // 3, 3))
     roll = t[..., 1:].view(complex)[..., 0] * e[..., 1::2]
     out = np.empty(roll.shape + (3,))
@@ -255,12 +265,12 @@ def _rotate_triples(z: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
 
 
-def _table_turn(scheme: str, pairs: tuple, z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Checked ``z`` at ``p`` turned by ``scheme``'s rotation through ``pairs``."""
+def _table_phasors(scheme: str, pairs: tuple, p: np.ndarray) -> np.ndarray:
+    """The phasors that turn ``scheme``'s blocks at checked ``p`` through ``pairs``."""
     spec = SCHEMES[scheme]
     if spec.axes > SCHEMES[spec.table].axes:  # trivial2d: mixed (w, w) as w * (p_x + p_y), one rounding
         p = p[..., :1] + p[..., 1:]
-    return spec.rotate(z, _angles(pairs, p))
+    return _phasors(_angles(pairs, p))
 
 
 def _table_inputs(scheme: str, table: FrequencyTable, z, p):
@@ -273,7 +283,8 @@ def _table_inputs(scheme: str, table: FrequencyTable, z, p):
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
     """``table`` turned by ``scheme``'s rotation, as its encoder turns it."""
-    return _table_turn(scheme, table.pairs, *_table_inputs(scheme, table, z, p))
+    z, p = _table_inputs(scheme, table, z, p)
+    return SCHEMES[scheme].rotate(z, _table_phasors(scheme, table.pairs, p))
 
 
 def rope1d(z, p, table: FrequencyTable) -> np.ndarray:
@@ -346,13 +357,13 @@ def liere(z, p, generators) -> np.ndarray:
     depend on the position."""
     gens = linalg._skew_generators(generators)
     z, p = _inputs(z, p, gens[0].shape[0], len(gens))
-    return _liere_exp(z, p, gens)
+    return _check_finite((_rotation(p, gens) @ z[..., None])[..., 0])
 
 
-def _liere_exp(z, p, gens) -> np.ndarray:
-    """``liere`` on checked inputs and exactly skew generators.  The sum
-    ``sum_m p[..., m] * A_m`` is built elementwise, like a table's angles, so
-    a position's matrix does not depend on its batch; a sum of exactly skew
+def _rotation(p, gens) -> np.ndarray:
+    """``exp(sum_m p[..., m] * A_m)`` for checked positions and exactly skew
+    generators.  The sum is built elementwise, like a table's angles, so a
+    position's matrix does not depend on its batch; a sum of exactly skew
     terms is exactly skew, so only its finiteness is left to check.  The
     stacked ``linalg._exp_skew`` (one real SVD per position) works per
     matrix, so a batched encode equals its per-token encodes bit for bit."""
@@ -361,25 +372,27 @@ def _liere_exp(z, p, gens) -> np.ndarray:
         a += p[..., m, None, None] * gens[m]
     if not np.isfinite(a).all():
         raise ValueError("liere generator sum must be finite: non-finite or overflowing position")
-    return _check_finite((linalg._exp_skew(a) @ z[..., None])[..., 0])
+    return linalg._exp_skew(a)
 
 
-def _encode_liere(enc, z, p):
+def _encode_liere(enc, z, op):
+    """Checked ``z`` turned by ``enc``'s operator ``op``: its rotation
+    matrices, or the phasors of its reduction."""
     if enc.reduction is None:
-        return _liere_exp(z, p, enc.generators)
-    basis, _, pairs = enc.reduction
-    return _check_finite(_liere_reduced(z, p, basis, pairs))
+        return _check_finite((op @ z[..., None])[..., 0])
+    return _check_finite(_liere_reduced(z, op, enc.reduction[0]))
 
 
-def _liere_reduced(z, p, basis: np.ndarray, pairs: tuple) -> np.ndarray:
+def _liere_reduced(z, e, basis: np.ndarray) -> np.ndarray:
     """``liere`` for commuting generators through their joint ``(basis,
-    freqs)`` form: the pairs of ``z @ basis`` turn by ``freqs``'s pair form
-    ``pairs``, ``basis.T`` maps them back, and an odd dim's last is fixed."""
+    freqs)`` form: the pairs of ``z @ basis`` turn by the phasors ``e`` of
+    ``freqs``'s pair form, ``basis.T`` maps them back, and an odd dim's last
+    is fixed."""
     y = z @ basis
-    k2 = 2 * len(pairs[0][1])
+    k2 = 2 * e.shape[-1]
     if k2 == len(basis):
-        return _rotate_pairs(y, _angles(pairs, p)) @ basis.T
-    return (_rotate_pairs(y[..., :k2], _angles(pairs, p)) @ basis[:, :k2].T
+        return _rotate_pairs(y, e) @ basis.T
+    return (_rotate_pairs(y[..., :k2], e) @ basis[:, :k2].T
             + y[..., k2:] @ basis[:, k2:].T)
 
 
@@ -391,6 +404,7 @@ def _commuting_reduction(gens):
         basis, freqs = linalg._joint_canonical_form(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
+    basis.flags.writeable = freqs.flags.writeable = False
     return basis, freqs, _pair_form(freqs, 2)
 
 
@@ -468,7 +482,7 @@ class Scheme(NamedTuple):
     """One scheme: coordinates per rotation block (which fixes its table's
     pair form) and per pattern block (the bilinear piece of a score that a
     block raster shows), position axes, the FrequencyTable layout it reads,
-    ``rotate(z, angles)`` on checked (..., dim) tokens, the frequency
+    ``rotate(z, phasors)`` on checked (..., dim) tokens, the frequency
     gradient ``grad(table, z_q, z_k, p_q, p_k)`` or None, whether
     its table's entries are one ``shared`` parameter, and whether its scores
     are shift-``equivariant``.  liere's generators set its block, axes and
@@ -497,16 +511,53 @@ SCHEMES = {
 }
 
 
+def _operator(enc, p, block=None) -> np.ndarray:
+    """``enc``'s position operator at checked positions ``p`` (..., axes):
+    the phasors of a table scheme's pair form (of table block ``block``'s
+    form when it is given) or of a reduced liere encoder's, else the liere
+    rotation matrices.  Any leading shape; only the operator depends on
+    the position."""
+    if enc.table is not None:
+        return _table_phasors(enc.scheme, enc.table.pairs if block is None else enc.table.block_pairs[block], p)
+    if enc.reduction is None:
+        return _rotation(p, enc.generators)
+    return _phasors(_angles(enc.reduction[2], p))
+
+
+def _stored_operator(enc, p) -> np.ndarray:
+    """``_operator(enc, p)`` at one checked position ``p`` (axes,), kept
+    read-only in ``enc``'s store under the bytes of ``p``.  A miss builds
+    it, checks included, and stores it while the store's operator and key
+    bytes stay within ``_STORE_BYTES``; a non-finite operator is never
+    stored.  Threads that miss at once can each pass the budget check, so
+    a shared encoder may hold one operator past it per extra thread; the
+    first operator stored for a key stays, and every build of it is the
+    same bits."""
+    key = p.tobytes()
+    op = enc._operators.get(key)
+    if op is None:
+        op = _operator(enc, p)
+        # an operator's entries are at most 1 in size (phasors, rotation
+        # matrices), so the sum of their squares is finite exactly when
+        # every entry is: one BLAS call, half of isfinite's cost
+        if (len(enc._operators) + 1) * (op.nbytes + len(key)) <= _STORE_BYTES and np.vdot(op, op).real < np.inf:
+            op.setflags(write=False)
+            op = enc._operators.setdefault(key, op)
+    return op
+
+
 def _turn(enc, z, p, block=None):
     """The one rotation routine, behind ``Encoder.encode`` and the block
-    rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``, a
-    table scheme's by its table's pair form.  With a table block index
-    ``block``, ``z`` holds only that block's coordinates and turns by that
-    block's pair form; every angle, phasor and product is elementwise, so the
-    result is bit for bit that block's slice of the whole encode."""
+    rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``'s
+    operator, a table scheme's through the registry's ``rotate``.  One
+    position with no block takes the stored operator.  With a table block
+    index ``block``, ``z`` holds only that block's coordinates and turns by
+    that block's pair form; every angle, phasor and product is elementwise,
+    so the result is bit for bit that block's slice of the whole encode."""
+    op = _stored_operator(enc, p) if block is None and p.ndim == 1 else _operator(enc, p, block)
     if enc.table is None:
-        return _encode_liere(enc, z, p)
-    return _table_turn(enc.scheme, enc.table.pairs if block is None else enc.table.block_pairs[block], z, p)
+        return _encode_liere(enc, z, op)
+    return SCHEMES[enc.scheme].rotate(z, op)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +578,16 @@ class Encoder:
     freqs)`` joint canonical form and the pair form of ``freqs``, so that
     ``encode`` costs two matrix products instead of an exponential per
     position.  A table encoder turns by its table's pair form, so building
-    one on an existing table derives nothing.
+    one on an existing table derives nothing.  The generators and the
+    ``reduction`` arrays are read-only.
+
+    The rotation depends on the position only, so an encode of one token
+    batch at one position keeps that position's operator (the phasors, or
+    the liere rotation matrix) and reuses it the next time that position
+    comes, bit for bit: at most ``_STORE_BYTES`` (2 MiB) of operators and
+    keys per encoder, after which new positions are built on every call and
+    nothing is evicted.  Batched positions build their operators every call.
+    The store stays out of equality, hashing, the repr and configs.
     """
 
     scheme: str
@@ -537,11 +597,13 @@ class Encoder:
     generators: tuple = field(default=None, repr=False)
     reduction: tuple = field(init=False, default=None, repr=False, compare=False)
     axes: int = field(init=False, default=None, repr=False, compare=False)
+    _operators: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         spec = SCHEMES.get(self.scheme)
         if spec is None:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        object.__setattr__(self, "_operators", {})
         if self.dim is not None or self.scheme != "liere":
             object.__setattr__(self, "dim", linalg._integer("dim", self.dim))
         if self.scheme == "liere":
@@ -552,6 +614,8 @@ class Encoder:
                 object.__setattr__(self, "dim", gens[0].shape[0])
             elif gens[0].shape[0] != self.dim:
                 raise ValueError(f"dim {self.dim} does not match generator size {gens[0].shape[0]}")
+            for g in gens:  # as_skew's own copies: the caller's arrays stay writeable
+                g.flags.writeable = False
             object.__setattr__(self, "generators", gens)
             object.__setattr__(self, "reduction", _commuting_reduction(gens))
             object.__setattr__(self, "axes", len(gens))

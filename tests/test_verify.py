@@ -166,8 +166,8 @@ def test_reduce_1d_block_diagonal_input():
 def test_reduction_checks_catch_a_wrong_encoder(monkeypatch, name):
     # a reduced encoder that rotates the wrong way is still equivariant and a
     # flow; only the comparison with the per-position exponential sees it
-    def backwards(z, p, basis, pairs):
-        return reduced(z, -np.asarray(p), basis, pairs)
+    def backwards(z, e, basis):  # conjugate phasors: the angles of -p
+        return reduced(z, e.conj(), basis)
 
     reduced = E._liere_reduced
     monkeypatch.setattr(E, "_liere_reduced", backwards)
