@@ -1,5 +1,9 @@
 """Tests for the encoding families: frozen examples, invariants, gradients, configs."""
 
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
@@ -1386,3 +1390,240 @@ def test_a_none_position_is_rejected_not_encoded_as_nan():
         enc = E.make_encoder(scheme, 8)
         with pytest.raises(ValueError, match="must be real"):
             enc.encode(_Z, [None] if enc.axes == 1 else [None, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the operator store: one operator per distinct single position
+# ---------------------------------------------------------------------------
+
+
+STORE_ENCODERS = {**BATCH_ENCODERS, "liere-commuting-even": REFERENCE_ENCODERS["liere-commuting-even"]}
+
+
+def _fresh(enc):
+    """An encoder equal to ``enc`` with an empty store."""
+    table = None if enc.base is not None else enc.table
+    return E.Encoder(enc.scheme, enc.dim, table, enc.base, enc.generators)
+
+
+def _unstored(enc, z, p):
+    """``enc``'s encode of ``z`` at ``p`` with a store that takes nothing,
+    so every operator is built on the call."""
+    with mock.patch.object(E, "_STORE_BYTES", 0):
+        fresh = _fresh(enc)
+        out = fresh.encode(z, p)
+    assert not fresh._operators
+    return out
+
+
+def test_store_encoders_cover_every_route():
+    routes = {(enc.scheme, enc.reduction is None, enc.dim % 2) for enc in STORE_ENCODERS.values()}
+    assert {s for s, _, _ in routes} == set(E.SCHEMES)
+    assert {(r, odd) for s, r, odd in routes if s == "liere"} == {(True, 1), (False, 1), (False, 0)}
+
+
+@seed(2053)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(STORE_ENCODERS)),
+    st.lists(st.integers(0, 5), min_size=1, max_size=24),
+    st.sampled_from([None, 0, 1, 3]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_property_stored_operators_keep_every_encode_bit_for_bit(name, order, capacity, rs):
+    # six positions, two of them 0.0 and -0.0, visited in any order, so new
+    # positions interleave with stored ones; a capacity sizes the budget to
+    # that many operators, past which the rest are built on every call
+    enc = _fresh(STORE_ENCODERS[name])
+    rng = np.random.default_rng(rs)
+    pool = rng.uniform(-4.0, 4.0, (6, enc.axes))
+    pool[0], pool[1] = 0.0, -0.0
+    z = rng.standard_normal((len(order), enc.dim))
+    z[::3, :2] = 0.0
+    entry = E._operator(enc, pool[0]).nbytes + pool[0].nbytes
+    budget = E._STORE_BYTES if capacity is None else capacity * entry
+    with mock.patch.object(E, "_STORE_BYTES", budget):
+        for zi, j in zip(z, order):
+            assert enc.encode(zi, pool[j]).tobytes() == _unstored(enc, zi, pool[j]).tobytes()
+    first = list(dict.fromkeys(order))[:capacity]
+    assert list(enc._operators) == [pool[j].tobytes() for j in first]
+    assert not any(op.flags.writeable for op in enc._operators.values())
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_a_repeated_position_builds_once_and_turns_every_call(name, monkeypatch):
+    # a stored operator skips its build only: each encode still goes through
+    # _turn and the route's rotation (_encode_liere, or the registry's rotate)
+    enc = _fresh(STORE_ENCODERS[name])
+    operator, turn, built, turned, routed = E._operator, E._turn, [], [], []
+    monkeypatch.setattr(E, "_operator", lambda *a: built.append(a) or operator(*a))
+    monkeypatch.setattr(E, "_turn", lambda *a: turned.append(a) or turn(*a))
+    if enc.table is None:
+        route = E._encode_liere
+        monkeypatch.setattr(E, "_encode_liere", lambda *a: routed.append(a) or route(*a))
+    else:
+        spec = E.SCHEMES[enc.scheme]
+        monkeypatch.setitem(E.SCHEMES, enc.scheme,
+                            spec._replace(rotate=lambda *a: routed.append(a) or spec.rotate(*a)))
+    z, p = np.linspace(-1.0, 1.0, enc.dim), np.full(enc.axes, 0.25)
+    outs = [enc.encode(z, p) for _ in range(4)]
+    assert len(built) == 1 and len(turned) == len(routed) == 4
+    assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_signed_zero_positions_keep_operators_of_their_own(name):
+    enc = _fresh(STORE_ENCODERS[name])
+    z = np.zeros(enc.dim)
+    z[1::2] = np.linspace(-1.0, 1.0, enc.dim // 2)
+    for p in ([0.0] * enc.axes, [-0.0] * enc.axes, [0.0] * enc.axes, [-0.0] * enc.axes):
+        assert enc.encode(z, p).tobytes() == _unstored(enc, z, p).tobytes()
+    assert len(enc._operators) == 2
+
+
+def test_a_scalar_position_shares_the_key_of_its_one_coordinate():
+    enc = _fresh(STORE_ENCODERS["rope1d"])
+    z = np.linspace(-1.0, 1.0, enc.dim)
+    for p in (0.5, [0.5], np.float32(0.5), np.array(0.5)):
+        assert enc.encode(z, p).tobytes() == _unstored(enc, z, p).tobytes()
+    assert list(enc._operators) == [np.array([0.5]).tobytes()]
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_a_token_batch_at_one_position_stores_one_operator(name):
+    enc = _fresh(STORE_ENCODERS[name])
+    z = np.random.default_rng(67).standard_normal((2, 5, enc.dim))
+    p = np.full(enc.axes, -1.5)
+    want = _unstored(enc, z, p)
+    assert want.shape == z.shape
+    for _ in range(2):
+        assert enc.encode(z, p).tobytes() == want.tobytes()
+    assert len(enc._operators) == 1
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_batched_positions_store_nothing(name):
+    enc = _fresh(STORE_ENCODERS[name])
+    rng = np.random.default_rng(68)
+    z, p = rng.standard_normal(enc.dim), rng.uniform(-3.0, 3.0, (4, enc.axes))
+    enc.encode(z, p)
+    enc.encode(z, p[:1])
+    enc.encode(z[None], p[None, 0])
+    assert not enc._operators
+    if enc.table is not None:
+        for block in (None, 0):
+            A.render_pattern(enc, z, z, 5, 4, block)
+        assert not enc._operators
+
+
+NON_FINITE_POSITIONS = [np.nan, np.inf, -np.inf]
+# finite positions whose angle, generator sum or 2-norm overflows
+OVERFLOWING = {"mixed": [1e308, 1e308], "trivial2d": [1e308, 1e308], "liere-random": [1e308, 1e308]}
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_a_non_finite_operator_is_never_stored(name):
+    # a liere route raises on every call; a table scheme has no finiteness
+    # check yet and gives the same non-finite encode on every call
+    enc = _fresh(STORE_ENCODERS[name])
+    z = np.linspace(-1.0, 1.0, enc.dim)
+    positions = [np.full(enc.axes, bad) for bad in NON_FINITE_POSITIONS]
+    positions += [OVERFLOWING[name]] if name in OVERFLOWING else []
+    for p in positions:
+        for _ in range(3):
+            if enc.table is None:
+                with pytest.raises(ValueError, match="finite|overflows"), np.errstate(invalid="ignore", over="ignore"):
+                    enc.encode(z, p)
+            else:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    out, want = enc.encode(z, p), _unstored(enc, z, p)
+                assert not np.isfinite(out).all() and out.tobytes() == want.tobytes()
+    assert not enc._operators
+
+
+@pytest.mark.parametrize("make", [
+    lambda: E.make_encoder("rope1d", 16384),
+    lambda: E.make_encoder("liere", generators=[V.random_skew(128, np.random.default_rng(s)) for s in (72, 73)]),
+], ids=["rope1d-16384", "liere-random-128"])
+def test_a_full_store_stays_within_its_bytes(make):
+    # one operator and key here take 128 KiB and 8 or 16 bytes, so fifteen
+    # fit in the 2 MiB budget and the other five are built on every call
+    enc = make()
+    z = np.random.default_rng(74).standard_normal(enc.dim)
+    positions = np.random.default_rng(75).uniform(-3.0, 3.0, (20, enc.axes))
+    for rep in range(2):
+        for p in positions:
+            assert enc.encode(z, p).tobytes() == _unstored(enc, z, p).tobytes()
+        if rep == 0:
+            kept = dict(enc._operators)
+    assert len(kept) == 15 and all(enc._operators[k] is op for k, op in kept.items())
+    assert list(enc._operators) == [p.tobytes() for p in positions[:15]]
+    assert sum(op.nbytes + len(k) for k, op in enc._operators.items()) <= E._STORE_BYTES
+
+
+def test_the_store_leaves_equality_hash_repr_and_config_alone():
+    for name, enc in STORE_ENCODERS.items():
+        enc, empty = _fresh(enc), _fresh(enc)
+        before = repr(enc), hash(enc)
+        for p in np.random.default_rng(76).uniform(-2.0, 2.0, (5, enc.axes)):
+            enc.encode(np.ones(enc.dim), p)
+        assert len(enc._operators) == 5
+        assert enc == empty and hash(enc) == hash(empty) == before[1]
+        assert repr(enc) == repr(empty) == before[0]
+        assert "_operators" not in repr(enc)
+        if enc.table is not None:
+            assert E.encoder_to_config(enc) == E.encoder_to_config(empty)
+
+
+def test_liere_encoder_arrays_are_read_only():
+    # an in-place edit would leave the reduction and every stored operator
+    # stale; the caller's own generators stay writeable and apart
+    rng = np.random.default_rng(77)
+    commuting = E.make_encoder("liere", generators=_commuting_family(6, 2, rng))
+    gens = [V.random_skew(5, rng), V.random_skew(5, rng)]
+    random = E.make_encoder("liere", generators=gens)
+    arrays = [*commuting.generators, *commuting.reduction[:2], *random.generators]
+    arrays += [f for _, f in commuting.reduction[2]]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] *= 2
+    z, p = np.linspace(-1.0, 1.0, 5), [0.3, -0.7]
+    before = random.encode(z, p), E.liere(z, p, random.generators)
+    assert all(g.flags.writeable for g in gens)
+    gens[0] *= 2
+    assert random.encode(z, p).tobytes() == before[0].tobytes()
+    assert E.liere(z, p, random.generators).tobytes() == before[1].tobytes()
+
+
+def test_threads_sharing_an_encoder_get_the_unstored_bits():
+    # more threads than cores, switching often, on one encoder per route:
+    # misses race on the store, and every encode must still equal the
+    # route's unstored build, every stored operator its own position's
+    interval = sys.getswitchinterval()
+    rng = np.random.default_rng(78)
+    try:
+        sys.setswitchinterval(1e-5)
+        for name in ("mixed", "spherical", "liere-commuting", "liere-random"):
+            enc = _fresh(STORE_ENCODERS[name])
+            pool = rng.uniform(-3.0, 3.0, (12, enc.axes))
+            z = rng.standard_normal(enc.dim)
+            want = [_unstored(enc, z, p).tobytes() for p in pool]
+            got = [[] for _ in range(4)]
+
+            def work(out, order):
+                for j in order:
+                    out.append((j, enc.encode(z, pool[j]).tobytes()))
+
+            threads = [threading.Thread(target=work, args=(got[t], np.random.default_rng(t).integers(0, 12, 150)))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert all(len(out) == 150 for out in got)
+            assert all(b == want[j] for out in got for j, b in out)
+            for key, op in enc._operators.items():
+                assert op.tobytes() == E._operator(enc, np.frombuffer(key)).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
