@@ -19,32 +19,34 @@ axes:
 
 A table scheme is Mixed RoPE on a pair table with some entries zero and turns
 by that table's pair form, angle terms ``(index, freqs)`` with angle ``j =
-sum_t p[..., index_t][j] * freqs_t[j]``, added in order.  The form belongs
-to the ``FrequencyTable``, built once by its constructor, and its layout
-follows from the scheme's block width: a two-coordinate block is one plane
-turned by the sum over the axes, a term per column, ``index = slice(m, m +
-1)`` (rope1d, mixed, and trivial2d at ``p_x + p_y``); a wider block holds
-one plane per axis, one term ``index = [0, 1, 0, 1, ...]`` over
-``freqs.ravel()`` (an axial quadruple's x- and y-pair, a spherical triple's
-yaw and roll).  A turn is the pair ``a + ib`` times the unit phasor ``exp(1j
-* theta)``; a spherical triple is two.  ``SCHEMES``, the one registry, holds
-each scheme's block width and rotation; ``_turn``, behind ``Encoder.encode``
-and the block rasters, turns by the table's form (a block raster, which
-stacks only its table block's coordinates, by that block's form, which the
-table builds on its first block raster; a reduced liere encoder by its
-joint table's, kept in its ``reduction``), and the free functions and
-``grad_frequencies`` read their table's, so only ``make_encoder`` builds an
-``Encoder``.  Encoders take tokens (..., dim) at positions (..., axes), the
-leading shapes broadcasting; ``grad_frequencies`` takes the same shapes and
-differentiates the same products.  A turn depends on the position alone,
-never on the token, so ``_turn`` applies a position operator, the phasors
-or a liere route's rotation matrix, built by ``_operator``; an encoder
-keeps the operator of each distinct single position it encodes, read-only,
-within ``_STORE_BYTES`` (2 MiB) per encoder, and builds it again on every
-call once that budget is full.  Batched calls do not store.  ``spherical``,
-the triple route's reference, keeps the paper's definition: per triple, the
-ordered product of two so(3) generator exponentials taken by ``linalg``, no
-phasors.
+sum_t p[..., index_t][j] * freqs_t[j]``, added in order.  The form belongs to
+the ``FrequencyTable``, built once by its constructor, and its layout follows
+from the scheme's block width: a two-coordinate block is one plane turned by
+the sum over the axes, a term per column, ``index = slice(m, m + 1)``
+(rope1d, mixed); a wider block holds one plane per axis, one term ``index =
+[0, 1, 0, 1, ...]`` over ``freqs.ravel()`` (an axial quadruple's x- and
+y-pair, a spherical triple's yaw and roll).  trivial2d, Mixed RoPE with each
+row's two frequencies tied, reads rope1d's table: ``_fold`` takes its
+coordinate sum ``p_x + p_y`` where positions enter the table route, so it
+turns and differentiates as rope1d at that sum.  A turn is the pair ``a +
+ib`` times the unit phasor ``exp(1j * theta)``; a spherical triple is two.
+``SCHEMES``, the one registry, holds each scheme's block width and rotation;
+``_turn``, behind ``Encoder.encode`` and the block rasters, turns by the
+table's form (a block raster, which stacks only its table block's
+coordinates, by that block's form, which the table builds on its first block
+raster; a reduced liere encoder by its joint table's, kept in its
+``reduction``), and the free functions and ``grad_frequencies`` read their
+table's, so only ``make_encoder`` builds an ``Encoder``.  Encoders take
+tokens (..., dim) at positions (..., axes), the leading shapes broadcasting;
+``grad_frequencies`` takes the same shapes and differentiates the same
+products.  A turn depends on the position alone, never on the token, so
+``_turn`` applies a position operator, the phasors or a liere route's
+rotation matrix, built by ``_operator``; an encoder keeps the operator of
+each distinct single position it encodes, read-only, within ``_STORE_BYTES``
+(2 MiB) per encoder, and builds it again on every call once that budget is
+full.  Batched calls do not store.  ``spherical``, the triple route's
+reference, keeps the paper's definition: per triple, the ordered product of
+two so(3) generator exponentials taken by ``linalg``, no phasors.
 """
 
 from __future__ import annotations
@@ -133,6 +135,10 @@ class FrequencyTable:
 
     def __hash__(self):
         return hash((self.scheme, self.freqs.shape))
+
+    # copies and pickles rebuild through the constructor: read-only arrays again
+    def __reduce__(self):
+        return FrequencyTable, (self.scheme, self.freqs)
 
     @cached_property
     def block_pairs(self) -> tuple:
@@ -265,26 +271,27 @@ def _rotate_triples(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
 
 
-def _table_phasors(scheme: str, pairs: tuple, p: np.ndarray) -> np.ndarray:
-    """The phasors that turn ``scheme``'s blocks at checked ``p`` through ``pairs``."""
-    spec = SCHEMES[scheme]
-    if spec.axes > SCHEMES[spec.table].axes:  # trivial2d: mixed (w, w) as w * (p_x + p_y), one rounding
-        p = p[..., :1] + p[..., 1:]
-    return _phasors(_angles(pairs, p))
+def _fold(scheme: str, p: np.ndarray) -> np.ndarray:
+    """Checked positions ``p`` of ``scheme`` as its table layout reads them:
+    a scheme with more axes than its layout (trivial2d on rope1d's table)
+    reads the coordinate sum ``p_x + p_y``, one rounding."""
+    return p[..., :1] + p[..., 1:] if SCHEMES[scheme].axes > SCHEMES[SCHEMES[scheme].table].axes else p
 
 
 def _table_inputs(scheme: str, table: FrequencyTable, z, p):
     """``table``'s layout, then ``z`` and ``p`` against the dim and axes it
-    fixes for ``scheme``: what building the encoder would check."""
+    fixes for ``scheme`` (what building the encoder would check), ``p``
+    folded onto the layout's axes."""
     _check_table(scheme, table)
     spec = SCHEMES[scheme]
-    return _inputs(z, p, spec.block * table.blocks, spec.axes)
+    z, p = _inputs(z, p, spec.block * table.blocks, spec.axes)
+    return z, _fold(scheme, p)
 
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
     """``table`` turned by ``scheme``'s rotation, as its encoder turns it."""
     z, p = _table_inputs(scheme, table, z, p)
-    return SCHEMES[scheme].rotate(z, _table_phasors(scheme, table.pairs, p))
+    return SCHEMES[scheme].rotate(z, _phasors(_angles(table.pairs, p)))
 
 
 def rope1d(z, p, table: FrequencyTable) -> np.ndarray:
@@ -293,7 +300,8 @@ def rope1d(z, p, table: FrequencyTable) -> np.ndarray:
 
 
 def trivial2d(z, p, table: FrequencyTable) -> np.ndarray:
-    """2-D positions collapsed onto their coordinate sum, then rope1d.
+    """2-D positions collapsed onto their coordinate sum, then rope1d on
+    ``table``, a rope1d table: ``rope1d(z, p_x + p_y, table)`` bit for bit.
 
     Any displacement along an anti-diagonal (t, -t) leaves the output unchanged,
     which is why this construction carries no genuinely 2-D information.
@@ -458,8 +466,9 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
     and (..., axes), all four leading shapes broadcasting; the result has
     shape (..., blocks, axes), one ``table.freqs``-shaped gradient per token
     pair.  For the uniform scheme every entry equals the chain-rule total for
-    the one shared parameter.  Schemes without per-frequency parameters
-    (trivial2d, liere) are unsupported.
+    the one shared parameter; trivial2d's is rope1d's gradient at ``p_x +
+    p_y`` on its rope1d table.  Only liere, which has no frequency table, is
+    unsupported.
     """
     spec = SCHEMES.get(scheme)
     if spec is None or spec.grad is None:
@@ -502,7 +511,7 @@ class Scheme(NamedTuple):
 # liere's last pair is short at an odd dim) or, for spherical, triples
 SCHEMES = {
     "rope1d": Scheme(2, 2, 1, "rope1d", _rotate_pairs, _grad_pairs, False, True),
-    "trivial2d": Scheme(2, 2, 2, "rope1d", _rotate_pairs, None, False, True),
+    "trivial2d": Scheme(2, 2, 2, "rope1d", _rotate_pairs, _grad_pairs, False, True),
     "axial": Scheme(4, 2, 2, "axial", _rotate_pairs, _grad_pairs, False, True),
     "mixed": Scheme(2, 2, 2, "mixed", _rotate_pairs, _grad_pairs, False, True),
     "spherical": Scheme(3, 3, 2, "spherical", _rotate_triples, _grad_spherical, False, False),
@@ -518,7 +527,8 @@ def _operator(enc, p, block=None) -> np.ndarray:
     rotation matrices.  Any leading shape; only the operator depends on
     the position."""
     if enc.table is not None:
-        return _table_phasors(enc.scheme, enc.table.pairs if block is None else enc.table.block_pairs[block], p)
+        pairs = enc.table.pairs if block is None else enc.table.block_pairs[block]
+        return _phasors(_angles(pairs, _fold(enc.scheme, p)))
     if enc.reduction is None:
         return _rotation(p, enc.generators)
     return _phasors(_angles(enc.reduction[2], p))
@@ -587,7 +597,9 @@ class Encoder:
     comes, bit for bit: at most ``_STORE_BYTES`` (2 MiB) of operators and
     keys per encoder, after which new positions are built on every call and
     nothing is evicted.  Batched positions build their operators every call.
-    The store stays out of equality, hashing, the repr and configs.
+    The store stays out of equality, hashing, the repr and configs.  A copy,
+    deep copy or pickle rebuilds the encoder through its constructor: its
+    arrays read-only again, its store empty and its own.
     """
 
     scheme: str
@@ -625,12 +637,13 @@ class Encoder:
         if self.dim < spec.block or self.dim % spec.block != 0:
             raise ValueError(f"{self.scheme} needs dim divisible by {spec.block}, got {self.dim}")
         if self.base is not None:
-            if self.table is not None:
-                raise ValueError("pass either base or an explicit table, not both")
             if self.scheme == "uniform":
                 raise ValueError("uniform reads a uniform table, not base")
             object.__setattr__(self, "base", linalg._real_scalar(self.base, "base"))
-            object.__setattr__(self, "table", FrequencyTable.fixed(spec.table, self.dim, base=self.base))
+            table = FrequencyTable.fixed(spec.table, self.dim, base=self.base)
+            if self.table is not None and self.table != table:
+                raise ValueError("pass either base or an explicit table, not both")
+            object.__setattr__(self, "table", table)
         _check_table(self.scheme, self.table)
         if self.table.blocks != self.dim // spec.block:
             raise ValueError(f"table has {self.table.blocks} blocks, "
@@ -653,6 +666,9 @@ class Encoder:
 
     def __hash__(self):
         return hash(self._params() + (len(self.generators or ()),))
+
+    def __reduce__(self):
+        return Encoder, (self.scheme, self.dim, self.table, self.base, self.generators)
 
     def _params(self) -> tuple:
         return (self.scheme, self.dim, self.table, self.base)

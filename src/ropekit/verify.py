@@ -452,7 +452,7 @@ _REGISTRY = {
     "reduction:liere-mixed": (partial(_run_reduction, "reduction:liere-mixed",
                                       commuting_generators, reduce_liere_mixed), 10, True),
     **{f"gradients:{s}": (_on(check_gradients, _fixed(s, dim)), 100, True)
-       for s, dim in _TABLE_CASES if SCHEMES[s].grad is not None},
+       for s, dim in _TABLE_CASES if SCHEMES[s].table == s},
     "fast-path:spherical": (check_fast_path, 1000, True),
     "isometry:rotary": (check_isometry, 100, True),
     "flow:abelian": (check_flow, 100, True),

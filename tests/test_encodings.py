@@ -1,5 +1,8 @@
 """Tests for the encoding families: frozen examples, invariants, gradients, configs."""
 
+import copy
+import dataclasses
+import pickle
 import sys
 import threading
 from unittest import mock
@@ -817,7 +820,7 @@ GRAD_SCHEMES = [s for s, spec in E.SCHEMES.items() if spec.grad is not None]
 
 @pytest.mark.parametrize("scheme", GRAD_SCHEMES)
 def test_grad_zero_positions_is_zero(scheme):
-    table = FrequencyTable.fixed(scheme, 12)
+    table = FrequencyTable.fixed(E.SCHEMES[scheme].table, 12)
     origin = (0.0,) * E.SCHEMES[scheme].axes
     g = E.grad_frequencies(scheme, np.ones(12), np.ones(12), origin, origin, table)
     np.testing.assert_array_equal(g, np.zeros_like(table.freqs))
@@ -853,7 +856,29 @@ def test_grad_uniform_entries_all_equal():
 def test_grad_unsupported_scheme():
     table = FrequencyTable.fixed("rope1d", 8)
     with pytest.raises(ValueError):
-        E.grad_frequencies("trivial2d", np.ones(8), np.ones(8), (0, 0), (1, 1), table)
+        E.grad_frequencies("liere", np.ones(8), np.ones(8), (0, 0), (1, 1), table)
+
+
+@pytest.mark.parametrize("lead_q,lead_k", [((), ()), ((5,), (5,)), ((2, 1), (3,)), ((4, 3), ())])
+def test_trivial2d_grad_is_rope1d_grad_at_the_sum(lead_q, lead_k):
+    # trivial2d reads rope1d's table at p_x + p_y, so its gradient is rope1d's
+    # there, bit for bit, per token and batched with broadcasting leading shapes
+    rng = np.random.default_rng(29)
+    table = FrequencyTable("rope1d", rng.uniform(0.1, 2.0, (6, 1)))
+    zq, zk = rng.standard_normal(lead_q + (12,)), rng.standard_normal(lead_k + (12,))
+    pq, pk = rng.uniform(-5.0, 5.0, lead_q + (2,)), rng.uniform(-5.0, 5.0, lead_k + (2,))
+    got = E.grad_frequencies("trivial2d", zq, zk, pq, pk, table)
+    at_sum = E.grad_frequencies("rope1d", zq, zk, pq[..., :1] + pq[..., 1:], pk[..., :1] + pk[..., 1:], table)
+    lead = np.broadcast_shapes(lead_q, lead_k)
+    assert got.shape == lead + (6, 1)
+    np.testing.assert_array_equal(got, at_sum)
+    zq, zk = np.broadcast_to(zq, lead + (12,)), np.broadcast_to(zk, lead + (12,))
+    pq, pk = np.broadcast_to(pq, lead + (2,)), np.broadcast_to(pk, lead + (2,))
+    for i in np.ndindex(lead):
+        one = E.grad_frequencies("trivial2d", zq[i], zk[i], pq[i], pk[i], table)
+        np.testing.assert_array_equal(one, got[i])
+        np.testing.assert_array_equal(one, E.grad_frequencies("rope1d", zq[i], zk[i], pq[i][0] + pq[i][1],
+                                                              pk[i][0] + pk[i][1], table))
 
 
 # The frequency gradients before they ran on the phasor core, kept as
@@ -920,7 +945,7 @@ def _grad_scale(scheme, zq, zk, pq, pk):
 
 def _random_table(scheme, dim, rng):
     spec = E.SCHEMES[scheme]
-    shape = (dim // spec.block, spec.axes)
+    shape = (dim // spec.block, E.SCHEMES[spec.table].axes)
     if scheme == "uniform":
         return FrequencyTable("uniform", np.full(shape, rng.uniform(0.1, 2.0)))
     return FrequencyTable(spec.table, rng.uniform(0.1, 2.0, shape))
@@ -949,8 +974,12 @@ def test_property_batched_grad_matches_per_token_and_reference(scheme, lead, sha
         zqi, zki = (zq, zk) if shared_z else (zq[i], zk[i])
         want[i] = E.grad_frequencies(scheme, zqi, zki, pq[i], pk[i], table)
         if n < 6:  # every token but the large lead's
-            ref = _REF_GRADS[scheme](zqi, zki, pq[i], pk[i], table.freqs)
-            bound = GRAD_REF_RTOL * np.maximum(1.0, _grad_scale(scheme, zqi, zki, pq[i], pk[i]))
+            # trivial2d's reference is rope1d's at p_x + p_y
+            layout, rq, rk = E.SCHEMES[scheme].table, pq[i], pk[i]
+            if axes > table.axes:
+                rq, rk = rq[:1] + rq[1:], rk[:1] + rk[1:]
+            ref = _REF_GRADS[layout](zqi, zki, rq, rk, table.freqs)
+            bound = GRAD_REF_RTOL * np.maximum(1.0, _grad_scale(layout, zqi, zki, rq, rk))
             assert np.all(np.abs(want[i] - ref) <= bound)
     np.testing.assert_array_equal(got, want)
 
@@ -1593,6 +1622,48 @@ def test_liere_encoder_arrays_are_read_only():
     gens[0] *= 2
     assert random.encode(z, p).tobytes() == before[0].tobytes()
     assert E.liere(z, p, random.generators).tobytes() == before[1].tobytes()
+
+
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+
+
+def _own_arrays(obj):
+    """The arrays an encoder or a table keeps read-only."""
+    if isinstance(obj, FrequencyTable):
+        return [obj.freqs] + [a for term in obj.pairs for a in term if isinstance(a, np.ndarray)]
+    arrays = list(obj.generators or ())
+    if obj.reduction is not None:
+        arrays += [*obj.reduction[:2], *(f for _, f in obj.reduction[2])]
+    return arrays + (_own_arrays(obj.table) if obj.table is not None else [])
+
+
+@pytest.mark.parametrize("kind", sorted(COPIES))
+def test_copies_rebuild_read_only_with_a_store_of_their_own(kind):
+    rng = np.random.default_rng(79)
+    for name, enc in STORE_ENCODERS.items():
+        enc = _fresh(enc)
+        z, p = rng.standard_normal(enc.dim), rng.uniform(-2.0, 2.0, enc.axes)
+        before = enc.encode(z, p)
+        dup = COPIES[kind](enc)
+        assert dup == enc and hash(dup) == hash(enc) and repr(dup) == repr(enc)
+        assert dup._operators == {} and len(enc._operators) == 1
+        assert _own_arrays(dup) and not any(a.flags.writeable for a in _own_arrays(dup))
+        assert dup.encode(z, p).tobytes() == before.tobytes()
+        assert dup._operators is not enc._operators and len(enc._operators) == 1
+        if enc.table is not None:
+            table = COPIES[kind](enc.table)
+            assert table == enc.table and not any(a.flags.writeable for a in _own_arrays(table))
+
+
+def test_replace_rebuilds_an_equal_encoder():
+    for enc in STORE_ENCODERS.values():
+        assert dataclasses.replace(enc) == enc
+    mixed = E.make_encoder("mixed", 8)
+    assert dataclasses.replace(mixed, base=50.0, table=None) == E.make_encoder("mixed", 8, base=50.0)
+    assert E.Encoder("mixed", 8, FrequencyTable.fixed("mixed", 8, base=50.0), base=50.0) == E.make_encoder(
+        "mixed", 8, base=50.0)
+    with pytest.raises(ValueError, match="not both"):
+        dataclasses.replace(mixed, base=50.0)
 
 
 def test_threads_sharing_an_encoder_get_the_unstored_bits():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -323,8 +324,15 @@ def test_gradient_checks_pass(scheme, dim):
 
 
 def test_gradient_check_rejects_unsupported():
+    gen = np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        V.check_gradients(E.make_encoder("trivial2d", 8), trials=5, seed=0)
+        V.check_gradients(E.make_encoder("liere", generators=[gen]), trials=5, seed=0)
+
+
+def test_trivial2d_gradient_check_passes_at_its_default_trials():
+    r = V.check_gradients(E.make_encoder("trivial2d", 16))
+    assert r.passed and r.trials == 100 and r.residual <= V.GRADIENT_TOL
+    assert r.name == "gradients:trivial2d"
 
 
 def test_gradients_zero_positions_both_zero():
@@ -476,6 +484,18 @@ def test_check_names_hides_demo_check():
     assert "equivariance:spherical-positive" not in names
     assert "equivariance:rope1d" in names
     assert "equivariance:spherical-positive" in V.check_names(include_hidden=True)
+
+
+def test_default_checks_are_the_benchmark_per_layer_checks():
+    # the traced benchmark times each default check as the per-layer metric
+    # verify.check.<name>.s, ':' read as '.', and its self-test rejects a
+    # metric that BENCHMARK.json does not list: a new default check needs its
+    # line there first
+    bench = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    listed = {m["name"] for m in bench["per_layer"] if m["name"].startswith("verify.check.")}
+    names = V.check_names()
+    assert len(names) == len(set(names))
+    assert {f"verify.check.{n.replace(':', '.')}.s" for n in names} == listed
 
 
 def test_run_checks_subset_matches_full_run():
