@@ -14,6 +14,7 @@ holds its pattern block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import encodings
 from .encodings import Encoder
 from .grid import make_grid
-from .linalg import _as_real, _integer, _real_scalar
+from .linalg import _as_real, _finite, _integer, _real_scalar
 
 
 def score(q, k) -> float:
@@ -42,13 +43,13 @@ def _softmax_numerator(q_mat, k_mat, scale):
     if q_mat.size == 0 or k_mat.size == 0:
         raise ValueError(f"attention needs non-empty Q and K, got shapes {q_mat.shape} and {k_mat.shape}")
     # checked directly: an inf key whose logits are all -inf leaves the row sums finite
-    if not (np.isfinite(q_mat).all() and np.isfinite(k_mat).all()):
+    if not (_finite(q_mat) and _finite(k_mat)):
         raise ValueError("attention Q and K must be finite")
-    scale = 1.0 / np.sqrt(k_mat.shape[1]) if scale is None else _real_scalar(scale, "scale")
+    scale = 1.0 / math.sqrt(k_mat.shape[1]) if scale is None else _real_scalar(scale, "scale")
     e = (scale * q_mat) @ k_mat.T
-    e -= e.max(axis=1, keepdims=True)
-    rowsum = np.exp(e, out=e).sum(axis=1, keepdims=True)
-    if not np.isfinite(rowsum).all():
+    e -= np.maximum.reduce(e, axis=1, keepdims=True)
+    rowsum = np.add.reduce(np.exp(e, out=e), axis=1, keepdims=True)
+    if not _finite(rowsum):
         raise ValueError("attention logits overflowed")
     return e, rowsum
 
@@ -65,11 +66,11 @@ def softmax_attention(q_mat, k_mat, v_mat, scale: float | None = None) -> np.nda
     v_mat = _as_real(v_mat, "attention V")
     if v_mat.ndim != 2 or v_mat.shape[0] != np.shape(k_mat)[0]:
         raise ValueError(f"V shape {v_mat.shape} does not match K shape {np.shape(k_mat)}")
-    if not np.isfinite(v_mat).all():
+    if not _finite(v_mat):
         raise ValueError("attention V must be finite")
     e, rowsum = _softmax_numerator(q_mat, k_mat, scale)
     out = e @ v_mat / rowsum
-    if not np.isfinite(out).all():
+    if not _finite(out):
         raise ValueError("attention output overflowed")
     return out
 
@@ -148,6 +149,6 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     # is the dot product that scoring its two factors alone would compute, so
     # equal factors give exactly equal pixels
     values = (q[..., None, sl] @ k[..., sl, None])[..., 0, 0]
-    if not np.isfinite(values).all():
+    if not _finite(values):
         raise ValueError("pattern values must be finite")
     return AttentionPattern(width, height, values, encoder.scheme, block)

@@ -40,13 +40,17 @@ table's, so only ``make_encoder`` builds an ``Encoder``.  Encoders take
 tokens (..., dim) at positions (..., axes), the leading shapes broadcasting;
 ``grad_frequencies`` takes the same shapes and differentiates the same
 products.  A turn depends on the position alone, never on the token, so
-``_turn`` applies a position operator, the phasors or a liere route's
-rotation matrix, built by ``_operator``; an encoder keeps the operator of
-each distinct single position it encodes, read-only, within ``_STORE_BYTES``
-(2 MiB) per encoder, and builds it again on every call once that budget is
-full.  Batched calls do not store.  ``spherical``, the triple route's
-reference, keeps the paper's definition: per triple, the ordered product of
-two so(3) generator exponentials taken by ``linalg``, no phasors.
+``_turn`` applies a position operator built by ``_operator``: the
+phasors, or for liere one position's ``n x n`` rotation matrix on either
+route (a reduced encoder's ``basis @ R @ basis.T``, from its phasors with no
+exponential; a batch of positions keeps the phasors there, and agrees with
+its single-position encodes to rounding, not bit for bit).  An encoder
+keeps the operator of each distinct single position it encodes, read-only,
+within ``_STORE_BYTES`` (2 MiB) per encoder, and builds it again on every
+call once that budget is full.  Batched calls do not store.
+``spherical``, the triple route's reference, keeps the paper's definition:
+per triple, the ordered product of two so(3) generator exponentials taken
+by ``linalg``, no phasors.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ _REDUCED_STRUCT_RTOL = 1e-12
 
 # The bytes of operators and keys that one encoder keeps, one operator per
 # distinct single position it has encoded: 2 MiB holds a 32 x 32 lattice of
-# dim-96 table phasors, or about 1000 rotations of a 16 x 16 generator.  A
-# full store takes no more; positions past it are built on every call.
+# dim-96 table phasors, or 1016 liere rotation matrices at n = 16 (15 at
+# n = 128).  A full store takes no more; positions past it are built on
+# every call.
 _STORE_BYTES = 2 << 20
 
 
@@ -117,7 +122,7 @@ class FrequencyTable:
         axes = SCHEMES[self.scheme].axes
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != axes:
             raise ValueError(f"{self.scheme} freqs must be a (blocks, {axes}) array, got shape {f.shape}")
-        if not np.all(np.isfinite(f)):
+        if not linalg._finite(f):
             raise ValueError("frequencies must all be finite")
         if SCHEMES[self.scheme].shared and f.size and not np.all(f == f.flat[0]):
             raise ValueError("uniform tables must hold a single shared frequency")
@@ -197,7 +202,7 @@ def _inputs(z, p, dim: int, axes: int):
 
 
 def _check_finite(out: np.ndarray) -> np.ndarray:
-    if not np.isfinite(out).all():
+    if not linalg._finite(out):
         raise ValueError("liere encoding must be finite: non-finite token, position or angle")
     return out
 
@@ -344,7 +349,7 @@ def spherical(z, p, table: FrequencyTable) -> np.ndarray:
     """
     z, p = _table_inputs("spherical", table, z, p)
     yaw, roll = p[..., :1] * table.freqs[:, 0], p[..., 1:] * table.freqs[:, 1]
-    if not (np.isfinite(yaw).all() and np.isfinite(roll).all()):
+    if not (linalg._finite(yaw) and linalg._finite(roll)):
         raise ValueError("spherical angles must be finite: non-finite or overflowing position")
     rot = linalg._exp_skew(yaw[..., None, None] * _YAW) @ linalg._exp_skew(roll[..., None, None] * _ROLL)
     out = rot @ z.reshape(z.shape[:-1] + (table.blocks, 3, 1))
@@ -378,25 +383,27 @@ def _rotation(p, gens) -> np.ndarray:
     a = p[..., 0, None, None] * gens[0]
     for m in range(1, len(gens)):
         a += p[..., m, None, None] * gens[m]
-    if not np.isfinite(a).all():
+    if not linalg._finite(a):
         raise ValueError("liere generator sum must be finite: non-finite or overflowing position")
     return linalg._exp_skew(a)
 
 
 def _encode_liere(enc, z, op):
-    """Checked ``z`` turned by ``enc``'s operator ``op``: its rotation
-    matrices, or the phasors of its reduction."""
-    if enc.reduction is None:
-        return _check_finite((op @ z[..., None])[..., 0])
-    return _check_finite(_liere_reduced(z, op, enc.reduction[0]))
+    """Checked ``z`` turned by ``enc``'s operator ``op``: a rotation matrix
+    per position, or a reduced encoder's phasors at a batch of positions.
+    One token at one position is one matrix-vector product."""
+    if op.dtype == complex:
+        basis = enc.reduction[0]
+        return _check_finite(_liere_reduced(z @ basis, op, basis))
+    return _check_finite(op @ z if op.ndim == 2 and z.ndim == 1 else (op @ z[..., None])[..., 0])
 
 
-def _liere_reduced(z, e, basis: np.ndarray) -> np.ndarray:
+def _liere_reduced(y, e, basis: np.ndarray) -> np.ndarray:
     """``liere`` for commuting generators through their joint ``(basis,
-    freqs)`` form: the pairs of ``z @ basis`` turn by the phasors ``e`` of
-    ``freqs``'s pair form, ``basis.T`` maps them back, and an odd dim's last
-    is fixed."""
-    y = z @ basis
+    freqs)`` form, from ``y = z @ basis``: the pairs of ``y`` turn by the
+    phasors ``e`` of ``freqs``'s pair form, ``basis.T`` maps them back, and
+    an odd dim's last is fixed.  At ``y = basis`` and the conjugate
+    phasors this is the rotation matrix itself, ``basis @ R @ basis.T``."""
     k2 = 2 * e.shape[-1]
     if k2 == len(basis):
         return _rotate_pairs(y, e) @ basis.T
@@ -523,15 +530,25 @@ SCHEMES = {
 def _operator(enc, p, block=None) -> np.ndarray:
     """``enc``'s position operator at checked positions ``p`` (..., axes):
     the phasors of a table scheme's pair form (of table block ``block``'s
-    form when it is given) or of a reduced liere encoder's, else the liere
-    rotation matrices.  Any leading shape; only the operator depends on
-    the position."""
+    form when it is given), else for liere the rotation matrix of each
+    position.  A reduced liere encoder builds one position's matrix
+    ``basis @ R @ basis.T`` from its phasors ``e`` as
+    ``_liere_reduced(basis, e.conj(), basis)``: ``R`` multiplies ``basis``
+    from the right, so each row's pairs turn by ``R``'s transpose, the
+    conjugate phasors.  The result is C-ordered, like the exponential
+    route's matrices.  The pair turn views a row's pairs as complex
+    numbers, so it reads a C-order copy of the basis, which the canonical
+    form leaves in F order.  A batch keeps its phasors, so no (..., n, n)
+    stack is built.  Any leading shape; only the operator depends on the
+    position."""
     if enc.table is not None:
         pairs = enc.table.pairs if block is None else enc.table.block_pairs[block]
         return _phasors(_angles(pairs, _fold(enc.scheme, p)))
     if enc.reduction is None:
         return _rotation(p, enc.generators)
-    return _phasors(_angles(enc.reduction[2], p))
+    basis, _, pairs = enc.reduction
+    e = _phasors(_angles(pairs, p))
+    return e if p.ndim > 1 else _liere_reduced(np.ascontiguousarray(basis), e.conj(), basis)
 
 
 def _stored_operator(enc, p) -> np.ndarray:
@@ -539,18 +556,16 @@ def _stored_operator(enc, p) -> np.ndarray:
     read-only in ``enc``'s store under the bytes of ``p``.  A miss builds
     it, checks included, and stores it while the store's operator and key
     bytes stay within ``_STORE_BYTES``; a non-finite operator is never
-    stored.  Threads that miss at once can each pass the budget check, so
-    a shared encoder may hold one operator past it per extra thread; the
-    first operator stored for a key stays, and every build of it is the
-    same bits."""
+    stored (``linalg._finite``: an operator's entries are at most 1 in
+    size, so it never takes the elementwise fallback).  Threads that miss
+    at once can each pass the budget check, so a shared encoder may hold
+    one operator past it per extra thread; the first operator stored for a
+    key stays, and every build of it is the same bits."""
     key = p.tobytes()
     op = enc._operators.get(key)
     if op is None:
         op = _operator(enc, p)
-        # an operator's entries are at most 1 in size (phasors, rotation
-        # matrices), so the sum of their squares is finite exactly when
-        # every entry is: one BLAS call, half of isfinite's cost
-        if (len(enc._operators) + 1) * (op.nbytes + len(key)) <= _STORE_BYTES and np.vdot(op, op).real < np.inf:
+        if (len(enc._operators) + 1) * (op.nbytes + len(key)) <= _STORE_BYTES and linalg._finite(op):
             op.setflags(write=False)
             op = enc._operators.setdefault(key, op)
     return op
@@ -586,14 +601,17 @@ class Encoder:
     The position-independent forms are derived on construction: ``axes``;
     for liere with commuting generators ``reduction``, their ``(basis,
     freqs)`` joint canonical form and the pair form of ``freqs``, so that
-    ``encode`` costs two matrix products instead of an exponential per
-    position.  A table encoder turns by its table's pair form, so building
-    one on an existing table derives nothing.  The generators and the
-    ``reduction`` arrays are read-only.
+    a batched ``encode`` costs two matrix products and a pair turn instead
+    of an exponential per position, and one position's rotation matrix
+    ``basis @ R @ basis.T`` needs no exponential; the two agree to
+    rounding, not bit for bit.  A table encoder turns by its table's pair
+    form, so building one on an existing table derives nothing.  The
+    generators and the ``reduction`` arrays are read-only.
 
     The rotation depends on the position only, so an encode of one token
     batch at one position keeps that position's operator (the phasors, or
-    the liere rotation matrix) and reuses it the next time that position
+    the liere rotation matrix on either route, so a liere hit is one
+    matrix-vector product) and reuses it the next time that position
     comes, bit for bit: at most ``_STORE_BYTES`` (2 MiB) of operators and
     keys per encoder, after which new positions are built on every call and
     nothing is evicted.  Batched positions build their operators every call.

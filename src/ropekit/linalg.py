@@ -73,13 +73,19 @@ def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
     Returns:
         ``0.5 * a - 0.5 * a.T``, which satisfies ``m.T == -m`` exactly.  The
         halves are taken first, so finite entries cannot overflow; for
-        normal values this equals ``0.5 * (a - a.T)`` bit for bit.
+        normal values this equals ``0.5 * (a - a.T)`` bit for bit.  An
+        input that is already exactly skew (``a.T == -a``) comes back as an
+        unchanged copy, so the map is idempotent: halving an odd subnormal
+        rounds, and the half-difference of an exactly skew matrix would
+        move it.
     """
     a = _as_real(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
+    if np.array_equal(a.T, -a):
+        return a.copy()
     half = 0.5 * a
     worst = 2.0 * float(np.max(np.abs(half + half.T))) if a.size else 0.0
     if worst > atol:
@@ -87,6 +93,15 @@ def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
             f"matrix is not skew-symmetric: max |a + a.T| entry is {worst:.3e} > {atol:.1e}"
         )
     return half - half.T
+
+
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of the float or complex array ``x`` is finite,
+    exactly as ``np.isfinite(x).all()``.  A finite sum of squared
+    magnitudes, one BLAS call, has only finite terms; only an array whose
+    sum is not (a non-finite entry, or squares that overflow) takes the
+    elementwise test."""
+    return np.vdot(x, x).real < np.inf or np.isfinite(x).all()
 
 
 def _skew_generators(generators) -> tuple:

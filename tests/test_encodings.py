@@ -1590,6 +1590,70 @@ def test_a_full_store_stays_within_its_bytes(make):
     assert sum(op.nbytes + len(k) for k, op in enc._operators.items()) <= E._STORE_BYTES
 
 
+LIERE_STORE_ENCODERS = sorted(n for n, enc in STORE_ENCODERS.items() if enc.scheme == "liere")
+
+
+@pytest.mark.parametrize("name", LIERE_STORE_ENCODERS)
+def test_a_stored_liere_operator_is_its_read_only_rotation_matrix(name):
+    enc = _fresh(STORE_ENCODERS[name])
+    z, p = np.linspace(-1.0, 1.0, enc.dim), np.full(enc.axes, 0.75)
+    out = enc.encode(z, p)
+    (op,) = enc._operators.values()
+    assert op.shape == (enc.dim, enc.dim) and op.dtype == np.float64 and not op.flags.writeable
+    rotation = linalg.matrix_exp(sum(c * g for c, g in zip(p, enc.generators)))
+    assert np.max(np.abs(op - rotation)) <= V.FAST_PATH_TOL
+    assert out.tobytes() == (op @ z).tobytes()
+
+
+@pytest.mark.parametrize("name", LIERE_STORE_ENCODERS)
+def test_a_stored_liere_hit_builds_no_phasors_and_no_pair_turn(name, monkeypatch):
+    enc = _fresh(STORE_ENCODERS[name])
+    rng = np.random.default_rng(80)
+    z, p = rng.standard_normal((3, enc.dim)), rng.uniform(-2.0, 2.0, enc.axes)
+    first = [enc.encode(zi, p) for zi in z]
+    calls = []
+    for fn in ("_liere_reduced", "_phasors", "_rotation"):
+        monkeypatch.setattr(E, fn, lambda *a, fn=fn: calls.append(fn))
+    assert all(enc.encode(zi, p).tobytes() == want.tobytes() for zi, want in zip(z, first))
+    assert enc.encode(z, p).shape == z.shape and not calls
+
+
+@pytest.mark.parametrize("dim", [5, 7, 8, 16])
+def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
+    # one position turns by basis @ R @ basis.T, a batch by its phasors: the
+    # two round differently, so they agree to rounding, not bit for bit
+    rng = np.random.default_rng(81 + dim)
+    gens = _commuting_family(dim, 2, rng)
+    enc = E.make_encoder("liere", generators=gens)
+    assert enc.reduction is not None
+    z, p = rng.standard_normal((20, dim)), rng.uniform(-np.pi, np.pi, (20, 2))
+    batched = enc.encode(z, p)
+    for zi, pi, bi in zip(z, p, batched):
+        one = enc.encode(zi, pi)
+        assert np.max(np.abs(one - E.liere(zi, pi, gens))) <= V.FAST_PATH_TOL
+        assert np.max(np.abs(one - bi)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, fit", [(16, 1016), (128, 15)])
+@pytest.mark.parametrize("route", ["reduced", "exponential"])
+def test_a_full_store_holds_rotation_matrices(dim, fit, route):
+    # a float64 n x n matrix and a two-coordinate key take 8 n^2 + 16
+    # bytes, so the 2 MiB store holds 1016 of them at n = 16, 15 at n = 128
+    rng = np.random.default_rng(83)
+    if route == "reduced":
+        gens = V.commuting_generators(dim, rng)
+    else:
+        gens = [V.random_skew(dim, rng), V.random_skew(dim, rng)]
+    enc = E.make_encoder("liere", generators=gens)
+    assert (enc.reduction is None) == (route == "exponential")
+    assert fit == E._STORE_BYTES // (8 * dim * dim + 16)
+    z = rng.standard_normal(dim)
+    for p in rng.uniform(-3.0, 3.0, (fit + 3, 2)):
+        enc.encode(z, p)
+    assert len(enc._operators) == fit
+    assert all(op.shape == (dim, dim) for op in enc._operators.values())
+
+
 def test_the_store_leaves_equality_hash_repr_and_config_alone():
     for name, enc in STORE_ENCODERS.items():
         enc, empty = _fresh(enc), _fresh(enc)
@@ -1653,6 +1717,17 @@ def test_copies_rebuild_read_only_with_a_store_of_their_own(kind):
         if enc.table is not None:
             table = COPIES[kind](enc.table)
             assert table == enc.table and not any(a.flags.writeable for a in _own_arrays(table))
+
+
+@pytest.mark.parametrize("kind", sorted(COPIES))
+def test_copies_keep_a_subnormal_generator_bit_for_bit(kind):
+    # the stored generator is exactly skew, so rebuilding through the
+    # constructor antisymmetrises it to the same bits
+    u = np.nextafter(0.0, 1.0)
+    enc = E.make_encoder("liere", generators=[np.array([[0.0, 3 * u], [-2 * u, 0.0]])])
+    dup = COPIES[kind](enc)
+    assert enc.generators[0][0, 1] == 3 * u
+    assert dup == enc and dup.generators[0].tobytes() == enc.generators[0].tobytes()
 
 
 def test_replace_rebuilds_an_equal_encoder():

@@ -43,6 +43,19 @@ def test_as_skew_symmetrizes_exactly():
     assert np.array_equal(m, -m.T)
 
 
+def test_as_skew_keeps_an_exactly_skew_input_bit_for_bit():
+    # halving an odd subnormal rounds, so the half-difference of the stored
+    # [[0, 3u], [-3u, 0]] would be 4u: an exactly skew input comes back as
+    # its own copy, so antisymmetrising twice is antisymmetrising once
+    u = np.nextafter(0.0, 1.0)
+    m = linalg.as_skew(np.array([[0.0, 3 * u], [-2 * u, 0.0]]))
+    assert m[0, 1] == 3 * u and m[1, 0] == -3 * u
+    again = linalg.as_skew(m)
+    assert again is not m and again.tobytes() == m.tobytes()
+    a = random_skew(6, np.random.default_rng(82))
+    assert linalg.as_skew(a).tobytes() == (0.5 * a - 0.5 * a.T).tobytes()
+
+
 def test_as_skew_rejects_symmetric_part():
     with pytest.raises(ValueError):
         linalg.as_skew(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -57,6 +70,39 @@ def test_as_skew_rejects_a_huge_symmetric_part():
 def test_as_skew_rejects_non_square():
     with pytest.raises(ValueError):
         linalg.as_skew(np.zeros((2, 3)))
+
+
+_NON_CONTIGUOUS = np.arange(48.0).reshape(6, 8)[::2, 1::3]
+# name: (array, whether every entry is finite)
+FINITE_CASES = {
+    "nan": (np.array([1.0, np.nan, 2.0]), False),
+    "inf": (np.array([[1.0, np.inf]]), False),
+    "-inf": (np.array([-np.inf]), False),
+    "huge": (np.array([1e200]), True),
+    "huge-64x64": (np.full((64, 64), 1e160), True),
+    "huge-and-nan": (np.array([1e200, np.nan]), False),
+    "subnormal": (np.full(7, 5e-324), True),
+    "empty": (np.empty((0, 3)), True),
+    "zero-d": (np.array(2.5), True),
+    "complex": (np.array([1.0 + 2.0j, -3.0j]), True),
+    "complex-nan-imag": (np.array([1.0 + 2.0j, complex(0.0, np.nan)]), False),
+    "complex-inf-real": (np.array([complex(np.inf, 0.0)]), False),
+    "complex-huge": (np.full(3, 1e200 + 1e200j), True),
+    "non-contiguous": (_NON_CONTIGUOUS, True),
+    "non-contiguous-inf": (np.where(_NON_CONTIGUOUS == 17.0, np.inf, _NON_CONTIGUOUS)[:, ::-1], False),
+    "transposed-huge": (np.full((5, 3), 1e300).T, True),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(FINITE_CASES))
+def test_finite_is_isfinite_all(name):
+    # a huge finite array overflows the sum of squares and must take the
+    # elementwise fallback; no case may warn
+    x, finite = FINITE_CASES[name]
+    assert linalg._finite(x) == np.isfinite(x).all() == finite
+    if name.startswith(("huge", "complex-huge", "transposed-huge")):
+        assert not np.vdot(x, x).real < np.inf
 
 
 def test_commutator_yaw_roll_is_pitch():
