@@ -1634,11 +1634,11 @@ def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
         assert np.max(np.abs(one - bi)) <= 1e-12
 
 
-@pytest.mark.parametrize("dim, fit", [(16, 1016), (128, 15)])
-@pytest.mark.parametrize("route", ["reduced", "exponential"])
+@pytest.mark.parametrize("dim, fit, route", [(16, 1016, "reduced"), (16, 1016, "exponential"), (128, 15, "reduced")])
 def test_a_full_store_holds_rotation_matrices(dim, fit, route):
     # a float64 n x n matrix and a two-coordinate key take 8 n^2 + 16
     # bytes, so the 2 MiB store holds 1016 of them at n = 16, 15 at n = 128
+    # (the exponential route at n = 128 is test_a_full_store_stays_within_its_bytes)
     rng = np.random.default_rng(83)
     if route == "reduced":
         gens = V.commuting_generators(dim, rng)
