@@ -14,7 +14,6 @@ holds its pattern block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +44,10 @@ def _softmax_numerator(q_mat, k_mat, scale):
     # checked directly: an inf key whose logits are all -inf leaves the row sums finite
     if not (_finite(q_mat) and _finite(k_mat)):
         raise ValueError("attention Q and K must be finite")
-    scale = 1.0 / math.sqrt(k_mat.shape[1]) if scale is None else _real_scalar(scale, "scale")
+    scale = 1.0 / np.sqrt(k_mat.shape[1]) if scale is None else _real_scalar(scale, "scale")
     e = (scale * q_mat) @ k_mat.T
-    e -= np.maximum.reduce(e, axis=1, keepdims=True)
-    rowsum = np.add.reduce(np.exp(e, out=e), axis=1, keepdims=True)
+    e -= e.max(axis=1, keepdims=True)
+    rowsum = np.exp(e, out=e).sum(axis=1, keepdims=True)
     if not _finite(rowsum):
         raise ValueError("attention logits overflowed")
     return e, rowsum

@@ -43,8 +43,9 @@ products.  A turn depends on the position alone, never on the token, so
 ``_turn`` applies a position operator built by ``_operator``: the
 phasors, or for liere one position's ``n x n`` rotation matrix on either
 route (a reduced encoder's ``basis @ R @ basis.T``, from its phasors with no
-exponential; a batch of positions keeps the phasors there, and agrees with
-its single-position encodes to rounding, not bit for bit).  An encoder
+exponential, up to dim ``_MATRIX_MAX_DIM``; a batch of positions, or a
+larger dim, keeps the phasors there, and a batch agrees with its
+single-position matrix encodes to rounding, not bit for bit).  An encoder
 keeps the operator of each distinct single position it encodes, read-only,
 within ``_STORE_BYTES`` (2 MiB) per encoder, and builds it again on every
 call once that budget is full.  Batched calls do not store.
@@ -79,6 +80,17 @@ _REDUCED_STRUCT_RTOL = 1e-12
 # n = 128).  A full store takes no more; positions past it are built on
 # every call.
 _STORE_BYTES = 2 << 20
+
+# The largest dim at which a reduced liere encoder's single-position
+# operator is its n x n rotation matrix rather than its phasors.  The matrix
+# makes a repeated position one matrix-vector product but costs an n x n
+# product to build and 8 n^2 bytes to keep, so it pays only where positions
+# repeat and the store holds them.  On one x86 core (one BLAS thread) a
+# first encode cost 14.1 -> 15.9 us at n = 16 and 15.8 -> 30.5 us at
+# n = 48 against the phasors, and a repeat 6.7 -> 3.6 us at n = 16: there
+# one repeat pays for the matrix and the store keeps 1016 of them; at
+# n = 48 it takes four repeats and the store keeps 113.
+_MATRIX_MAX_DIM = 16
 
 
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
@@ -390,8 +402,9 @@ def _rotation(p, gens) -> np.ndarray:
 
 def _encode_liere(enc, z, op):
     """Checked ``z`` turned by ``enc``'s operator ``op``: a rotation matrix
-    per position, or a reduced encoder's phasors at a batch of positions.
-    One token at one position is one matrix-vector product."""
+    per position, or a reduced encoder's phasors (at a batch of positions,
+    or above dim ``_MATRIX_MAX_DIM``).  One token at one position is one
+    matrix-vector product."""
     if op.dtype == complex:
         basis = enc.reduction[0]
         return _check_finite(_liere_reduced(z @ basis, op, basis))
@@ -531,16 +544,16 @@ def _operator(enc, p, block=None) -> np.ndarray:
     """``enc``'s position operator at checked positions ``p`` (..., axes):
     the phasors of a table scheme's pair form (of table block ``block``'s
     form when it is given), else for liere the rotation matrix of each
-    position.  A reduced liere encoder builds one position's matrix
-    ``basis @ R @ basis.T`` from its phasors ``e`` as
-    ``_liere_reduced(basis, e.conj(), basis)``: ``R`` multiplies ``basis``
-    from the right, so each row's pairs turn by ``R``'s transpose, the
-    conjugate phasors.  The result is C-ordered, like the exponential
-    route's matrices.  The pair turn views a row's pairs as complex
-    numbers, so it reads a C-order copy of the basis, which the canonical
-    form leaves in F order.  A batch keeps its phasors, so no (..., n, n)
-    stack is built.  Any leading shape; only the operator depends on the
-    position."""
+    position.  A reduced liere encoder of dim at most ``_MATRIX_MAX_DIM``
+    builds one position's matrix ``basis @ R @ basis.T`` from its phasors
+    ``e`` as ``_liere_reduced(basis, e.conj(), basis)``: ``R`` multiplies
+    ``basis`` from the right, so each row's pairs turn by ``R``'s
+    transpose, the conjugate phasors.  The result is C-ordered, like the
+    exponential route's matrices.  The pair turn views a row's pairs as
+    complex numbers, so it reads a C-order copy of the basis, which the
+    canonical form leaves in F order.  A batch, or one position at a
+    larger dim, keeps its phasors, so no (..., n, n) stack is built.  Any
+    leading shape; only the operator depends on the position."""
     if enc.table is not None:
         pairs = enc.table.pairs if block is None else enc.table.block_pairs[block]
         return _phasors(_angles(pairs, _fold(enc.scheme, p)))
@@ -548,7 +561,9 @@ def _operator(enc, p, block=None) -> np.ndarray:
         return _rotation(p, enc.generators)
     basis, _, pairs = enc.reduction
     e = _phasors(_angles(pairs, p))
-    return e if p.ndim > 1 else _liere_reduced(np.ascontiguousarray(basis), e.conj(), basis)
+    if p.ndim > 1 or len(basis) > _MATRIX_MAX_DIM:
+        return e
+    return _liere_reduced(np.ascontiguousarray(basis), e.conj(), basis)
 
 
 def _stored_operator(enc, p) -> np.ndarray:
@@ -603,16 +618,17 @@ class Encoder:
     freqs)`` joint canonical form and the pair form of ``freqs``, so that
     a batched ``encode`` costs two matrix products and a pair turn instead
     of an exponential per position, and one position's rotation matrix
-    ``basis @ R @ basis.T`` needs no exponential; the two agree to
+    ``basis @ R @ basis.T`` (up to dim ``_MATRIX_MAX_DIM``; above it one
+    position keeps the phasors too) needs no exponential; the two agree to
     rounding, not bit for bit.  A table encoder turns by its table's pair
     form, so building one on an existing table derives nothing.  The
     generators and the ``reduction`` arrays are read-only.
 
     The rotation depends on the position only, so an encode of one token
     batch at one position keeps that position's operator (the phasors, or
-    the liere rotation matrix on either route, so a liere hit is one
-    matrix-vector product) and reuses it the next time that position
-    comes, bit for bit: at most ``_STORE_BYTES`` (2 MiB) of operators and
+    the liere rotation matrix, whose hit is one matrix-vector product; a
+    reduced encoder above dim ``_MATRIX_MAX_DIM`` keeps its phasors) and
+    reuses it the next time that position comes, bit for bit: at most ``_STORE_BYTES`` (2 MiB) of operators and
     keys per encoder, after which new positions are built on every call and
     nothing is evicted.  Batched positions build their operators every call.
     The store stays out of equality, hashing, the repr and configs.  A copy,

@@ -74,25 +74,27 @@ def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
         ``0.5 * a - 0.5 * a.T``, which satisfies ``m.T == -m`` exactly.  The
         halves are taken first, so finite entries cannot overflow; for
         normal values this equals ``0.5 * (a - a.T)`` bit for bit.  An
-        input that is already exactly skew (``a.T == -a``) comes back as an
-        unchanged copy, so the map is idempotent: halving an odd subnormal
+        input that is already exactly skew (``a.T == -a``) keeps every
+        nonzero entry, so the map is idempotent: halving an odd subnormal
         rounds, and the half-difference of an exactly skew matrix would
-        move it.
+        move it.  Its zeros keep the half-difference's sign (``-G``'s
+        ``-0.0`` diagonal comes back ``+0.0``).
     """
     a = _as_real(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if np.array_equal(a.T, -a):
-        return a.copy()
     half = 0.5 * a
     worst = 2.0 * float(np.max(np.abs(half + half.T))) if a.size else 0.0
     if worst > atol:
         raise ValueError(
             f"matrix is not skew-symmetric: max |a + a.T| entry is {worst:.3e} > {atol:.1e}"
         )
-    return half - half.T
+    m = half - half.T
+    if np.array_equal(a.T, -a):
+        np.copyto(m, a, where=a != 0.0)
+    return m
 
 
 def _finite(x: np.ndarray) -> bool:

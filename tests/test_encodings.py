@@ -1618,10 +1618,11 @@ def test_a_stored_liere_hit_builds_no_phasors_and_no_pair_turn(name, monkeypatch
     assert enc.encode(z, p).shape == z.shape and not calls
 
 
-@pytest.mark.parametrize("dim", [5, 7, 8, 16])
+@pytest.mark.parametrize("dim", [5, 7, 8, 16, 17])
 def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
-    # one position turns by basis @ R @ basis.T, a batch by its phasors: the
-    # two round differently, so they agree to rounding, not bit for bit
+    # up to _MATRIX_MAX_DIM one position turns by basis @ R @ basis.T, a
+    # batch by its phasors: the two round differently, so they agree to
+    # rounding, not bit for bit; above it one position keeps the phasors
     rng = np.random.default_rng(81 + dim)
     gens = _commuting_family(dim, 2, rng)
     enc = E.make_encoder("liere", generators=gens)
@@ -1632,12 +1633,16 @@ def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
         one = enc.encode(zi, pi)
         assert np.max(np.abs(one - E.liere(zi, pi, gens))) <= V.FAST_PATH_TOL
         assert np.max(np.abs(one - bi)) <= 1e-12
+    matrix = dim <= E._MATRIX_MAX_DIM
+    assert all((op.dtype == np.float64) == matrix for op in enc._operators.values())
+    assert all(op.shape == ((dim, dim) if matrix else (dim // 2,)) for op in enc._operators.values())
 
 
-@pytest.mark.parametrize("dim, fit, route", [(16, 1016, "reduced"), (16, 1016, "exponential"), (128, 15, "reduced")])
-def test_a_full_store_holds_rotation_matrices(dim, fit, route):
-    # a float64 n x n matrix and a two-coordinate key take 8 n^2 + 16
-    # bytes, so the 2 MiB store holds 1016 of them at n = 16, 15 at n = 128
+@pytest.mark.parametrize("dim, fit, route", [(16, 1016, "reduced"), (16, 1016, "exponential"), (17, 14563, "reduced")])
+def test_a_full_store_holds_matrices_up_to_the_matrix_dim(dim, fit, route):
+    # a two-coordinate key takes 16 bytes; a float64 n x n matrix 8 n^2, so
+    # the 2 MiB store holds 1016 of them at n = 16; above _MATRIX_MAX_DIM a
+    # reduced encoder keeps its n // 2 complex phasors, 16 (n // 2) bytes
     # (the exponential route at n = 128 is test_a_full_store_stays_within_its_bytes)
     rng = np.random.default_rng(83)
     if route == "reduced":
@@ -1646,12 +1651,13 @@ def test_a_full_store_holds_rotation_matrices(dim, fit, route):
         gens = [V.random_skew(dim, rng), V.random_skew(dim, rng)]
     enc = E.make_encoder("liere", generators=gens)
     assert (enc.reduction is None) == (route == "exponential")
-    assert fit == E._STORE_BYTES // (8 * dim * dim + 16)
+    op_bytes = 8 * dim * dim if dim <= E._MATRIX_MAX_DIM else 16 * (dim // 2)
+    assert fit == E._STORE_BYTES // (op_bytes + 16)
     z = rng.standard_normal(dim)
     for p in rng.uniform(-3.0, 3.0, (fit + 3, 2)):
         enc.encode(z, p)
     assert len(enc._operators) == fit
-    assert all(op.shape == (dim, dim) for op in enc._operators.values())
+    assert all(op.nbytes == op_bytes for op in enc._operators.values())
 
 
 def test_the_store_leaves_equality_hash_repr_and_config_alone():

@@ -45,15 +45,20 @@ def test_as_skew_symmetrizes_exactly():
 
 def test_as_skew_keeps_an_exactly_skew_input_bit_for_bit():
     # halving an odd subnormal rounds, so the half-difference of the stored
-    # [[0, 3u], [-3u, 0]] would be 4u: an exactly skew input comes back as
-    # its own copy, so antisymmetrising twice is antisymmetrising once
+    # [[0, 3u], [-3u, 0]] would be 4u: an exactly skew input keeps its
+    # nonzero entries, so antisymmetrising twice is antisymmetrising once
     u = np.nextafter(0.0, 1.0)
     m = linalg.as_skew(np.array([[0.0, 3 * u], [-2 * u, 0.0]]))
     assert m[0, 1] == 3 * u and m[1, 0] == -3 * u
     again = linalg.as_skew(m)
     assert again is not m and again.tobytes() == m.tobytes()
-    a = random_skew(6, np.random.default_rng(82))
-    assert linalg.as_skew(a).tobytes() == (0.5 * a - 0.5 * a.T).tobytes()
+    # on normal values and signed zeros it is the half-difference bit for
+    # bit: -G's diagonal is -0.0, and a zero pair keeps the sign of a - a.T
+    g = random_skew(6, np.random.default_rng(82))
+    zeros = np.array([[-0.0, -0.0, 0.0], [0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]])
+    for a in (g, -g, zeros, -zeros):
+        assert np.array_equal(a.T, -a)
+        assert linalg.as_skew(a).tobytes() == (0.5 * a - 0.5 * a.T).tobytes()
 
 
 def test_as_skew_rejects_symmetric_part():
