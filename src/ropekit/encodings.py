@@ -29,7 +29,8 @@ y-pair, a spherical triple's yaw and roll).  trivial2d, Mixed RoPE with each
 row's two frequencies tied, reads rope1d's table: ``_fold`` takes its
 coordinate sum ``p_x + p_y`` where positions enter the table route, so it
 turns and differentiates as rope1d at that sum.  A turn is the pair ``a +
-ib`` times the unit phasor ``exp(1j * theta)``; a spherical triple is two.
+ib`` times the unit phasor ``exp(1j * theta)``; a spherical triple is two,
+made in place on one copy of the tokens.
 ``SCHEMES``, the one registry, holds each scheme's block width and rotation;
 ``_turn``, behind ``Encoder.encode`` and the block rasters, turns by the
 table's form (a block raster, which stacks only its table block's
@@ -48,7 +49,12 @@ larger dim, keeps the phasors there, and a batch agrees with its
 single-position matrix encodes to rounding, not bit for bit).  An encoder
 keeps the operator of each distinct single position it encodes, read-only,
 within ``_STORE_BYTES`` (2 MiB) per encoder, and builds it again on every
-call once that budget is full.  Batched calls do not store.
+call once that budget is full.  Batched calls do not store.  So a
+one-position encode, of every scheme, is one store lookup, the route's
+product (fixed by the encoder: the registry's ``rotate``, or liere's
+``ndarray.dot`` with its matrix) and one finiteness test of the output.
+That test ends every encode, the free functions' too: a NaN or inf token
+or position, or an angle that overflows, raises ValueError.
 ``spherical``, the triple route's reference, keeps the paper's definition:
 per triple, the ordered product of two so(3) generator exponentials taken
 by ``linalg``, no phasors.
@@ -91,6 +97,9 @@ _STORE_BYTES = 2 << 20
 # one repeat pays for the matrix and the store keeps 1016 of them; at
 # n = 48 it takes four repeats and the store keeps 113.
 _MATRIX_MAX_DIM = 16
+
+# a dtype object views an array without converting a Python type first
+_COMPLEX = np.dtype(complex)
 
 
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
@@ -213,9 +222,12 @@ def _inputs(z, p, dim: int, axes: int):
     return z, p
 
 
-def _check_finite(out: np.ndarray) -> np.ndarray:
+def _check_finite(scheme: str, out: np.ndarray) -> np.ndarray:
+    """``out``, an encoding of ``scheme``, once ``linalg._finite`` holds: a
+    non-finite token, a non-finite position or an angle that overflows
+    makes some entry NaN or infinite, and raises ValueError here."""
     if not linalg._finite(out):
-        raise ValueError("liere encoding must be finite: non-finite token, position or angle")
+        raise ValueError(f"{scheme} encoding must be finite: non-finite token, position or angle")
     return out
 
 
@@ -271,21 +283,26 @@ def _rotate_pairs(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     # ``e`` is a named operand: numpy may reuse a large temporary as the
     # output and swap the operands, and the fused complex product is not
     # commutative
-    return (z.view(complex) * e).view(float)
+    return (z.view(_COMPLEX) * e).view(linalg._FLOAT64)
 
 
 def _rotate_triples(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Per triple ``(x0, x1, x2)`` of ``z``: roll the ``(x1, x2)`` plane by
     the phasor ``e[..., 2d + 1]``, then yaw the ``(x0, x1)`` plane by
-    ``e[..., 2d]``, each as one complex product."""
-    t = z.reshape(z.shape[:-1] + (z.shape[-1] // 3, 3))
-    roll = t[..., 1:].view(complex)[..., 0] * e[..., 1::2]
-    out = np.empty(roll.shape + (3,))
-    out[..., 0] = t[..., 0]
-    out[..., 1:].view(complex)[..., 0] = roll
-    yaw = out[..., :2].view(complex)[..., 0]
+    ``e[..., 2d]``, each one complex product in place on one copy of ``z``
+    at the broadcast leading shape (``z``'s own at one position, or when
+    the two leading shapes are equal, as in a raster's stack)."""
+    if e.ndim == 1 or e.shape[:-1] == z.shape[:-1]:
+        out = z.copy()
+    else:
+        out = np.empty(np.broadcast_shapes(z.shape[:-1], e.shape[:-1]) + z.shape[-1:])
+        out[...] = z
+    t = out.reshape(out.shape[:-1] + (z.shape[-1] // 3, 3))
+    roll = t[..., 1:].view(_COMPLEX)[..., 0]
+    roll *= e[..., 1::2]
+    yaw = t[..., :2].view(_COMPLEX)[..., 0]
     yaw *= e[..., 0::2]
-    return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
+    return out
 
 
 def _fold(scheme: str, p: np.ndarray) -> np.ndarray:
@@ -308,7 +325,7 @@ def _table_inputs(scheme: str, table: FrequencyTable, z, p):
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
     """``table`` turned by ``scheme``'s rotation, as its encoder turns it."""
     z, p = _table_inputs(scheme, table, z, p)
-    return SCHEMES[scheme].rotate(z, _phasors(_angles(table.pairs, p)))
+    return _check_finite(scheme, SCHEMES[scheme].rotate(z, _phasors(_angles(table.pairs, p))))
 
 
 def rope1d(z, p, table: FrequencyTable) -> np.ndarray:
@@ -356,8 +373,9 @@ def spherical(z, p, table: FrequencyTable) -> np.ndarray:
     This route is the paper's definition, each factor one stacked
     ``linalg`` exponential of a scaled generator, and is the reference that
     ``check_fast_path`` holds ``spherical_fast``, the encoders' route, to.
-    A non-finite angle raises ValueError: LAPACK's SVD does not return on
-    an infinite entry.
+    A non-finite angle raises ValueError before the exponentials: LAPACK's
+    SVD does not return on an infinite entry.  A non-finite token raises
+    at the output's finiteness test, as in every encode.
     """
     z, p = _table_inputs("spherical", table, z, p)
     yaw, roll = p[..., :1] * table.freqs[:, 0], p[..., 1:] * table.freqs[:, 1]
@@ -365,7 +383,7 @@ def spherical(z, p, table: FrequencyTable) -> np.ndarray:
         raise ValueError("spherical angles must be finite: non-finite or overflowing position")
     rot = linalg._exp_skew(yaw[..., None, None] * _YAW) @ linalg._exp_skew(roll[..., None, None] * _ROLL)
     out = rot @ z.reshape(z.shape[:-1] + (table.blocks, 3, 1))
-    return out.reshape(out.shape[:-3] + (3 * table.blocks,))
+    return _check_finite("spherical", out.reshape(out.shape[:-3] + (3 * table.blocks,)))
 
 
 def spherical_fast(z, p, table: FrequencyTable) -> np.ndarray:
@@ -382,7 +400,7 @@ def liere(z, p, generators) -> np.ndarray:
     depend on the position."""
     gens = linalg._skew_generators(generators)
     z, p = _inputs(z, p, gens[0].shape[0], len(gens))
-    return _check_finite((_rotation(p, gens) @ z[..., None])[..., 0])
+    return _check_finite("liere", (_rotation(p, gens) @ z[..., None])[..., 0])
 
 
 def _rotation(p, gens) -> np.ndarray:
@@ -400,15 +418,17 @@ def _rotation(p, gens) -> np.ndarray:
     return linalg._exp_skew(a)
 
 
-def _encode_liere(enc, z, op):
-    """Checked ``z`` turned by ``enc``'s operator ``op``: a rotation matrix
-    per position, or a reduced encoder's phasors (at a batch of positions,
-    or above dim ``_MATRIX_MAX_DIM``).  One token at one position is one
-    matrix-vector product."""
-    if op.dtype == complex:
-        basis = enc.reduction[0]
-        return _check_finite(_liere_reduced(z @ basis, op, basis))
-    return _check_finite(op @ z if op.ndim == 2 and z.ndim == 1 else (op @ z[..., None])[..., 0])
+def _encode_liere(enc, z, op, one: bool):
+    """Checked ``z`` turned by ``enc``'s operator ``op`` at one position
+    (``one``) or a batch of them: a rotation matrix per position, or a
+    reduced encoder's phasors (at a batch of positions, or at one above dim
+    ``_MATRIX_MAX_DIM``, where its reduction keeps no C-order basis).  The
+    encoder fixes the route, not ``op``'s dtype.  One token at one position
+    is one ``ndarray.dot``, bit for bit ``op @ z`` without its dispatch."""
+    r = enc.reduction
+    if r is None or one and r.rows is not None:
+        return op.dot(z) if one and z.ndim == 1 else (op @ z[..., None])[..., 0]
+    return _liere_reduced(z @ r.basis, op, r.basis)
 
 
 def _liere_reduced(y, e, basis: np.ndarray) -> np.ndarray:
@@ -424,16 +444,31 @@ def _liere_reduced(y, e, basis: np.ndarray) -> np.ndarray:
             + y[..., k2:] @ basis[:, k2:].T)
 
 
+class Reduction(NamedTuple):
+    """A liere encoder's commuting generators in their joint canonical form:
+    ``basis`` (F order, as ``linalg`` returns it) and ``freqs``, the pair
+    form of ``freqs``, and ``rows``, a C-order copy of ``basis`` whose rows'
+    pairs the one-position matrix build turns, kept up to dim
+    ``_MATRIX_MAX_DIM`` and None above it.  Every array is read-only."""
+
+    basis: np.ndarray
+    freqs: np.ndarray
+    pairs: tuple
+    rows: np.ndarray | None
+
+
 def _commuting_reduction(gens):
-    """The joint ``(basis, freqs)`` of pairwise-commuting skew generators and
-    the pair form of ``freqs``, or None when they do not commute or share no
-    block structure."""
+    """The ``Reduction`` of pairwise-commuting skew generators, or None when
+    they do not commute or share no block structure."""
     try:
         basis, freqs = linalg._joint_canonical_form(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
-    basis.flags.writeable = freqs.flags.writeable = False
-    return basis, freqs, _pair_form(freqs, 2)
+    rows = np.ascontiguousarray(basis) if len(basis) <= _MATRIX_MAX_DIM else None
+    for a in (basis, freqs, rows):
+        if a is not None:
+            a.flags.writeable = False
+    return Reduction(basis, freqs, _pair_form(freqs, 2), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -550,54 +585,61 @@ def _operator(enc, p, block=None) -> np.ndarray:
     ``basis`` from the right, so each row's pairs turn by ``R``'s
     transpose, the conjugate phasors.  The result is C-ordered, like the
     exponential route's matrices.  The pair turn views a row's pairs as
-    complex numbers, so it reads a C-order copy of the basis, which the
-    canonical form leaves in F order.  A batch, or one position at a
-    larger dim, keeps its phasors, so no (..., n, n) stack is built.  Any
-    leading shape; only the operator depends on the position."""
+    complex numbers, so it reads the reduction's C-order ``rows``, kept
+    only up to that dim.  A batch, or one position at a larger dim, keeps
+    its phasors, so no (..., n, n) stack is built.  Any leading shape; only
+    the operator depends on the position."""
     if enc.table is not None:
         pairs = enc.table.pairs if block is None else enc.table.block_pairs[block]
         return _phasors(_angles(pairs, _fold(enc.scheme, p)))
-    if enc.reduction is None:
+    r = enc.reduction
+    if r is None:
         return _rotation(p, enc.generators)
-    basis, _, pairs = enc.reduction
-    e = _phasors(_angles(pairs, p))
-    if p.ndim > 1 or len(basis) > _MATRIX_MAX_DIM:
+    e = _phasors(_angles(r.pairs, p))
+    if p.ndim > 1 or r.rows is None:
         return e
-    return _liere_reduced(np.ascontiguousarray(basis), e.conj(), basis)
+    return _liere_reduced(r.rows, e.conj(), r.basis)
 
 
-def _stored_operator(enc, p) -> np.ndarray:
-    """``_operator(enc, p)`` at one checked position ``p`` (axes,), kept
-    read-only in ``enc``'s store under the bytes of ``p``.  A miss builds
-    it, checks included, and stores it while the store's operator and key
+def _stored_operator(enc, key: bytes, p) -> np.ndarray:
+    """``_operator(enc, p)`` at one checked position ``p`` (axes,) that
+    ``enc``'s store does not hold under ``key``, the bytes of ``p``: built,
+    checks included, and kept read-only while the store's operator and key
     bytes stay within ``_STORE_BYTES``; a non-finite operator is never
     stored (``linalg._finite``: an operator's entries are at most 1 in
     size, so it never takes the elementwise fallback).  Threads that miss
     at once can each pass the budget check, so a shared encoder may hold
     one operator past it per extra thread; the first operator stored for a
     key stays, and every build of it is the same bits."""
-    key = p.tobytes()
-    op = enc._operators.get(key)
-    if op is None:
-        op = _operator(enc, p)
-        if (len(enc._operators) + 1) * (op.nbytes + len(key)) <= _STORE_BYTES and linalg._finite(op):
-            op.setflags(write=False)
-            op = enc._operators.setdefault(key, op)
+    op = _operator(enc, p)
+    if (len(enc._operators) + 1) * (op.nbytes + len(key)) <= _STORE_BYTES and linalg._finite(op):
+        op.setflags(write=False)
+        op = enc._operators.setdefault(key, op)
     return op
 
 
 def _turn(enc, z, p, block=None):
     """The one rotation routine, behind ``Encoder.encode`` and the block
     rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``'s
-    operator, a table scheme's through the registry's ``rotate``.  One
-    position with no block takes the stored operator.  With a table block
-    index ``block``, ``z`` holds only that block's coordinates and turns by
-    that block's pair form; every angle, phasor and product is elementwise,
-    so the result is bit for bit that block's slice of the whole encode."""
-    op = _stored_operator(enc, p) if block is None and p.ndim == 1 else _operator(enc, p, block)
-    if enc.table is None:
-        return _encode_liere(enc, z, op)
-    return SCHEMES[enc.scheme].rotate(z, op)
+    operator, a table scheme's through the registry's ``rotate``, a liere
+    encoder's through ``_encode_liere``, and the result held to one
+    finiteness test.  One position with no block is a store lookup, the
+    route's product and that test; a miss builds and maybe stores the
+    operator first.  With a table block index ``block``, ``z`` holds only
+    that block's coordinates and turns by that block's pair form; every
+    angle, phasor and product is elementwise, so the result is bit for bit
+    that block's slice of the whole encode."""
+    one = block is None and p.ndim == 1
+    if one:
+        key = p.tobytes()
+        op = enc._operators.get(key)
+        if op is None:
+            op = _stored_operator(enc, key, p)
+    else:
+        op = _operator(enc, p, block)
+    out = _encode_liere(enc, z, op, one) if enc.table is None else SCHEMES[enc.scheme].rotate(z, op)
+    # the raise is _check_finite's; a finite encode skips its call
+    return out if linalg._finite(out) else _check_finite(enc.scheme, out)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +656,9 @@ class Encoder:
     round-trips); liere takes ``generators`` only, stored antisymmetrised,
     and reads ``dim`` off them when it is None.
     The position-independent forms are derived on construction: ``axes``;
-    for liere with commuting generators ``reduction``, their ``(basis,
-    freqs)`` joint canonical form and the pair form of ``freqs``, so that
+    for liere with commuting generators ``reduction``, their ``Reduction``
+    (the ``(basis, freqs)`` joint canonical form, the pair form of ``freqs``
+    and, up to dim ``_MATRIX_MAX_DIM``, a C-order copy of the basis), so that
     a batched ``encode`` costs two matrix products and a pair turn instead
     of an exponential per position, and one position's rotation matrix
     ``basis @ R @ basis.T`` (up to dim ``_MATRIX_MAX_DIM``; above it one
@@ -628,9 +671,12 @@ class Encoder:
     batch at one position keeps that position's operator (the phasors, or
     the liere rotation matrix, whose hit is one matrix-vector product; a
     reduced encoder above dim ``_MATRIX_MAX_DIM`` keeps its phasors) and
-    reuses it the next time that position comes, bit for bit: at most ``_STORE_BYTES`` (2 MiB) of operators and
-    keys per encoder, after which new positions are built on every call and
-    nothing is evicted.  Batched positions build their operators every call.
+    reuses it the next time that position comes, bit for bit: at most
+    ``_STORE_BYTES`` (2 MiB) of operators and keys per encoder, after which
+    new positions are built on every call and nothing is evicted.  Batched
+    positions build their operators every call.  Every encode's output is
+    tested for finiteness: a NaN or inf token or position, or an angle that
+    overflows, raises ValueError.
     The store stays out of equality, hashing, the repr and configs.  A copy,
     deep copy or pickle rebuilds the encoder through its constructor: its
     arrays read-only again, its store empty and its own.
@@ -641,7 +687,7 @@ class Encoder:
     table: FrequencyTable | None = None
     base: float | None = None
     generators: tuple = field(default=None, repr=False)
-    reduction: tuple = field(init=False, default=None, repr=False, compare=False)
+    reduction: Reduction | None = field(init=False, default=None, repr=False, compare=False)
     axes: int = field(init=False, default=None, repr=False, compare=False)
     _operators: dict = field(init=False, default=None, repr=False, compare=False)
 

@@ -15,6 +15,7 @@ planes: it takes ``exp(A)`` from the real SVD ``A = U diag(s) V^T`` as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ ZERO_FREQ_RTOL = 1e-10     # lam <= ZERO_FREQ_RTOL * max(1, ||A||_F) counts as a
 JOINT_STRUCT_RTOL = 1e-6   # off-block bound (relative) for a joint canonical form
 _FLOAT64 = np.dtype(float)
 _INTEGER_TYPES = (int, np.integer)
+
+# np.vdot without its __array_function__ dispatch (NEP 18's
+# ``_implementation``), which this module's own ndarrays never need: about a
+# third of the call on one encoded token.  numpy without the attribute
+# keeps the dispatching function.
+_vdot = getattr(np.vdot, "_implementation", np.vdot)
 
 # generic mixing coefficients for the joint block-diagonalisation; if one
 # produces frequency collisions the structure test fails and the next is tried
@@ -102,8 +109,10 @@ def _finite(x: np.ndarray) -> bool:
     exactly as ``np.isfinite(x).all()``.  A finite sum of squared
     magnitudes, one BLAS call, has only finite terms; only an array whose
     sum is not (a non-finite entry, or squares that overflow) takes the
-    elementwise test."""
-    return np.vdot(x, x).real < np.inf or np.isfinite(x).all()
+    elementwise test.  ``np.vdot``, unlike ``dot`` or ``@``, does not warn
+    when squares overflow; ``_vdot`` skips its dispatch, and ``math.isfinite``
+    reads the numpy scalar without a numpy comparison."""
+    return math.isfinite(_vdot(x, x).real) or np.isfinite(x).all()
 
 
 def _skew_generators(generators) -> tuple:

@@ -602,6 +602,39 @@ def _ref_rotate_triples(z, angles):
     return out.reshape(x0.shape[:-1] + (3 * x0.shape[-1],))
 
 
+def _two_copy_rotate_triples(z, e):
+    """The triple turn before it worked in place: the roll as a fresh
+    product, then two strided copies into the output, then the yaw."""
+    t = z.reshape(z.shape[:-1] + (z.shape[-1] // 3, 3))
+    roll = t[..., 1:].view(complex)[..., 0] * e[..., 1::2]
+    out = np.empty(roll.shape + (3,))
+    out[..., 0] = t[..., 0]
+    out[..., 1:].view(complex)[..., 0] = roll
+    yaw = out[..., :2].view(complex)[..., 0]
+    yaw *= e[..., 0::2]
+    return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
+
+
+@pytest.mark.parametrize("lead_z, lead_e", [
+    ((), ()), ((0,), (0,)), ((5,), (5,)), ((2, 3), (2, 3)),  # a token per position
+    ((), (0,)), ((), (5,)), ((), (2, 3)),  # one token at a batch of positions
+    ((0,), ()), ((5,), ()), ((2, 3), ()),  # a batch of tokens at one position
+    ((2, 1), (1, 3)), (LARGE_LEAD, LARGE_LEAD), ((), LARGE_LEAD), (LARGE_LEAD, ()),
+])
+def test_the_in_place_triple_turn_is_the_two_copy_turn_bit_for_bit(lead_z, lead_e):
+    # one copy of the tokens at the broadcast leading shape, then the roll
+    # and the yaw in place; signed zeros, subnormal and huge entries included
+    rng = np.random.default_rng(91)
+    for blocks in (1, 4, 32):
+        shape = lead_z + (3 * blocks,)
+        z = rng.standard_normal(shape) * rng.choice([0.0, -0.0, 5e-324, 1.0, 1e300], shape)
+        e = E._phasors(rng.uniform(-1e3, 1e3, lead_e + (2 * blocks,)))
+        got, want = E._rotate_triples(z, e), _two_copy_rotate_triples(z, e)
+        assert got.shape == want.shape == np.broadcast_shapes(lead_z, lead_e) + (3 * blocks,)
+        assert got.tobytes() == want.tobytes()
+        assert z.flags.writeable and not np.shares_memory(got, z)
+
+
 def _ref_angle_matrix(freqs, block):
     """The (axes, angles) matrix ``W`` with angle ``j = sum_m p_m W[m, j]``:
     ``freqs.T`` for pairs; an axial quadruple or a spherical triple carries
@@ -624,7 +657,7 @@ def _ref_encode(enc, z, p):
     """``enc.encode`` through the real updates, and each entry's bound scale:
     the norm of its rotation block (the token for liere), at least 1."""
     if enc.scheme == "liere":
-        basis, freqs, _ = enc.reduction
+        basis, freqs = enc.reduction[:2]
         y = z @ basis
         k2 = 2 * len(freqs)
         out = (_ref_rotate_pairs(y[..., :k2], _ref_angles(p, freqs.T)) @ basis[:, :k2].T
@@ -1552,22 +1585,79 @@ OVERFLOWING = {"mixed": [1e308, 1e308], "trivial2d": [1e308, 1e308], "liere-rand
 
 @pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
 def test_a_non_finite_operator_is_never_stored(name):
-    # a liere route raises on every call; a table scheme has no finiteness
-    # check yet and gives the same non-finite encode on every call
+    # every route raises on every call, and the store keeps nothing
     enc = _fresh(STORE_ENCODERS[name])
     z = np.linspace(-1.0, 1.0, enc.dim)
     positions = [np.full(enc.axes, bad) for bad in NON_FINITE_POSITIONS]
     positions += [OVERFLOWING[name]] if name in OVERFLOWING else []
     for p in positions:
         for _ in range(3):
-            if enc.table is None:
-                with pytest.raises(ValueError, match="finite|overflows"), np.errstate(invalid="ignore", over="ignore"):
-                    enc.encode(z, p)
-            else:
-                with np.errstate(invalid="ignore", over="ignore"):
-                    out, want = enc.encode(z, p), _unstored(enc, z, p)
-                assert not np.isfinite(out).all() and out.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="finite|overflows"), np.errstate(invalid="ignore", over="ignore"):
+                enc.encode(z, p)
     assert not enc._operators
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the NaN or overflow first
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_a_non_finite_token_raises_on_every_route(name):
+    # at a stored position (one lookup, one product, one test), at a new
+    # one, in a token batch and at a batch of positions
+    enc = _fresh(STORE_ENCODERS[name])
+    rng = np.random.default_rng(88)
+    z, p = rng.standard_normal((3, enc.dim)), rng.uniform(-2.0, 2.0, (3, enc.axes))
+    enc.encode(z[0], p[0])
+    for bad in NON_FINITE_POSITIONS:
+        zb = z.copy()
+        zb[1, -1] = bad
+        for args in ((zb[1], p[0]), (zb[1], p[1]), (zb, p[0]), (zb, p), (zb[1], p)):
+            with pytest.raises(ValueError, match="encoding must be finite"):
+                enc.encode(*args)
+    assert list(enc._operators) == [p[0].tobytes(), p[1].tobytes()]
+
+
+TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)
+FREE_TABLE_FUNCTIONS = {**FREE_FUNCTIONS, "uniform": lambda z, p, table: E.uniform(z, p, table.freqs[0, 0])}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the NaN or overflow first
+@pytest.mark.parametrize("scheme", TABLE_SCHEMES)
+def test_every_table_route_rejects_a_non_finite_token_position_or_angle(scheme):
+    # a table of frequency 4, so that a coordinate of 1e308 overflows its
+    # angle: per token, batched, broadcast, through the free function, and
+    # for a bad token through the combined and the block raster
+    spec = E.SCHEMES[scheme]
+    table = FrequencyTable(spec.table, np.full((12 // spec.block, E.SCHEMES[spec.table].axes), 4.0))
+    enc = E.Encoder(scheme, 12, table)
+    rng = np.random.default_rng(89)
+    z, p = rng.standard_normal((4, 12)), rng.uniform(-2.0, 2.0, (4, enc.axes))
+    cases = []
+    for bad in NON_FINITE_POSITIONS:
+        zb, pb = z.copy(), p.copy()
+        zb[2, 0], pb[2] = bad, bad
+        cases += [(zb, p), (z, pb)]
+    po = p.copy()
+    po[2] = 1e308
+    cases.append((z, po))
+    free = FREE_TABLE_FUNCTIONS[scheme]
+    for zc, pc in cases:
+        for args in ((zc[2], pc[2]), (zc, pc), (zc[2], pc), (zc, pc[2])):
+            for encode in (enc.encode, lambda z, p: free(z, p, table)):
+                with pytest.raises(ValueError, match="finite"):
+                    encode(*args)
+    for bad in NON_FINITE_POSITIONS:
+        zb = z[0].copy()
+        zb[0] = bad
+        for block in (None, 0):
+            with pytest.raises(ValueError, match="encoding must be finite"):
+                A.render_pattern(enc, zb, z[1], 5, 4, block)
+            with pytest.raises(ValueError, match="encoding must be finite"):
+                A.render_pattern(enc, z[1], zb, 5, 4, block)
+    # only the finite position of a bad token is kept
+    assert list(enc._operators) == [p[2].tobytes()]
+    if scheme == "spherical":
+        for zc, pc in cases:
+            with pytest.raises(ValueError, match="finite"):
+                E.spherical(zc, pc, table)
 
 
 @pytest.mark.parametrize("make", [
@@ -1603,6 +1693,46 @@ def test_a_stored_liere_operator_is_its_read_only_rotation_matrix(name):
     rotation = linalg.matrix_exp(sum(c * g for c, g in zip(p, enc.generators)))
     assert np.max(np.abs(op - rotation)) <= V.FAST_PATH_TOL
     assert out.tobytes() == (op @ z).tobytes()
+
+
+@pytest.mark.parametrize("route", ["reduced", "exponential"])
+def test_a_stored_liere_hit_is_dot_bit_for_bit_matmul(route):
+    # a hit multiplies with ndarray.dot, np.dot's routine without its
+    # dispatch; it must give the bits of op @ z, one BLAS gemv either way
+    dims = range(2, E._MATRIX_MAX_DIM + 1) if route == "reduced" else [*range(1, 40), 48, 64, 96, 128]
+    for n in dims:
+        rng = np.random.default_rng(1000 + n)
+        gens = (V.commuting_generators(n, rng) if route == "reduced"
+                else [V.random_skew(n, rng), V.random_skew(n, rng)])
+        enc = E.make_encoder("liere", generators=gens)
+        if n > 2:  # any two skew generators of size 1 or 2 commute
+            assert (enc.reduction is None) == (route == "exponential")
+        z, p = rng.standard_normal((50, n)), rng.uniform(-3.0, 3.0, 2)
+        enc.encode(z[0], p)
+        (op,) = enc._operators.values()
+        assert op.shape == (n, n)
+        for zi in z:
+            want = (op @ zi).tobytes()
+            assert np.dot(op, zi).tobytes() == op.dot(zi).tobytes() == want
+            assert enc.encode(zi, p).tobytes() == want
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8, 16, 17, 48])
+def test_a_reduction_keeps_one_c_order_basis_up_to_the_matrix_dim(dim):
+    # a one-position miss builds basis @ R @ basis.T from the kept C-order
+    # rows, the bits of a build from a fresh C-order copy of the basis
+    rng = np.random.default_rng(84 + dim)
+    enc = E.make_encoder("liere", generators=V.commuting_generators(dim, rng))
+    r = enc.reduction
+    if dim > E._MATRIX_MAX_DIM:
+        assert r.rows is None
+        return
+    assert r.rows.flags.c_contiguous and not r.rows.flags.writeable
+    assert r.rows.tobytes() == np.ascontiguousarray(r.basis).tobytes()
+    for p in rng.uniform(-3.0, 3.0, (5, 2)):
+        e = E._phasors(E._angles(r.pairs, p))
+        want = E._liere_reduced(np.ascontiguousarray(r.basis), e.conj(), r.basis)
+        assert E._operator(enc, p).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", LIERE_STORE_ENCODERS)
@@ -1681,7 +1811,7 @@ def test_liere_encoder_arrays_are_read_only():
     commuting = E.make_encoder("liere", generators=_commuting_family(6, 2, rng))
     gens = [V.random_skew(5, rng), V.random_skew(5, rng)]
     random = E.make_encoder("liere", generators=gens)
-    arrays = [*commuting.generators, *commuting.reduction[:2], *random.generators]
+    arrays = [*commuting.generators, *commuting.reduction[:2], commuting.reduction.rows, *random.generators]
     arrays += [f for _, f in commuting.reduction[2]]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -1704,6 +1834,7 @@ def _own_arrays(obj):
     arrays = list(obj.generators or ())
     if obj.reduction is not None:
         arrays += [*obj.reduction[:2], *(f for _, f in obj.reduction[2])]
+        arrays += [] if obj.reduction.rows is None else [obj.reduction.rows]
     return arrays + (_own_arrays(obj.table) if obj.table is not None else [])
 
 
