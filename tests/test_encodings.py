@@ -615,12 +615,16 @@ def _two_copy_rotate_triples(z, e):
     return out.reshape(roll.shape[:-1] + (3 * roll.shape[-1],))
 
 
-@pytest.mark.parametrize("lead_z, lead_e", [
+TRIPLE_LEADS = [  # (tokens' leading shape, phasors' leading shape)
     ((), ()), ((0,), (0,)), ((5,), (5,)), ((2, 3), (2, 3)),  # a token per position
     ((), (0,)), ((), (5,)), ((), (2, 3)),  # one token at a batch of positions
     ((0,), ()), ((5,), ()), ((2, 3), ()),  # a batch of tokens at one position
     ((2, 1), (1, 3)), (LARGE_LEAD, LARGE_LEAD), ((), LARGE_LEAD), (LARGE_LEAD, ()),
-])
+]
+
+
+@pytest.mark.parametrize("lead_z, lead_e", TRIPLE_LEADS,
+                         ids=["-".join("x".join(map(str, s)) or "one" for s in leads) for leads in TRIPLE_LEADS])
 def test_the_in_place_triple_turn_is_the_two_copy_turn_bit_for_bit(lead_z, lead_e):
     # one copy of the tokens at the broadcast leading shape, then the roll
     # and the yaw in place; signed zeros, subnormal and huge entries included
