@@ -97,19 +97,21 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
                    block: int | None = None) -> AttentionPattern:
     """Score raster with the key at the origin and the query at each pixel.
 
-    ``width`` and ``height`` are positive integers.  ``block`` restricts the
-    dot product to that block's coordinates.  A table scheme's rotation
-    factors per axis, ``R(p_x, p_y) = R(p_x, 0) R(0, p_y)``, each factor
-    acting inside every block, so pixel ``(r, c)`` is ``R(0, y_r) z_q .
-    R(-x_c, 0) z_k`` on the block: ``height`` copies of the query at the row
-    offsets stacked over ``width`` copies of the key at the column offsets,
-    one encode of ``width + height`` tokens.  Every angle, phasor and product
-    is elementwise, so each factor is bit for bit the token's own encode.  A
-    pattern block (a pair, an axial quadruple's pair or a spherical triple)
-    lies in one table block, so a block raster stacks only that table
-    block's coordinates, ``(width + height, block width)``, and turns them
-    by the rotation routine ``encode`` uses: its pixels are bit for bit
-    those of the combined raster's factors on the block.
+    ``width`` and ``height`` are positive integers, and both vectors must be
+    finite, whether or not ``block`` reads their non-finite entries.
+    ``block`` restricts the dot product to that block's coordinates.  A
+    table scheme's rotation factors per axis, ``R(p_x, p_y) = R(p_x, 0) R(0,
+    p_y)``, each factor acting inside every block, so pixel ``(r, c)`` is
+    ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: ``height`` copies of
+    the query at the row offsets stacked over ``width`` copies of the key at
+    the column offsets, one encode of ``width + height`` tokens.  Every
+    angle, phasor and product is elementwise, so each factor is bit for bit
+    the token's own encode.  A pattern block (a pair, an axial quadruple's
+    pair or a spherical triple) lies in one table block, so a block raster
+    stacks only that table block's coordinates, ``(width + height, block
+    width)``, and turns them by the rotation routine ``encode`` uses: its
+    pixels are bit for bit those of the combined raster's factors on the
+    block.
     liere generators need not commute, and a liere block is not invariant
     under the rotation, so a liere encoder encodes the query at every pixel
     and the key at the origin, in two encodes: stacked in one, the reduced
@@ -123,6 +125,10 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     if z_q.shape != (encoder.dim,) or z_k.shape != (encoder.dim,):
         raise ValueError(f"pattern rendering takes one query and one key vector of length {encoder.dim}, "
                          f"got shapes {z_q.shape} and {z_k.shape}")
+    # the encoders' finiteness test on both whole vectors, since a block
+    # raster turns only its own block's coordinates
+    for z in (z_q, z_k):
+        encodings._check_finite(encoder.scheme, z)
     positions = make_grid(height, width).positions[..., :encoder.axes]
     sl = slice(None) if block is None else encoder.pattern_slice(block)
     if encoder.table is None:

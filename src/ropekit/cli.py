@@ -62,8 +62,6 @@ def _write_pgm(path: str, values: np.ndarray) -> None:
 
 
 def _cmd_pattern(args) -> int:
-    if args.width < 1 or args.height < 1:
-        raise ValueError("--width and --height must be at least 1")
     enc = _load_encoder(args)
     rng = _pattern_rng(args.seed)
     z_q = _unit_draw(rng, enc.dim)

@@ -37,10 +37,11 @@ table's form (a block raster, which stacks only its table block's
 coordinates, by that block's form, which the table builds on its first block
 raster; a reduced liere encoder by its joint table's, kept in its
 ``reduction``), and the free functions and ``grad_frequencies`` read their
-table's, so only ``make_encoder`` builds an ``Encoder``.  Encoders take
-tokens (..., dim) at positions (..., axes), the leading shapes broadcasting;
-``grad_frequencies`` takes the same shapes and differentiates the same
-products.  A turn depends on the position alone, never on the token, so
+table's, so none of them builds an ``Encoder``.  ``Encoder`` itself holds
+every construction rule and default, and ``make_encoder`` forwards to it.
+Encoders take tokens (..., dim) at positions (..., axes), the leading
+shapes broadcasting; ``grad_frequencies`` takes the same shapes and
+differentiates the same products.  A turn depends on the position alone, never on the token, so
 ``_turn`` applies a position operator built by ``_operator``: the
 phasors, or for liere one position's ``n x n`` rotation matrix on either
 route (a reduced encoder's ``basis @ R @ basis.T``, from its phasors with no
@@ -195,7 +196,7 @@ class FrequencyTable:
         if dim < block or dim % block != 0:
             raise ValueError(f"{scheme} needs dim divisible by {block}, got {dim}")
         blocks = dim // block
-        if scheme == "uniform":
+        if SCHEMES[scheme].shared:
             f = np.full((blocks, 2), linalg._real_scalar(uniform_freq, "uniform_freq"))
         else:
             sched = frequency_schedule(blocks, base)
@@ -222,12 +223,13 @@ def _inputs(z, p, dim: int, axes: int):
     return z, p
 
 
-def _check_finite(scheme: str, out: np.ndarray) -> np.ndarray:
-    """``out``, an encoding of ``scheme``, once ``linalg._finite`` holds: a
-    non-finite token, a non-finite position or an angle that overflows
-    makes some entry NaN or infinite, and raises ValueError here."""
+def _check_finite(scheme: str, out: np.ndarray, what: str = "encoding") -> np.ndarray:
+    """``out``, an encoding of ``scheme`` (or another ``what``), once
+    ``linalg._finite`` holds: a non-finite token, a non-finite position or
+    an angle that overflows makes some entry NaN or infinite, and raises
+    ValueError here."""
     if not linalg._finite(out):
-        raise ValueError(f"{scheme} encoding must be finite: non-finite token, position or angle")
+        raise ValueError(f"{scheme} {what} must be finite: non-finite token, position or angle")
     return out
 
 
@@ -523,7 +525,9 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
     pair.  For the uniform scheme every entry equals the chain-rule total for
     the one shared parameter; trivial2d's is rope1d's gradient at ``p_x +
     p_y`` on its rope1d table.  Only liere, which has no frequency table, is
-    unsupported.
+    unsupported.  As every encode does, it ends in one finiteness test: a
+    NaN or inf token or position, or an angle or product that overflows,
+    raises ValueError.
     """
     spec = SCHEMES.get(scheme)
     if spec is None or spec.grad is None:
@@ -533,8 +537,8 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
     g = spec.grad(table, zq, zk, pq, pk)
     g = g.reshape(g.shape[:-2] + table.freqs.shape)
     if spec.shared:
-        return np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
-    return g
+        g = np.broadcast_to(g.sum(axis=(-2, -1))[..., None, None], g.shape).copy()
+    return _check_finite(scheme, g, "frequency gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +655,16 @@ def _turn(enc, z, p, block=None):
 class Encoder:
     """A scheme bound to its parameters, exposing ``encode(z, p)``.
 
-    A table scheme takes an explicit ``table`` or a ``base``, from which it
-    builds the schedule table itself (``base`` is kept for exact config
-    round-trips); liere takes ``generators`` only, stored antisymmetrised,
-    and reads ``dim`` off them when it is None.
+    The one place that decides what a scheme takes and what it defaults to;
+    ``make_encoder`` forwards here.  A table scheme takes an explicit
+    ``table`` or a ``base``, from which it builds the schedule table itself
+    (``base`` is kept for exact config round-trips), and given neither takes
+    its schedule at ``DEFAULT_BASE``, so ``Encoder(scheme, dim)`` is the
+    default encoder; a shared-table scheme (uniform) takes no ``base``, and
+    its default table holds the one frequency 1.0.  liere takes
+    ``generators`` only, stored antisymmetrised, and reads ``dim`` off them
+    when it is None.  A parameter its scheme does not take raises
+    ValueError.
     The position-independent forms are derived on construction: ``axes``;
     for liere with commuting generators ``reduction``, their ``Reduction``
     (the ``(basis, freqs)`` joint canonical form, the pair form of ``freqs``
@@ -696,9 +706,9 @@ class Encoder:
         if spec is None:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         object.__setattr__(self, "_operators", {})
-        if self.dim is not None or self.scheme != "liere":
+        if self.dim is not None or spec.table is not None:
             object.__setattr__(self, "dim", linalg._integer("dim", self.dim))
-        if self.scheme == "liere":
+        if spec.table is None:
             if self.table is not None or self.base is not None:
                 raise ValueError("liere takes generators, not a table or base")
             gens = linalg._skew_generators(self.generators)
@@ -716,14 +726,16 @@ class Encoder:
             raise ValueError("only liere takes generators")
         if self.dim < spec.block or self.dim % spec.block != 0:
             raise ValueError(f"{self.scheme} needs dim divisible by {spec.block}, got {self.dim}")
-        if self.base is not None:
-            if self.scheme == "uniform":
-                raise ValueError("uniform reads a uniform table, not base")
-            object.__setattr__(self, "base", linalg._real_scalar(self.base, "base"))
-            table = FrequencyTable.fixed(spec.table, self.dim, base=self.base)
+        if self.base is not None and spec.shared:
+            raise ValueError(f"{self.scheme} reads a uniform table, not base")
+        if self.base is not None or self.table is None:
+            # a shared table ignores the base: its default is one frequency 1.0
+            base = DEFAULT_BASE if self.base is None else linalg._real_scalar(self.base, "base")
+            table = FrequencyTable.fixed(spec.table, self.dim, base=base)
             if self.table is not None and self.table != table:
                 raise ValueError("pass either base or an explicit table, not both")
             object.__setattr__(self, "table", table)
+            object.__setattr__(self, "base", None if spec.shared else base)
         _check_table(self.scheme, self.table)
         if self.table.blocks != self.dim // spec.block:
             raise ValueError(f"table has {self.table.blocks} blocks, "
@@ -733,7 +745,7 @@ class Encoder:
     @property
     def uniform_freq(self) -> float | None:
         """The one shared frequency of a uniform encoder's table, else None."""
-        return float(self.table.freqs[0, 0]) if self.scheme == "uniform" else None
+        return float(self.table.freqs[0, 0]) if SCHEMES[self.scheme].shared else None
 
     # by value, leaving out the derived fields; generators enter the hash by
     # count only, for the same reason as FrequencyTable's
@@ -776,36 +788,30 @@ class Encoder:
 def make_encoder(scheme: str, dim: int = None, *, base: float = None,
                  table: FrequencyTable = None, uniform_freq: float = None,
                  generators=None) -> Encoder:
-    """Build an Encoder from a scheme name plus the parameters that apply.
-
-    Table schemes take ``dim`` with either ``base`` (schedule, the default) or
-    an explicit ``table``; uniform takes ``uniform_freq`` only; liere takes
-    skew ``generators`` only and infers ``dim`` from them.  A parameter the
-    scheme does not take raises ValueError.
+    """``Encoder(scheme, dim, table, base, generators)``, which checks every
+    parameter and sets every default, plus the one parameter it has no field
+    for: a shared-table scheme (uniform) takes ``uniform_freq``, and neither
+    ``base`` nor ``table``, and builds its uniform table from it.
+    ``uniform_freq`` on another scheme raises ValueError.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if uniform_freq is not None and scheme != "uniform":
+    spec = SCHEMES.get(scheme)
+    if spec is not None and spec.shared:
+        if base is not None or table is not None:
+            raise ValueError(f"{scheme} takes 'uniform_freq' only")
+        if uniform_freq is not None:
+            table = FrequencyTable.fixed(spec.table, dim, uniform_freq=uniform_freq)
+    elif uniform_freq is not None:
         raise ValueError("'uniform_freq' only applies to the uniform scheme")
-    if scheme != "liere":
-        if dim is None:
-            raise ValueError(f"{scheme} needs an explicit dim")
-        if scheme == "uniform":
-            if base is not None or table is not None:
-                raise ValueError("uniform takes 'uniform_freq' only")
-            uf = 1.0 if uniform_freq is None else uniform_freq
-            table = FrequencyTable.fixed("uniform", dim, uniform_freq=uf)
-        elif table is None and base is None:
-            base = DEFAULT_BASE
     return Encoder(scheme, dim, table, base, generators)
 
 
 def encoder_to_config(enc: Encoder) -> dict:
     """The JSON-serialisable description of a (non-liere) encoder."""
-    if enc.scheme == "liere":
-        raise ValueError("liere encoders have no JSON config form (matrix-valued parameters)")
+    spec = SCHEMES[enc.scheme]
+    if spec.table is None:
+        raise ValueError(f"{enc.scheme} encoders have no JSON config form (matrix-valued parameters)")
     cfg = {"scheme": enc.scheme, "dim": enc.dim, "axes": enc.axes}
-    if enc.scheme == "uniform":
+    if spec.shared:
         cfg["uniform_freq"] = enc.uniform_freq
     elif enc.base is not None:
         cfg["base"] = enc.base
@@ -824,15 +830,12 @@ def encoder_from_config(cfg: dict) -> Encoder:
     if "scheme" not in cfg or "dim" not in cfg:
         raise ValueError("config needs at least 'scheme' and 'dim'")
     scheme = cfg["scheme"]
-    if scheme not in SCHEMES or SCHEMES[scheme].table is None:
+    spec = SCHEMES.get(scheme) if isinstance(scheme, str) else None
+    if spec is None or spec.table is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if "axes" in cfg and cfg["axes"] != SCHEMES[scheme].axes:
-        raise ValueError(f"{scheme} has {SCHEMES[scheme].axes} axes, config says {cfg['axes']}")
-    table = None
-    if "freqs" in cfg:
-        table = FrequencyTable(SCHEMES[scheme].table, cfg["freqs"])
-    # make_encoder checks dim and decides which of base, table and uniform_freq
-    # the scheme takes
+    if "axes" in cfg and cfg["axes"] != spec.axes:
+        raise ValueError(f"{scheme} has {spec.axes} axes, config says {cfg['axes']}")
+    table = FrequencyTable(spec.table, cfg["freqs"]) if "freqs" in cfg else None
     return make_encoder(scheme, cfg["dim"], base=cfg.get("base"), table=table, uniform_freq=cfg.get("uniform_freq"))
 
 

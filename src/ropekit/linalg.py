@@ -317,9 +317,12 @@ def matrix_exp(a) -> np.ndarray:
 
     A real skew ``a`` has ``a @ a = -a.T @ a``, so ``exp(a) = cos|a| +
     a sinc|a|`` with ``|a| = sqrt(a.T @ a)``; with ``a = U diag(s) V^T`` that
-    is ``exp(a) = (V diag(cos s) + U diag(sin s)) V^T``.  The result is
-    orthogonal with determinant +1.  Raises ValueError when the 2-norm
-    ``||a||_2 = s_max`` overflows (finite entries near 1e308).
+    is ``exp(a) = (V diag(cos s) + U diag(sin s)) V^T``.  The result is a
+    rotation to within its orthogonality error: about ``eps`` at any norm
+    when ``a``'s rotation frequencies are distinct, but only about ``eps *
+    ||a||_2`` when one repeats (four or more equal singular values), as
+    ``_exp_skew`` says.  Raises ValueError when the 2-norm ``||a||_2 =
+    s_max`` overflows (finite entries near 1e308).
     """
     return _exp_skew(as_skew(a))
 
@@ -334,7 +337,13 @@ def _exp_skew(a: np.ndarray) -> np.ndarray:
     that by about ``eps * ||a||``, and so would the orthogonality of the
     result: 3e-10 at ``||a||_2 = 1e6``.  So each pair takes its first value,
     and values at numpy's ``matrix_rank`` tolerance ``n * eps * s_max`` are
-    zero; both moves are within the decomposition's own rounding.  Every
+    zero; both moves are within the decomposition's own rounding.  That
+    keeps the result orthogonal to about ``eps`` at any norm while the
+    frequencies are distinct.  A repeated frequency is a cluster of four or
+    more equal values, inside which pairing the sorted values does not line
+    the planes up, so there the result is orthogonal only to about ``eps *
+    ||a||_2``: 3e-10 at 1e6 and 1.6e-6 at 1e10 for an n = 8 generator with
+    frequencies (1, 1, 0.5, 0) in a random basis.  Every
     step after the ``svd`` is elementwise or per matrix, so a matrix's
     exponential does not depend on its stack.  A 2-norm that overflows
     (``s_max = inf``) raises ValueError before ``cos(inf)`` makes NaN.
@@ -353,8 +362,13 @@ def matrix_exp_series(a, term_tol: float = 1e-16) -> np.ndarray:
 
     The argument is halved ``s = max(0, ceil(log2 ||a||_F))`` times, the Taylor
     series is summed until a term's Frobenius norm drops below ``term_tol``,
-    and the result is squared ``s`` times.  Raises ValueError when
-    ``||a||_F`` overflows (finite entries near 1e154 or larger).
+    and the result is squared ``s`` times.  Each squaring doubles the
+    rounding error, so the result is orthogonal only to about ``eps *
+    ||a||_F`` (1e-10 at 1e6): it is no rotation past ``||a||_F`` of about
+    1e14 (1e-2 off), and from about 1e18 its squaring overflows with a
+    RuntimeWarning.  It raises ValueError only when ``||a||_F`` itself
+    overflows (finite entries near 1e154 or larger), so the reference is
+    meant for moderate norms: the tests use it at ``||a||_2 <= 1e3``.
     """
     a = as_skew(a)
     n = a.shape[0]

@@ -401,6 +401,22 @@ def test_pattern_size_errors_name_width_and_height(name, bad):
                                   A.render_pattern(enc, z, z, 3, 2).values)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the NaN or overflow first
+@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pattern_rejects_a_non_finite_vector_for_every_block(name, bad):
+    # the combined raster and every block raster, whether or not the block
+    # holds the bad entry: a block raster turns its own coordinates only
+    enc = PATTERN_ENCODERS[name]
+    z = np.linspace(-1.0, 1.0, enc.dim)
+    zb = z.copy()
+    zb[5 % enc.dim] = bad
+    for block in [None, *range(enc.pattern_blocks)]:
+        for zq, zk in ((zb, z), (z, zb)):
+            with pytest.raises(ValueError, match="encoding must be finite"):
+                A.render_pattern(enc, zq, zk, 5, 4, block)
+
+
 def test_pattern_rejects_batched_vectors():
     enc = E.make_encoder("axial", 8)
     with pytest.raises(ValueError):

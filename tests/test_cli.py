@@ -174,6 +174,25 @@ def test_pattern_malformed_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("scheme", [["mixed"], {"mixed": 1}, 2, None, "liere"])
+def test_pattern_config_with_a_scheme_that_is_no_table_scheme_name_exits_2(tmp_path, capsys, scheme):
+    # an unhashable scheme is a config error, not a check failure with a traceback
+    cfg = tmp_path / "enc.json"
+    cfg.write_text(json.dumps({"scheme": scheme, "dim": 8}))
+    code, _, err = run_cli(["pattern", "--config", str(cfg), "-o", str(tmp_path / "p.pgm")], capsys)
+    assert code == 2
+    assert err == f"error: unknown scheme {scheme!r}\n"
+
+
+@pytest.mark.parametrize("flag", ["--width", "--height"])
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_pattern_size_below_one_exits_2_naming_it(tmp_path, capsys, flag, size):
+    code, _, err = run_cli(["pattern", "--scheme", "mixed", flag, size, "-o", str(tmp_path / "p.pgm")], capsys)
+    assert code == 2
+    assert err == f"error: {flag[2:]} must be a positive integer, got {size}\n"
+    assert not (tmp_path / "p.pgm").exists()
+
+
 def test_pattern_unwritable_path_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["pattern", "--scheme", "axial", "--dim", "8",
                             "-o", str(tmp_path / "missing" / "deep" / "p.pgm")], capsys)

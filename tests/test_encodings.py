@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import sys
 import threading
@@ -1662,6 +1663,68 @@ def test_every_table_route_rejects_a_non_finite_token_position_or_angle(scheme):
         for zc, pc in cases:
             with pytest.raises(ValueError, match="finite"):
                 E.spherical(zc, pc, table)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the NaN or overflow first
+@pytest.mark.parametrize("scheme", TABLE_SCHEMES)
+def test_grad_frequencies_rejects_a_non_finite_token_position_or_angle(scheme):
+    # as every encode of the same inputs does: a NaN token, an inf position
+    # and, on a frequency-4 table, a coordinate of 1e308 whose angle
+    # overflows, on either side of the score, per token and batched
+    spec = E.SCHEMES[scheme]
+    table = FrequencyTable(spec.table, np.full((12 // spec.block, E.SCHEMES[spec.table].axes), 4.0))
+    enc = E.Encoder(scheme, 12, table)
+    rng = np.random.default_rng(90)
+    z, p = rng.standard_normal((2, 12)), rng.uniform(-2.0, 2.0, (2, spec.axes))
+    assert np.isfinite(E.grad_frequencies(scheme, z[0], z[1], p[0], p[1], table)).all()
+    nan_token, inf_position, far_position = z[0].copy(), p[0].copy(), p[0].copy()
+    nan_token[3], inf_position[-1], far_position[-1] = np.nan, np.inf, 1e308
+    for zb, pb in ((nan_token, p[0]), (z[0], inf_position), (z[0], far_position)):
+        with pytest.raises(ValueError, match="encoding must be finite"):
+            enc.encode(zb, pb)
+        for args in ((zb, z[1], pb, p[1]), (z[1], zb, p[1], pb),
+                     (np.stack([z[1], zb]), z[1], np.stack([p[1], pb]), p[1])):
+            with pytest.raises(ValueError, match=f"^{scheme} frequency gradient must be finite"):
+                E.grad_frequencies(scheme, *args, table)
+
+
+def _built_or_refused(build):
+    """What ``build()`` returns, or the text of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("scheme", sorted(E.SCHEMES))
+def test_make_encoder_is_the_encoder_plus_uniform_freq(scheme):
+    # Encoder makes every check and sets every default; make_encoder adds
+    # only uniform_freq and the rule that a shared table scheme takes
+    # nothing else.  Every other case builds equal encoders or raises the
+    # same ValueError text both ways.
+    spec = E.SCHEMES[scheme]
+    if spec.table is not None:
+        default = E.Encoder(scheme, 12)
+        assert default == E.make_encoder(scheme, 12) and default.table == FrequencyTable.fixed(spec.table, 12)
+        assert default.base == (None if spec.shared else E.DEFAULT_BASE)
+    given = {"base": 50.0, "table": FrequencyTable.fixed(spec.table or "rope1d", 12), "uniform_freq": 2.0,
+             "generators": _commuting_family(12, 2, np.random.default_rng(91))}
+    for dim in (12, None):
+        for chosen in itertools.product((False, True), repeat=len(given)):
+            kw = {name: value for (name, value), on in zip(given.items(), chosen) if on}
+            made = _built_or_refused(lambda: E.make_encoder(scheme, dim, **kw))
+            uniform_freq = kw.pop("uniform_freq", None)
+            if spec.shared and ("base" in kw or "table" in kw):
+                assert made == "uniform takes 'uniform_freq' only"
+            elif uniform_freq is not None and not spec.shared:
+                assert made == "'uniform_freq' only applies to the uniform scheme"
+            else:
+                def direct():
+                    if uniform_freq is not None:  # the uniform table it stands for
+                        kw["table"] = FrequencyTable.fixed(spec.table, dim, uniform_freq=uniform_freq)
+                    return E.Encoder(scheme, dim, **kw)
+                direct = _built_or_refused(direct)
+                assert type(made) is type(direct) and made == direct, (dim, chosen, made, direct)
 
 
 @pytest.mark.parametrize("make", [
