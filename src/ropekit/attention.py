@@ -104,14 +104,17 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     p_y)``, each factor acting inside every block, so pixel ``(r, c)`` is
     ``R(0, y_r) z_q . R(-x_c, 0) z_k`` on the block: ``height`` copies of
     the query at the row offsets stacked over ``width`` copies of the key at
-    the column offsets, one encode of ``width + height`` tokens.  Every
-    angle, phasor and product is elementwise, so each factor is bit for bit
-    the token's own encode.  A pattern block (a pair, an axial quadruple's
-    pair or a spherical triple) lies in one table block, so a block raster
-    stacks only that table block's coordinates, ``(width + height, block
-    width)``, and turns them by the rotation routine ``encode`` uses: its
-    pixels are bit for bit those of the combined raster's factors on the
-    block.
+    the column offsets, one encode of ``width + height`` tokens.  The
+    offsets are the ``make_grid`` lattice's axes ``ys`` and ``-xs``; a table
+    raster never builds the lattice's ``positions``.  Every angle, phasor
+    and product is elementwise, so each factor is bit for bit the token's
+    own encode, and the pixels are one ``np.vecdot`` of the rows with the
+    columns: each is the dot product ``score`` takes of its two factors.
+    A pattern block (a pair, an axial quadruple's pair or a spherical
+    triple) lies in one table block, so a block raster stacks only that
+    table block's coordinates, ``(width + height, block width)``, and turns
+    them by the rotation routine ``encode`` uses: its pixels are bit for bit
+    those of the combined raster's factors on the block.
     liere generators need not commute, and a liere block is not invariant
     under the rotation, so a liere encoder encodes the query at every pixel
     and the key at the origin, in two encodes: stacked in one, the reduced
@@ -127,19 +130,21 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
                          f"got shapes {z_q.shape} and {z_k.shape}")
     # the encoders' finiteness test on both whole vectors, since a block
     # raster turns only its own block's coordinates
-    for z in (z_q, z_k):
-        encodings._check_finite(encoder.scheme, z)
-    positions = make_grid(height, width).positions[..., :encoder.axes]
+    if not (_finite(z_q) and _finite(z_k)):
+        for z in (z_q, z_k):
+            encodings._check_finite(encoder.scheme, z)
+    grid = make_grid(height, width)
     sl = slice(None) if block is None else encoder.pattern_slice(block)
     if encoder.table is None:
-        q, k = encoder.encode(z_q, positions), encoder.encode(z_k, (0.0,) * encoder.axes)
+        q = encoder.encode(z_q, grid.positions[..., :encoder.axes])
+        k = encoder.encode(z_k, (0.0,) * encoder.axes)
     else:
         # the query at each row's (0, y_r) stacked over the key at each
         # column's (-x_c, 0); a one-axis encoder has no y factor, so its
         # query rows are z_q itself
         at = np.zeros((height + width, encoder.axes))
-        at[:height, 1:] = positions[:, 0, 1:]
-        at[height:, 0] = -positions[0, :, 0]
+        at[:height, 1:] = grid.ys[:, None]
+        at[height:, 0] = -grid.xs
         if block is None:
             own, size = 0, encoder.dim
         else:  # only the table block holding the pattern block, from its first coordinate
@@ -150,10 +155,10 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
         z[:height], z[height:] = z_q[own:own + size], z_k[own:own + size]
         f = encoder.encode(z, at) if block is None else encodings._turn(encoder, z, at, own // size)
         q, k = f[:height, None], f[height:]
-    # a stack of (1, k) @ (k, 1) products, not one matrix product: each pixel
-    # is the dot product that scoring its two factors alone would compute, so
-    # equal factors give exactly equal pixels
-    values = (q[..., None, sl] @ k[..., sl, None])[..., 0, 0]
+    # one dot product per pixel, not one matrix product: each pixel is the
+    # dot product that scoring its two factors alone would compute, so equal
+    # factors give exactly equal pixels
+    values = np.vecdot(q[..., sl], k[..., sl])
     if not _finite(values):
         raise ValueError("pattern values must be finite")
     return AttentionPattern(width, height, values, encoder.scheme, block)

@@ -116,9 +116,9 @@ def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
     return base ** (-2.0 * d / blocks)
 
 
-def _is_table_scheme(scheme: str) -> bool:
+def _is_table_scheme(scheme) -> bool:
     """Whether ``scheme`` names a frequency-table layout of its own."""
-    return scheme in SCHEMES and SCHEMES[scheme].table == scheme
+    return isinstance(scheme, str) and scheme in SCHEMES and SCHEMES[scheme].table == scheme
 
 
 @dataclass(frozen=True)
@@ -529,8 +529,8 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
     NaN or inf token or position, or an angle or product that overflows,
     raises ValueError.
     """
-    spec = SCHEMES.get(scheme)
-    if spec is None or spec.grad is None:
+    spec = _spec(scheme)
+    if spec.grad is None:
         raise ValueError(f"grad_frequencies does not support scheme {scheme!r}")
     zq, pq = _table_inputs(scheme, table, z_q, p_q)
     zk, pk = _table_inputs(scheme, table, z_k, p_k)
@@ -577,6 +577,15 @@ SCHEMES = {
     "uniform": Scheme(4, 2, 2, "uniform", _rotate_pairs, _grad_pairs, True, True),
     "liere": Scheme(None, 2, None, None, None, None, False, None),
 }
+
+
+def _spec(scheme) -> Scheme:
+    """The registry entry of ``scheme``; a name that is not registered, or
+    no string at all (an unhashable list included), raises ValueError."""
+    spec = SCHEMES.get(scheme) if isinstance(scheme, str) else None
+    if spec is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return spec
 
 
 def _operator(enc, p, block=None) -> np.ndarray:
@@ -702,9 +711,7 @@ class Encoder:
     _operators: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        spec = SCHEMES.get(self.scheme)
-        if spec is None:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        spec = _spec(self.scheme)
         object.__setattr__(self, "_operators", {})
         if self.dim is not None or spec.table is not None:
             object.__setattr__(self, "dim", linalg._integer("dim", self.dim))
@@ -794,8 +801,8 @@ def make_encoder(scheme: str, dim: int = None, *, base: float = None,
     ``base`` nor ``table``, and builds its uniform table from it.
     ``uniform_freq`` on another scheme raises ValueError.
     """
-    spec = SCHEMES.get(scheme)
-    if spec is not None and spec.shared:
+    spec = _spec(scheme)
+    if spec.shared:
         if base is not None or table is not None:
             raise ValueError(f"{scheme} takes 'uniform_freq' only")
         if uniform_freq is not None:
@@ -830,8 +837,8 @@ def encoder_from_config(cfg: dict) -> Encoder:
     if "scheme" not in cfg or "dim" not in cfg:
         raise ValueError("config needs at least 'scheme' and 'dim'")
     scheme = cfg["scheme"]
-    spec = SCHEMES.get(scheme) if isinstance(scheme, str) else None
-    if spec is None or spec.table is None:
+    spec = _spec(scheme)
+    if spec.table is None:
         raise ValueError(f"unknown scheme {scheme!r}")
     if "axes" in cfg and cfg["axes"] != spec.axes:
         raise ValueError(f"{scheme} has {spec.axes} axes, config says {cfg['axes']}")

@@ -9,6 +9,7 @@ axis by the size ratio, so a grid twice as wide covers [-2*pi, 2*pi] in x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,18 +36,31 @@ def _axis_coords(n: int, train_n: int) -> np.ndarray:
 class PatchGrid:
     """Immutable lattice of 2D positions, row-major with row 0 at the top.
 
-    ``positions[i, j]`` is ``(p_x, p_y)`` for the patch in row i, column j;
-    p_x varies along columns and p_y along rows.
+    ``xs[j]`` is p_x of column j and ``ys[i]`` is p_y of row i, both
+    read-only; a square lattice at its own size holds one array as both.
+    ``positions[i, j]`` is ``(p_x, p_y)`` for the patch in row i, column j,
+    a read-only (rows, cols, 2) array built from the axes on its first read
+    and then kept.
     """
 
     rows: int
     cols: int
     train_rows: int
     train_cols: int
-    positions: np.ndarray  # (rows, cols, 2)
+    xs: np.ndarray  # (cols,)
+    ys: np.ndarray  # (rows,)
 
     def __post_init__(self):
-        self.positions.setflags(write=False)
+        self.xs.setflags(write=False)
+        self.ys.setflags(write=False)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        positions = np.empty((self.rows, self.cols, 2))
+        positions[:, :, 0] = self.xs[None, :]
+        positions[:, :, 1] = self.ys[:, None]
+        positions.setflags(write=False)
+        return positions
 
 
 def make_grid(rows: int, cols: int, train_rows: int | None = None,
@@ -55,9 +69,11 @@ def make_grid(rows: int, cols: int, train_rows: int | None = None,
 
     The reference size defaults to the actual size, giving the plain
     [-pi, pi]^2 lattice; a reference size is checked only when it is
-    passed.  Equal axes (the same size at the same reference size, as on a
-    square lattice at its own size) share one ``_axis_coords`` array: the
-    same call on the same arguments gives the same bits.
+    passed.  Only the two axes are built: equal axes (the same size at the
+    same reference size, as on a square lattice at its own size) share one
+    ``_axis_coords`` array, and the (rows, cols, 2) ``positions`` array is
+    filled on its first read.  The same call on the same arguments gives
+    the same bits.
     """
     what = "a positive integer"
     rows, cols = _integer("rows", rows, 1, what=what), _integer("cols", cols, 1, what=what)
@@ -65,7 +81,4 @@ def make_grid(rows: int, cols: int, train_rows: int | None = None,
     train_cols = cols if train_cols is None else _integer("train_cols", train_cols, 1, what=what)
     xs = _axis_coords(cols, train_cols)
     ys = xs if (rows, train_rows) == (cols, train_cols) else _axis_coords(rows, train_rows)
-    positions = np.empty((rows, cols, 2))
-    positions[:, :, 0] = xs[None, :]
-    positions[:, :, 1] = ys[:, None]
-    return PatchGrid(rows, cols, train_rows, train_cols, positions)
+    return PatchGrid(rows, cols, train_rows, train_cols, xs, ys)

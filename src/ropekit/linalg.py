@@ -25,6 +25,7 @@ COMMUTE_RTOL = 1e-9        # default relative tolerance for is_commuting
 ZERO_FREQ_RTOL = 1e-10     # lam <= ZERO_FREQ_RTOL * max(1, ||A||_F) counts as a zero mode
 JOINT_STRUCT_RTOL = 1e-6   # off-block bound (relative) for a joint canonical form
 _FLOAT64 = np.dtype(float)
+_NDARRAY = np.ndarray
 _INTEGER_TYPES = (int, np.integer)
 
 # np.vdot without its __array_function__ dispatch (NEP 18's
@@ -41,9 +42,15 @@ _GAMMAS = (0.6180339887498949, 1.7548776662466927, 0.1353352832366127)
 def _as_real(x, what: str, order: str = "K") -> np.ndarray:
     """``x`` as a float64 array, the entry points' one dtype rule: what numpy
     casts to float64 under ``casting="same_kind"`` (bool, integer, real float)
-    passes; complex, object (a None entry) or string input raises ValueError.
-    A float64 array already in ``order`` is returned after one conversion call."""
-    x = np.asarray(x)
+    passes; complex, object (a None entry) or string input raises ValueError,
+    as does a ragged nested sequence, naming ``what``.  An ndarray, which
+    cannot be ragged, skips the conversion call, so a float64 array already
+    in ``order`` is returned as it is."""
+    if type(x) is not _NDARRAY:
+        try:
+            x = np.asarray(x)
+        except ValueError as exc:  # numpy's "inhomogeneous shape", which names no input
+            raise ValueError(f"{what} must be a rectangular array: {exc}") from None
     if x.dtype is not _FLOAT64 or order == "C" and not x.flags.c_contiguous:
         if x.dtype.kind not in "biuf":
             raise ValueError(f"{what} must be real (bool, integer or float), got dtype {x.dtype}")

@@ -503,7 +503,38 @@ def test_liere_raster_is_the_product_of_two_encodes(name):
         np.testing.assert_array_equal(A.render_pattern(enc, zq, zk, 7, 5, block).values, want)
 
 
+@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
+def test_table_raster_reads_the_lattice_axes_and_never_builds_its_positions(name, monkeypatch):
+    # the lattice is still made through make_grid, but a table raster reads
+    # its xs and ys only; a liere raster encodes the query at every position
+    enc = PATTERN_ENCODERS[name]
+    grids = []
+    monkeypatch.setattr(A, "make_grid", lambda *size: grids.append(make_grid(*size)) or grids[-1])
+    for block in (None, *range(enc.pattern_blocks)):
+        grids.clear()
+        A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), 7, 3, block)
+        assert len(grids) == 1 and ("positions" in vars(grids[0])) == (enc.table is None)
+
+
 TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)
+
+
+@pytest.mark.parametrize("scheme", TABLE_SCHEMES)
+@pytest.mark.parametrize("dim", [12, 48])
+@pytest.mark.parametrize("width, height", [(1, 1), (7, 3)])
+def test_table_raster_pixel_is_the_score_of_its_own_row_and_column_factors(scheme, dim, width, height):
+    # bit for bit: the query encoded on its own at its row's (0, y_r), the
+    # key at its column's (-x_c, 0), scored on the block's coordinates
+    enc = E.make_encoder(scheme, dim)
+    zq, zk = np.random.default_rng(18).standard_normal((2, dim))
+    grid = make_grid(height, width)
+    rows = [enc.encode(zq, (0.0, y)[:enc.axes]) for y in grid.ys]
+    cols = [enc.encode(zk, (-x, 0.0)[:enc.axes]) for x in grid.xs]
+    for block in (None, *range(enc.pattern_blocks)):
+        sl = slice(None) if block is None else enc.pattern_slice(block)
+        got = A.render_pattern(enc, zq, zk, width, height, block).values
+        want = np.array([[A.score(r[sl], c[sl]) for c in cols] for r in rows])
+        assert got.tobytes() == want.tobytes(), block
 RASTER_SIZES = st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
                          st.tuples(st.integers(1, 12), st.just(1)),
                          st.tuples(st.integers(1, 12), st.integers(1, 12)))

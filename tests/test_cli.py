@@ -321,3 +321,12 @@ def test_unknown_subcommand_exits_2(capsys):
         main(["transmogrify"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_pattern_config_with_ragged_frequencies_exits_2_naming_them(tmp_path, capsys):
+    cfg = tmp_path / "enc.json"
+    cfg.write_text(json.dumps({"scheme": "mixed", "dim": 4, "freqs": [[1, 2], [3]]}))
+    code, _, err = run_cli(["pattern", "--config", str(cfg), "-o", str(tmp_path / "p.pgm")], capsys)
+    assert code == 2
+    assert err.startswith("error: frequencies must be a rectangular array: ")
+    assert not (tmp_path / "p.pgm").exists()

@@ -1977,3 +1977,33 @@ def test_threads_sharing_an_encoder_get_the_unstored_bits():
                 assert op.tobytes() == E._operator(enc, np.frombuffer(key)).tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+SCHEME_ENTRIES = {  # name: call taking the scheme
+    "Encoder": lambda s: E.Encoder(s, 8),
+    "make_encoder": lambda s: E.make_encoder(s, 8),
+    "FrequencyTable": lambda s: FrequencyTable(s, np.ones((4, 2))),
+    "FrequencyTable.fixed": lambda s: FrequencyTable.fixed(s, 8),
+    "grad_frequencies": lambda s: E.grad_frequencies(s, np.ones(8), np.ones(8), [0.1, 0.2], [0.3, 0.4],
+                                                     FrequencyTable.fixed("mixed", 8)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCHEME_ENTRIES))
+@pytest.mark.parametrize("scheme", [["mixed"], {"mixed": 1}, ("mixed",), 2, None, b"mixed"])
+def test_a_scheme_that_is_no_string_is_an_unknown_scheme(entry, scheme):
+    # an unhashable scheme is not looked up in the registry, so it raises
+    # the unknown-scheme ValueError, not a TypeError
+    table = "frequency-table " if entry.startswith("FrequencyTable") else ""
+    with pytest.raises(ValueError, match=rf"^unknown {table}scheme "):
+        SCHEME_ENTRIES[entry](scheme)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: E.make_encoder("mixed", 4).encode([[1.0, 2.0, 3.0, 4.0], [1.0]], [0.1, 0.2]), "token vectors"),
+    (lambda: E.make_encoder("mixed", 4).encode(np.ones(4), [[0.1, 0.2], [0.3]]), "positions"),
+    (lambda: FrequencyTable("mixed", [[1, 2], [3]]), "frequencies"),
+], ids=["encode-tokens", "encode-positions", "FrequencyTable"])
+def test_a_ragged_input_raises_value_error_naming_it(call, what):
+    with pytest.raises(ValueError, match=rf"^{what} must be a rectangular array: .*inhomogeneous"):
+        call()

@@ -125,3 +125,24 @@ def test_lattice_checks_passed_sizes_and_builds_each_distinct_axis_once(monkeypa
         checked.clear()
         make_grid(*size)
         assert (axes, checked) == (want_axes, want_checked)
+
+
+@pytest.mark.parametrize("size", [(16, 16), (6, 6, 3, 3), (7, 5), (5, 7, 3, 2), (1, 9), (9, 1), (1, 1)])
+def test_grid_keeps_read_only_axes_and_builds_positions_once_on_first_read(size):
+    # a square lattice at its own size shares one axis array for x and y
+    g = make_grid(*size)
+    assert (g.xs is g.ys) == ((g.rows, g.train_rows) == (g.cols, g.train_cols))
+    np.testing.assert_array_equal(g.xs, _linspace(g.cols, g.train_cols))
+    np.testing.assert_array_equal(g.ys, _linspace(g.rows, g.train_rows))
+    assert "positions" not in vars(g)
+    positions = g.positions
+    assert g.positions is positions
+    np.testing.assert_array_equal(positions[..., 0], np.broadcast_to(g.xs, (g.rows, g.cols)))
+    np.testing.assert_array_equal(positions[..., 1], np.broadcast_to(g.ys[:, None], (g.rows, g.cols)))
+    for a in (g.xs, g.ys, positions):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+    for name in ("xs", "ys", "positions"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, np.zeros(3))

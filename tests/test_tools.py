@@ -24,3 +24,10 @@ def test_bitdiff_reports_each_moved_output_once():
     ]
     error = {"a": bitdiff._text("ValueError: a must be finite")}
     assert bitdiff.compare({"a": np.arange(3.0)}, error) == ["a: 'float64(3,)' -> 'ValueError: a must be finite'"]
+
+
+def test_bitdiff_probes_give_the_same_names_and_bytes_twice_in_one_process():
+    # an undeterministic probe would show as moved against any parent
+    first, second = bitdiff.probe(), bitdiff.probe()
+    assert list(first) == list(second)
+    assert bitdiff.compare(first, second) == []

@@ -15,14 +15,19 @@ The probes, every one on fixed draws:
   and one batched encode, of every table scheme at dims 12 and 48 (and on
   a random dim-12 table), and of reduced (commuting) and exponential
   (random) liere at n = 5, 8, 16 and 48;
-* combined and every block raster at 5x4 and 16x16, of every table scheme
-  at dim 12 and of both liere encoders at n = 5 and 8;
+* combined and every block raster at 1x1, 7x3, 5x4, 16x16 and 64x64, of
+  every table scheme at dims 12 and 48 and of both liere encoders at n = 5
+  and 8;
+* ``make_grid(...).positions`` at (16, 16), (32, 32, 16, 16), (7, 5),
+  (5, 7, 3, 2), (1, 9) and (9, 1);
+* ``attention_weights`` and ``softmax_attention`` at N = 64, d = 16 and on
+  48 queries against 80 keys, by the default scale and by 0.3;
 * ``grad_frequencies`` per token and batched, every table scheme at dims 12
   and 48;
 * config text of every table scheme, by default, by table and by base (or
   uniform frequency), and after a round trip;
-* the output and exit code of default ``ropekit verify`` and of
-  ``verify --seed 3``.
+* the output and exit code of default ``ropekit verify``, of
+  ``verify --seed 3`` and of ``verify --list``.
 
 A probe that raises records its error text, so an error that appears or
 goes away shows as a moved array.  No digest file is kept: BLAS bits can
@@ -75,7 +80,8 @@ def _generators(n: int, commuting: bool, rng: np.random.Generator) -> list:
 def probe() -> dict:
     """Every probe's name and output array, under the ``ropekit`` on the path."""
     from ropekit import cli, encodings as E
-    from ropekit.attention import render_pattern
+    from ropekit.attention import attention_weights, render_pattern, softmax_attention
+    from ropekit.grid import make_grid
 
     out = {}
 
@@ -111,14 +117,24 @@ def probe() -> dict:
         record(f"encode.{name}.shared-token", lambda: make().encode(z[0], p))
         record(f"encode.{name}.shared-position", lambda: make().encode(z, p[0]))
 
-    rasters = [f"{s}.d12" for s in tables] + [f"liere-{k}.n{n}" for k in ("reduced", "exponential") for n in (5, 8)]
+    rasters = [f"{s}.d{d}" for d in (12, 48) for s in tables]
+    rasters += [f"liere-{k}.n{n}" for k in ("reduced", "exponential") for n in (5, 8)]
     for name in rasters:
         enc = encoders[name]()
         zq, zk = rng.standard_normal((2, enc.dim))
-        for w, h in ((5, 4), (16, 16)):
+        for w, h in ((1, 1), (7, 3), (5, 4), (16, 16), (64, 64)):
             for block in (None, *range(enc.pattern_blocks)):
                 record(f"raster.{name}.{w}x{h}.{'all' if block is None else block}",
                        lambda: render_pattern(enc, zq, zk, w, h, block).values)
+
+    for size in ((16, 16), (32, 32, 16, 16), (7, 5), (5, 7, 3, 2), (1, 9), (9, 1)):
+        record(f"grid.{'x'.join(map(str, size))}", lambda: make_grid(*size).positions)
+
+    for n, m in ((64, 64), (48, 80)):
+        q, k, v = rng.standard_normal((n, 16)), rng.standard_normal((m, 16)), rng.standard_normal((m, 16))
+        for scale in (None, 0.3):
+            record(f"attention_weights.{n}x{m}.scale-{scale}", lambda: attention_weights(q, k, scale))
+            record(f"softmax_attention.{n}x{m}.scale-{scale}", lambda: softmax_attention(q, k, v, scale))
 
     for scheme in tables:
         for dim in (12, 48):
@@ -142,7 +158,7 @@ def probe() -> dict:
             record(f"config.{scheme}.{how}.round-trip",
                    lambda: _text(config(E.encoder_from_config(E.parse_config(config(make()))))))
 
-    for argv in (["verify"], ["verify", "--seed", "3"]):
+    for argv in (["verify"], ["verify", "--seed", "3"], ["verify", "--list"]):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(argv)
