@@ -21,7 +21,7 @@ import numpy as np
 from . import encodings
 from .encodings import Encoder
 from .grid import make_grid
-from .linalg import _as_real, _finite, _integer, _real_scalar
+from .linalg import _as_real, _finite, _integer, _real_scalar, _Record
 
 
 def score(q, k) -> float:
@@ -79,9 +79,10 @@ def scored_pair(encoder: Encoder, z_q, z_k, p_q, p_k) -> float:
     return score(encoder.encode(z_q, p_q), encoder.encode(z_k, p_k))
 
 
-@dataclass(frozen=True)
-class AttentionPattern:
-    """Raster of query-sweep scores; ``values[i, j]`` is row i, column j."""
+@dataclass(frozen=True, eq=False)
+class AttentionPattern(_Record):
+    """Raster of query-sweep scores; ``values[i, j]`` is row i, column j,
+    read-only.  A value under ``_Record``'s rule."""
 
     width: int
     height: int

@@ -121,8 +121,8 @@ def _is_table_scheme(scheme) -> bool:
     return isinstance(scheme, str) and scheme in SCHEMES and SCHEMES[scheme].table == scheme
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+@dataclass(frozen=True, eq=False)
+class FrequencyTable(linalg._Record):
     """Per-block, per-axis rotation frequencies in radians per unit position.
 
     ``freqs`` has shape (blocks, axes).  The scheme tag records which encoder
@@ -130,7 +130,9 @@ class FrequencyTable:
     single shared value.  The constructor derives ``pairs``, the table's
     Mixed RoPE pair form, which every encode of the table turns by;
     ``block_pairs``, one form per table block, is built on first use.
-    Neither enters equality, hashing or the repr.
+    ``freqs`` is a read-only copy.  A value under ``linalg._Record``'s rule,
+    by its scheme and ``freqs``: neither pair form enters equality, hashing
+    or the repr.
     """
 
     scheme: str
@@ -152,20 +154,6 @@ class FrequencyTable:
         f.flags.writeable = False
         object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "pairs", _pair_form(f, SCHEMES[self.scheme].block))
-
-    # by value; the hash takes the array's shape only, so that tables equal
-    # under array_equal (where -0.0 == 0.0) hash alike
-    def __eq__(self, other):
-        if not isinstance(other, FrequencyTable):
-            return NotImplemented
-        return self.scheme == other.scheme and np.array_equal(self.freqs, other.freqs)
-
-    def __hash__(self):
-        return hash((self.scheme, self.freqs.shape))
-
-    # copies and pickles rebuild through the constructor: read-only arrays again
-    def __reduce__(self):
-        return FrequencyTable, (self.scheme, self.freqs)
 
     @cached_property
     def block_pairs(self) -> tuple:
@@ -660,8 +648,8 @@ def _turn(enc, z, p, block=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Encoder:
+@dataclass(frozen=True, eq=False)
+class Encoder(linalg._Record):
     """A scheme bound to its parameters, exposing ``encode(z, p)``.
 
     The one place that decides what a scheme takes and what it defaults to;
@@ -696,9 +684,10 @@ class Encoder:
     positions build their operators every call.  Every encode's output is
     tested for finiteness: a NaN or inf token or position, or an angle that
     overflows, raises ValueError.
-    The store stays out of equality, hashing, the repr and configs.  A copy,
-    deep copy or pickle rebuilds the encoder through its constructor: its
-    arrays read-only again, its store empty and its own.
+    A value under ``linalg._Record``'s rule: the derived fields and the
+    store stay out of equality, hashing, the repr and configs, and a copy,
+    deep copy or pickle comes back with its arrays read-only and its store
+    empty and its own.
     """
 
     scheme: str
@@ -753,24 +742,6 @@ class Encoder:
     def uniform_freq(self) -> float | None:
         """The one shared frequency of a uniform encoder's table, else None."""
         return float(self.table.freqs[0, 0]) if SCHEMES[self.scheme].shared else None
-
-    # by value, leaving out the derived fields; generators enter the hash by
-    # count only, for the same reason as FrequencyTable's
-    def __eq__(self, other):
-        if not isinstance(other, Encoder):
-            return NotImplemented
-        gens, other_gens = self.generators or (), other.generators or ()
-        return (self._params() == other._params() and len(gens) == len(other_gens)
-                and all(np.array_equal(a, b) for a, b in zip(gens, other_gens)))
-
-    def __hash__(self):
-        return hash(self._params() + (len(self.generators or ()),))
-
-    def __reduce__(self):
-        return Encoder, (self.scheme, self.dim, self.table, self.base, self.generators)
-
-    def _params(self) -> tuple:
-        return (self.scheme, self.dim, self.table, self.base)
 
     def encode(self, z, p) -> np.ndarray:
         """Encode tokens ``z`` of shape (..., dim) at positions ``p`` of shape

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _integer
+from .linalg import _integer, _Record
 
 
 def _axis_coords(n: int, train_n: int) -> np.ndarray:
@@ -32,15 +32,16 @@ def _axis_coords(n: int, train_n: int) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class PatchGrid:
+@dataclass(frozen=True, eq=False)
+class PatchGrid(_Record):
     """Immutable lattice of 2D positions, row-major with row 0 at the top.
 
     ``xs[j]`` is p_x of column j and ``ys[i]`` is p_y of row i, both
     read-only; a square lattice at its own size holds one array as both.
     ``positions[i, j]`` is ``(p_x, p_y)`` for the patch in row i, column j,
     a read-only (rows, cols, 2) array built from the axes on its first read
-    and then kept.
+    and then kept.  A value under ``_Record``'s rule: a copy shares no
+    ``positions`` with its original and builds its own on first read.
     """
 
     rows: int

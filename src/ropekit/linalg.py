@@ -16,7 +16,7 @@ planes: it takes ``exp(A)`` from the real SVD ``A = U diag(s) V^T`` as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,6 +75,50 @@ def _integer(name: str, v, lo=-np.inf, hi=np.inf, what: str = "an integer") -> i
     if isinstance(v, bool) or not isinstance(v, _INTEGER_TYPES) or not lo <= v < hi:
         raise ValueError(f"{name} must be {what.format(lo=lo, hi=hi)}, got {v!r}")
     return v if type(v) is int else int(v)
+
+
+def _same(a, b) -> bool:
+    """``_Record``'s equality of one field: arrays by ``np.array_equal``,
+    tuples entry by entry, anything else by ``==``."""
+    if isinstance(a, _NDARRAY):
+        return isinstance(b, _NDARRAY) and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _hash_key(v):
+    """A field as ``_Record`` hashes it: each array, in tuples too, by its shape."""
+    if isinstance(v, _NDARRAY):
+        return v.shape
+    return tuple(map(_hash_key, v)) if isinstance(v, tuple) else v
+
+
+class _Record:
+    """The package's one value rule for a frozen dataclass that holds arrays,
+    declared ``@dataclass(frozen=True, eq=False)`` so that it inherits it.
+
+    Records compare by value over their ``compare=True`` fields (``_same``):
+    a derived field, a cache or a store is declared ``compare=False`` and
+    stays out.  The hash takes the same fields with each array replaced by
+    its shape, so records equal under ``array_equal``, where ``-0.0 ==
+    0.0``, hash alike.  A copy, deep copy or pickle rebuilds the record
+    through its constructor from its init fields, so it obeys the
+    constructor's rules again (read-only arrays, derived fields rebuilt,
+    caches and stores empty and its own), and arrays shared between fields
+    stay shared.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+
+    def __hash__(self):
+        return hash(tuple(_hash_key(getattr(self, f.name)) for f in fields(self) if f.compare))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def as_skew(a, atol: float = SKEW_ATOL) -> np.ndarray:
@@ -175,14 +219,16 @@ def block_diag_skew(freqs, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+@dataclass(frozen=True, eq=False)
+class CanonicalForm(_Record):
     """Orthogonal block-diagonalisation of a skew matrix.
 
     ``basis`` is orthogonal with columns grouped as (u_0, v_0, u_1, v_1, ...)
     followed by a single leftover column when the dimension is odd;
     ``frequencies`` holds floor(n/2) values, sorted descending, zeros included.
     ``zero_modes`` is the kernel dimension of the original matrix.
+    A value under ``_Record``'s rule, whose arrays stay writeable:
+    ``_joint_canonical_form`` flips signs in its basis in place.
     """
 
     frequencies: np.ndarray

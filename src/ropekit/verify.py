@@ -18,7 +18,7 @@ fails both kinds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -57,10 +57,7 @@ class CheckReport:
         object.__setattr__(self, "seed", int(self.seed))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"name": self.name, "passed": self.passed, "residual": self.residual,
-             "trials": self.trials, "seed": self.seed}
-        )
+        return json.dumps(asdict(self))
 
 
 # ---------------------------------------------------------------------------

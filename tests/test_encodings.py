@@ -14,6 +14,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from ropekit import attention as A, encodings as E, linalg, verify as V
 from ropekit.encodings import FrequencyTable
+from ropekit.grid import make_grid
 
 ISO_RTOL = 1e-10
 FLOW_TOL = 1e-10
@@ -1127,6 +1128,28 @@ def test_encoders_and_tables_compare_and_hash_by_value():
     assert lie == same and hash(lie) == hash(same)
     assert lie != E.make_encoder("liere", generators=[gen, 0.25 * gen])
     assert lie != E.make_encoder("liere", generators=[gen])
+    # the other records that hold arrays follow the same rule
+    for rows, cols in ((3, 3), (2, 5)):
+        grid = make_grid(rows, cols)
+        assert grid == make_grid(rows, cols) and hash(grid) == hash(make_grid(rows, cols))
+        assert grid != make_grid(rows + 1, cols) and grid != make_grid(rows, cols + 1)
+        assert grid != make_grid(rows, cols, rows + 1) and grid != make_grid(rows, cols, rows, cols + 1)
+    zero = A.AttentionPattern(2, 1, np.array([[0.0, 1.0]]), "mixed", None)
+    negative_zero = A.AttentionPattern(2, 1, np.array([[-0.0, 1.0]]), "mixed", None)
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert zero != A.AttentionPattern(2, 1, np.array([[0.5, 1.0]]), "mixed", None)
+    assert zero != A.AttentionPattern(2, 1, np.array([[0.0, 1.0]]), "axial", None)
+    assert zero != A.AttentionPattern(2, 1, np.array([[0.0, 1.0]]), "mixed", 0)
+    assert zero != make_grid(1, 2) and zero != "mixed"
+    mixed, z = E.make_encoder("mixed", 8), np.linspace(-1.0, 1.0, 8)
+    assert A.render_pattern(mixed, z, z[::-1], 4, 3) == A.render_pattern(mixed, z, z[::-1], 4, 3)
+    form = linalg.canonical_form(gen)
+    assert form == linalg.canonical_form(gen.copy()) and hash(form) == hash(linalg.canonical_form(gen.copy()))
+    assert form != linalg.canonical_form(2 * gen)
+    flat = linalg.CanonicalForm(np.array([0.0]), np.eye(2), 2)
+    signed = linalg.CanonicalForm(np.array([-0.0]), np.eye(2), 2)
+    assert flat == signed and hash(flat) == hash(signed)
+    assert flat != linalg.CanonicalForm(np.array([0.0]), np.eye(2), 1)
 
 
 def test_encoder_config_agrees_with_its_table():
@@ -1921,6 +1944,26 @@ def test_copies_rebuild_read_only_with_a_store_of_their_own(kind):
         if enc.table is not None:
             table = COPIES[kind](enc.table)
             assert table == enc.table and not any(a.flags.writeable for a in _own_arrays(table))
+    # the other records: a grid's cached positions are not carried over, a
+    # square grid keeps one array for both axes, and a canonical form's
+    # arrays stay writeable, as its constructor leaves them
+    grids = [make_grid(4, 4), make_grid(3, 5, 6, 2)]
+    for grid in grids:
+        assert not grid.positions.flags.writeable
+    mixed = E.make_encoder("mixed", 8)
+    pattern = A.render_pattern(mixed, rng.standard_normal(8), rng.standard_normal(8), 5, 3)
+    form = linalg.canonical_form(V.random_skew(5, rng))
+    for record in (*grids, pattern, form):
+        dup = COPIES[kind](record)
+        assert dup == record and hash(dup) == hash(record) and repr(dup) == repr(record)
+    for grid in grids:
+        dup = COPIES[kind](grid)
+        assert (dup.xs is dup.ys) == (grid.xs is grid.ys)
+        assert not any(a.flags.writeable for a in (dup.xs, dup.ys, dup.positions))
+        assert dup.positions.tobytes() == grid.positions.tobytes()
+    assert grids[0].xs is grids[0].ys
+    assert not COPIES[kind](pattern).values.flags.writeable
+    assert COPIES[kind](form).basis.flags.writeable
 
 
 @pytest.mark.parametrize("kind", sorted(COPIES))

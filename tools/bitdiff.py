@@ -12,9 +12,14 @@ output), and the exit code is 1 if anything moved, 0 if nothing did.
 The probes, every one on fixed draws:
 
 * per-token encodes, fresh and repeated (the second pass reads the store),
-  and one batched encode, of every table scheme at dims 12 and 48 (and on
+  batched, broadcast and empty (``(0, dim)`` tokens at ``(0, axes)``
+  positions) encodes, of every table scheme at dims 12, 48 and 96 (and on
   a random dim-12 table), and of reduced (commuting) and exponential
-  (random) liere at n = 5, 8, 16 and 48;
+  (random) liere at n = 5, 8, 16, 17 and 48;
+* the free functions ``rope1d``, ``trivial2d``, ``axial``, ``mixed``,
+  ``spherical_fast`` and the ``spherical`` reference, per token and
+  batched at dims 12 and 48 on their encoders' tables, ``uniform`` at two
+  frequencies, and ``liere`` on both liere pairs at n = 5, 8 and 17;
 * combined and every block raster at 1x1, 7x3, 5x4, 16x16 and 64x64, of
   every table scheme at dims 12 and 48 and of both liere encoders at n = 5
   and 8;
@@ -26,6 +31,9 @@ The probes, every one on fixed draws:
   and 48;
 * config text of every table scheme, by default, by table and by base (or
   uniform frequency), and after a round trip;
+* a pickle round trip of each record: a table's frequencies, an
+  encoder's encodes, a grid's positions, a pattern's values and the arrays
+  of a canonical form at n = 17;
 * the output and exit code of default ``ropekit verify``, of
   ``verify --seed 3`` and of ``verify --list``.
 
@@ -82,6 +90,7 @@ def probe() -> dict:
     from ropekit import cli, encodings as E
     from ropekit.attention import attention_weights, render_pattern, softmax_attention
     from ropekit.grid import make_grid
+    from ropekit.linalg import canonical_form
 
     out = {}
 
@@ -95,14 +104,14 @@ def probe() -> dict:
     tables = [s for s, spec in E.SCHEMES.items() if spec.table]
     encoders = {}
     for scheme in tables:
-        for dim in (12, 48):
+        for dim in (12, 48, 96):
             encoders[f"{scheme}.d{dim}"] = lambda s=scheme, d=dim: E.make_encoder(s, d)
         layout = E.SCHEMES[scheme].table
         freqs = rng.uniform(-2.0, 2.0, (12 // E.SCHEMES[scheme].block, E.SCHEMES[layout].axes))
         if E.SCHEMES[scheme].shared:
             freqs[:] = freqs[0, 0]
         encoders[f"{scheme}.random-table.d12"] = lambda s=scheme, t=E.FrequencyTable(layout, freqs): E.Encoder(s, 12, t)
-    for n in (5, 8, 16, 48):
+    for n in (5, 8, 16, 17, 48):
         for kind, commuting in (("reduced", True), ("exponential", False)):
             gens = _generators(n, commuting, rng)
             encoders[f"liere-{kind}.n{n}"] = lambda g=gens: E.make_encoder("liere", generators=g)
@@ -116,6 +125,27 @@ def probe() -> dict:
         record(f"encode.{name}.batched", lambda: make().encode(z, p))
         record(f"encode.{name}.shared-token", lambda: make().encode(z[0], p))
         record(f"encode.{name}.shared-position", lambda: make().encode(z, p[0]))
+        record(f"encode.{name}.empty", lambda: make().encode(z[:0], p[:0]))
+
+    # the free functions on their encoders' parameters, and the spherical reference
+    free = {"rope1d": E.rope1d, "trivial2d": E.trivial2d, "axial": E.axial, "mixed": E.mixed,
+            "spherical": E.spherical_fast, "spherical-reference": E.spherical}
+    for dim in (12, 48):
+        for fn_name, fn in free.items():
+            enc = encoders[f"{fn_name.split('-')[0]}.d{dim}"]()
+            z = rng.standard_normal((6, dim))
+            p = rng.uniform(-4.0, 4.0, (6, enc.axes))
+            record(f"free.{fn_name}.d{dim}.batched", lambda: fn(z, p, enc.table))
+            record(f"free.{fn_name}.d{dim}.token", lambda: fn(z[0], p[0], enc.table))
+        z, p = rng.standard_normal((6, dim)), rng.uniform(-4.0, 4.0, (6, 2))
+        for freq in (1.0, 0.37):
+            record(f"free.uniform.d{dim}.freq-{freq}", lambda: E.uniform(z, p, freq))
+    for n in (5, 8, 17):
+        for kind in ("reduced", "exponential"):
+            gens = encoders[f"liere-{kind}.n{n}"]().generators
+            z, p = rng.standard_normal((6, n)), rng.uniform(-4.0, 4.0, (6, 2))
+            record(f"free.liere-{kind}.n{n}.batched", lambda: E.liere(z, p, gens))
+            record(f"free.liere-{kind}.n{n}.token", lambda: E.liere(z[0], p[0], gens))
 
     rasters = [f"{s}.d{d}" for d in (12, 48) for s in tables]
     rasters += [f"liere-{k}.n{n}" for k in ("reduced", "exponential") for n in (5, 8)]
@@ -157,6 +187,30 @@ def probe() -> dict:
             record(f"config.{scheme}.{how}", lambda: _text(config(make())))
             record(f"config.{scheme}.{how}.round-trip",
                    lambda: _text(config(E.encoder_from_config(E.parse_config(config(make()))))))
+
+    def round_trip(x):
+        return pickle.loads(pickle.dumps(x))
+
+    # what each of the five records gives after a pickle round trip: a
+    # table's frequencies, an encoder's encodes (the second reads the store),
+    # a grid's positions, a pattern's values and a canonical form's arrays
+    for name in ("mixed.d12", "spherical.random-table.d12", "liere-reduced.n8", "liere-exponential.n8"):
+        enc = encoders[name]()
+        z, p = rng.standard_normal((2, enc.dim)), rng.uniform(-4.0, 4.0, enc.axes)
+        dup = round_trip(enc)
+        record(f"pickle.encoder.{name}", lambda: np.stack([dup.encode(z[0], p), dup.encode(z[1], p)]))
+        if enc.table is not None:
+            record(f"pickle.table.{name}", lambda: round_trip(enc.table).freqs)
+    for size in ((16, 16), (5, 7, 3, 2)):
+        record(f"pickle.grid.{'x'.join(map(str, size))}", lambda: round_trip(make_grid(*size)).positions)
+    enc = encoders["mixed.d12"]()
+    zq, zk = rng.standard_normal((2, 12))
+    record("pickle.pattern.mixed.d12.16x16", lambda: round_trip(render_pattern(enc, zq, zk, 16, 16)).values)
+    for kind in ("reduced", "exponential"):
+        gen = encoders[f"liere-{kind}.n17"]().generators[0]
+        record(f"pickle.canonical-form.liere-{kind}.n17.frequencies",
+               lambda: round_trip(canonical_form(gen)).frequencies)
+        record(f"pickle.canonical-form.liere-{kind}.n17.basis", lambda: round_trip(canonical_form(gen)).basis)
 
     for argv in (["verify"], ["verify", "--seed", "3"], ["verify", "--list"]):
         buf = io.StringIO()
