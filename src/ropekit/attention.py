@@ -14,6 +14,7 @@ holds its pattern block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import encodings
 from .encodings import Encoder
 from .grid import make_grid
-from .linalg import _as_real, _finite, _integer, _real_scalar, _Record
+from .linalg import _as_real, _finite, _integer, _read_only, _real_scalar, _Record
 
 
 def score(q, k) -> float:
@@ -44,7 +45,9 @@ def _softmax_numerator(q_mat, k_mat, scale):
     # checked directly: an inf key whose logits are all -inf leaves the row sums finite
     if not (_finite(q_mat) and _finite(k_mat)):
         raise ValueError("attention Q and K must be finite")
-    scale = 1.0 / np.sqrt(k_mat.shape[1]) if scale is None else _real_scalar(scale, "scale")
+    # math.sqrt and np.sqrt are both correctly rounded: the same scale,
+    # without a numpy call
+    scale = 1.0 / math.sqrt(k_mat.shape[1]) if scale is None else _real_scalar(scale, "scale")
     e = (scale * q_mat) @ k_mat.T
     e -= e.max(axis=1, keepdims=True)
     rowsum = np.exp(e, out=e).sum(axis=1, keepdims=True)
@@ -68,7 +71,8 @@ def softmax_attention(q_mat, k_mat, v_mat, scale: float | None = None) -> np.nda
     if not _finite(v_mat):
         raise ValueError("attention V must be finite")
     e, rowsum = _softmax_numerator(q_mat, k_mat, scale)
-    out = e @ v_mat / rowsum
+    out = e @ v_mat
+    out /= rowsum
     if not _finite(out):
         raise ValueError("attention output overflowed")
     return out
@@ -82,7 +86,8 @@ def scored_pair(encoder: Encoder, z_q, z_k, p_q, p_k) -> float:
 @dataclass(frozen=True, eq=False)
 class AttentionPattern(_Record):
     """Raster of query-sweep scores; ``values[i, j]`` is row i, column j,
-    read-only.  A value under ``_Record``'s rule."""
+    read-only (a frozen copy of a writeable array it is given).  A value
+    under ``_Record``'s rule."""
 
     width: int
     height: int
@@ -91,7 +96,8 @@ class AttentionPattern(_Record):
     block: int | None  # None = combined over all blocks
 
     def __post_init__(self):
-        self.values.setflags(write=False)
+        if self.values.flags.writeable:
+            object.__setattr__(self, "values", _read_only(self.values))
 
 
 def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
@@ -162,4 +168,5 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     values = np.vecdot(q[..., sl], k[..., sl])
     if not _finite(values):
         raise ValueError("pattern values must be finite")
+    values.setflags(write=False)  # so the pattern keeps it, uncopied
     return AttentionPattern(width, height, values, encoder.scheme, block)

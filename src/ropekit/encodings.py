@@ -32,30 +32,35 @@ turns and differentiates as rope1d at that sum.  A turn is the pair ``a +
 ib`` times the unit phasor ``exp(1j * theta)``; a spherical triple is two,
 made in place on one copy of the tokens.
 ``SCHEMES``, the one registry, holds each scheme's block width and rotation;
-``_turn``, behind ``Encoder.encode`` and the block rasters, turns by the
-table's form (a block raster, which stacks only its table block's
-coordinates, by that block's form, which the table builds on its first block
-raster; a reduced liere encoder by its joint table's, kept in its
-``reduction``), and the free functions and ``grad_frequencies`` read their
-table's, so none of them builds an ``Encoder``.  ``Encoder`` itself holds
-every construction rule and default, and ``make_encoder`` forwards to it.
-Encoders take tokens (..., dim) at positions (..., axes), the leading
-shapes broadcasting; ``grad_frequencies`` takes the same shapes and
-differentiates the same products.  A turn depends on the position alone, never on the token, so
-``_turn`` applies a position operator built by ``_operator``: the
-phasors, or for liere one position's ``n x n`` rotation matrix on either
-route (a reduced encoder's ``basis @ R @ basis.T``, from its phasors with no
-exponential, up to dim ``_MATRIX_MAX_DIM``; a batch of positions, or a
-larger dim, keeps the phasors there, and a batch agrees with its
-single-position matrix encodes to rounding, not bit for bit).  An encoder
+an encode turns by the table's form (a block raster, which stacks only its
+table block's coordinates, by that block's form, which the table builds on
+its first block raster; a reduced liere encoder by its joint table's, kept
+in its ``reduction``), and the free functions and ``grad_frequencies`` read
+their table's, so none of them builds an ``Encoder``.  ``Encoder`` itself
+holds every construction rule and default, and ``make_encoder`` forwards
+to it.  Encoders take tokens (..., dim) at positions (..., axes), the
+leading shapes broadcasting; ``grad_frequencies`` takes the same shapes and
+differentiates the same products.  A turn depends on the position alone,
+never on the token, so it applies a position operator built by
+``_operator``: the phasors, or for liere one position's ``n x n`` rotation
+matrix on either route (a reduced encoder's ``basis @ R @ basis.T``, from
+its phasors with no exponential, up to dim ``_MATRIX_MAX_DIM``; a batch of
+positions, or a larger dim, keeps the phasors there, and a batch agrees
+with its single-position matrix encodes to rounding, not bit for bit).
+``Encoder.encode`` is the one reader of the operator store: an encoder
 keeps the operator of each distinct single position it encodes, read-only,
 within ``_STORE_BYTES`` (2 MiB) per encoder, and builds it again on every
-call once that budget is full.  Batched calls do not store.  So a
-one-position encode, of every scheme, is one store lookup, the route's
-product (fixed by the encoder: the registry's ``rotate``, or liere's
-``ndarray.dot`` with its matrix) and one finiteness test of the output.
-That test ends every encode, the free functions' too: a NaN or inf token
-or position, or an angle that overflows, raises ValueError.
+call once that budget is full.  A one-position encode, of every scheme, is
+one entry test (float64 C-order ndarray tokens at a float64 ndarray
+position of shape ``(axes,)`` skip ``_inputs``, which converts and checks
+every other input), one store lookup, the product the encoder fixed on
+construction (the registry's ``rotate``, liere's ``ndarray.dot`` with its
+matrix, or a reduced encoder's phasor turn above ``_MATRIX_MAX_DIM``) and
+one finiteness test of the output.  A batch of positions, and a block
+raster, go through ``_turn``, which builds the operator on every call and
+stores nothing.  The finiteness test ends every encode, the free
+functions' too: a NaN or inf token or position, or an angle that
+overflows, raises ValueError.
 ``spherical``, the triple route's reference, keeps the paper's definition:
 per triple, the ordered product of two so(3) generator exponentials taken
 by ``linalg``, no phasors.
@@ -65,7 +70,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -101,6 +106,9 @@ _MATRIX_MAX_DIM = 16
 
 # a dtype object views an array without converting a Python type first
 _COMPLEX = np.dtype(complex)
+# Encoder.encode's entry test reads these once per call: a module global
+# skips the attribute lookup on ``linalg``
+_FLOAT64, _NDARRAY = linalg._FLOAT64, linalg._NDARRAY
 
 
 def frequency_schedule(blocks: int, base: float = DEFAULT_BASE) -> np.ndarray:
@@ -199,7 +207,9 @@ class FrequencyTable(linalg._Record):
 
 def _inputs(z, p, dim: int, axes: int):
     """``z`` as a C-contiguous (..., dim) and ``p`` as a (..., axes) float
-    array (``linalg._as_real``); a scalar position stands for one coordinate."""
+    array (``linalg._as_real``); a scalar position stands for one coordinate.
+    The one definition of an encode's conversion and its errors:
+    ``Encoder.encode`` skips it only for inputs it returns unchanged."""
     z = linalg._as_real(z, "token vectors", order="C")
     p = linalg._as_real(p, "positions")
     if p.ndim == 0:
@@ -408,17 +418,25 @@ def _rotation(p, gens) -> np.ndarray:
     return linalg._exp_skew(a)
 
 
-def _encode_liere(enc, z, op, one: bool):
-    """Checked ``z`` turned by ``enc``'s operator ``op`` at one position
-    (``one``) or a batch of them: a rotation matrix per position, or a
-    reduced encoder's phasors (at a batch of positions, or at one above dim
-    ``_MATRIX_MAX_DIM``, where its reduction keeps no C-order basis).  The
-    encoder fixes the route, not ``op``'s dtype.  One token at one position
-    is one ``ndarray.dot``, bit for bit ``op @ z`` without its dispatch."""
+def _encode_liere(enc, z, op):
+    """Checked ``z`` turned by ``enc``'s operator ``op`` at a batch of
+    positions: a rotation matrix per position, or a reduced encoder's
+    phasors.  The encoder fixes the route, not ``op``'s dtype."""
     r = enc.reduction
-    if r is None or one and r.rows is not None:
-        return op.dot(z) if one and z.ndim == 1 else (op @ z[..., None])[..., 0]
-    return _liere_reduced(z @ r.basis, op, r.basis)
+    return (op @ z[..., None])[..., 0] if r is None else _reduced_turn(r.basis, z, op)
+
+
+def _matrix_turn(z, op):
+    """Checked ``z`` turned by one position's rotation matrix ``op``, a
+    liere encoder's one-position product on the matrix routes.  One token
+    is one ``ndarray.dot``, bit for bit ``op @ z`` without its dispatch."""
+    return op.dot(z) if z.ndim == 1 else (op @ z[..., None])[..., 0]
+
+
+def _reduced_turn(basis: np.ndarray, z, e):
+    """Checked ``z`` turned by a reduced liere encoder's phasors ``e``, in
+    its joint ``basis``."""
+    return _liere_reduced(z @ basis, e, basis)
 
 
 def _liere_reduced(y, e, basis: np.ndarray) -> np.ndarray:
@@ -542,7 +560,7 @@ class Scheme(NamedTuple):
     gradient ``grad(table, z_q, z_k, p_q, p_k)`` or None, whether
     its table's entries are one ``shared`` parameter, and whether its scores
     are shift-``equivariant``.  liere's generators set its block, axes and
-    equivariance, and ``_turn`` routes it: the rest is None or False."""
+    equivariance, and its encoder routes it: the rest is None or False."""
 
     block: int | None
     pattern: int
@@ -619,26 +637,30 @@ def _stored_operator(enc, key: bytes, p) -> np.ndarray:
     return op
 
 
+def _one_position_product(enc) -> Callable:
+    """The product ``(z, op)`` that turns checked tokens ``z`` by ``enc``'s
+    operator ``op`` at one position: the registry's ``rotate`` for a table
+    scheme, ``_matrix_turn`` for a liere rotation matrix (the exponential
+    route, and a reduced encoder up to dim ``_MATRIX_MAX_DIM``), else a
+    reduced encoder's phasor turn in its basis."""
+    if enc.table is not None:
+        return SCHEMES[enc.scheme].rotate
+    r = enc.reduction
+    return _matrix_turn if r is None or r.rows is not None else partial(_reduced_turn, r.basis)
+
+
 def _turn(enc, z, p, block=None):
-    """The one rotation routine, behind ``Encoder.encode`` and the block
-    rasters: checked tokens ``z`` at positions ``p`` turned by ``enc``'s
-    operator, a table scheme's through the registry's ``rotate``, a liere
-    encoder's through ``_encode_liere``, and the result held to one
-    finiteness test.  One position with no block is a store lookup, the
-    route's product and that test; a miss builds and maybe stores the
-    operator first.  With a table block index ``block``, ``z`` holds only
-    that block's coordinates and turns by that block's pair form; every
-    angle, phasor and product is elementwise, so the result is bit for bit
-    that block's slice of the whole encode."""
-    one = block is None and p.ndim == 1
-    if one:
-        key = p.tobytes()
-        op = enc._operators.get(key)
-        if op is None:
-            op = _stored_operator(enc, key, p)
-    else:
-        op = _operator(enc, p, block)
-    out = _encode_liere(enc, z, op, one) if enc.table is None else SCHEMES[enc.scheme].rotate(z, op)
+    """The rotation routine of a batch of positions, behind ``Encoder.encode``
+    and the block rasters: checked tokens ``z`` at positions ``p`` (...,
+    axes) turned by ``enc``'s operator, built on the call, a table scheme's
+    through the registry's ``rotate``, a liere encoder's through
+    ``_encode_liere``, and the result held to one finiteness test.  With a
+    table block index ``block``, ``z`` holds only that block's coordinates
+    and turns by that block's pair form; every angle, phasor and product is
+    elementwise, so the result is bit for bit that block's slice of the
+    whole encode."""
+    op = _operator(enc, p, block)
+    out = _encode_liere(enc, z, op) if enc.table is None else SCHEMES[enc.scheme].rotate(z, op)
     # the raise is _check_finite's; a finite encode skips its call
     return out if linalg._finite(out) else _check_finite(enc.scheme, out)
 
@@ -680,14 +702,17 @@ class Encoder(linalg._Record):
     reduced encoder above dim ``_MATRIX_MAX_DIM`` keeps its phasors) and
     reuses it the next time that position comes, bit for bit: at most
     ``_STORE_BYTES`` (2 MiB) of operators and keys per encoder, after which
-    new positions are built on every call and nothing is evicted.  Batched
-    positions build their operators every call.  Every encode's output is
-    tested for finiteness: a NaN or inf token or position, or an angle that
-    overflows, raises ValueError.
-    A value under ``linalg._Record``'s rule: the derived fields and the
-    store stay out of equality, hashing, the repr and configs, and a copy,
-    deep copy or pickle comes back with its arrays read-only and its store
-    empty and its own.
+    new positions are built on every call and nothing is evicted.  Only
+    ``encode`` reads the store, and it turns one position by ``_product``,
+    the product fixed on construction (the registry's ``rotate``,
+    ``_matrix_turn``, or the phasor turn in the reduction's basis).
+    Batched positions build their operators every call.  Every encode's
+    output is tested for finiteness: a NaN or inf token or position, or an
+    angle that overflows, raises ValueError.
+    A value under ``linalg._Record``'s rule: the derived fields (the
+    product included) and the store stay out of equality, hashing, the
+    repr and configs, and a copy, deep copy or pickle comes back with its
+    arrays read-only, its product rebuilt and its store empty and its own.
     """
 
     scheme: str
@@ -698,6 +723,7 @@ class Encoder(linalg._Record):
     reduction: Reduction | None = field(init=False, default=None, repr=False, compare=False)
     axes: int = field(init=False, default=None, repr=False, compare=False)
     _operators: dict = field(init=False, default=None, repr=False, compare=False)
+    _product: Callable = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         spec = _spec(self.scheme)
@@ -717,6 +743,7 @@ class Encoder(linalg._Record):
             object.__setattr__(self, "generators", gens)
             object.__setattr__(self, "reduction", _commuting_reduction(gens))
             object.__setattr__(self, "axes", len(gens))
+            object.__setattr__(self, "_product", _one_position_product(self))
             return
         if self.generators is not None:
             raise ValueError("only liere takes generators")
@@ -737,6 +764,7 @@ class Encoder(linalg._Record):
             raise ValueError(f"table has {self.table.blocks} blocks, "
                              f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
         object.__setattr__(self, "axes", spec.axes)
+        object.__setattr__(self, "_product", _one_position_product(self))
 
     @property
     def uniform_freq(self) -> float | None:
@@ -747,9 +775,30 @@ class Encoder(linalg._Record):
         """Encode tokens ``z`` of shape (..., dim) at positions ``p`` of shape
         (..., axes), the leading shapes broadcasting.  One token, shapes
         (dim,) and (axes,) (a scalar on one axis), gives shape (dim,).
-        Output is float64 whatever the input dtype."""
-        z, p = _inputs(z, p, self.dim, self.axes)
-        return _turn(self, z, p)
+        Output is float64 whatever the input dtype.
+
+        The one reader of the operator store.  Inputs that ``_inputs`` would
+        return unchanged skip it: a float64, C-contiguous ``np.ndarray`` of
+        tokens ending in ``(dim,)`` at a float64 ``np.ndarray`` position of
+        shape exactly ``(axes,)``, the position's shape tested first, so a
+        batch of positions falls through at once.  Every other input is
+        converted and checked by ``_inputs``.  One position is then a store
+        lookup (a miss builds and maybe stores the operator), the product
+        the encoder fixed on construction and one finiteness test; a batch
+        of positions is ``_turn``."""
+        if not (type(p) is _NDARRAY and p.shape == (self.axes,) and p.dtype is _FLOAT64
+                and type(z) is _NDARRAY and z.dtype is _FLOAT64 and z.flags.c_contiguous
+                and z.ndim and z.shape[-1] == self.dim):
+            z, p = _inputs(z, p, self.dim, self.axes)
+            if p.ndim > 1:
+                return _turn(self, z, p)
+        key = p.tobytes()
+        op = self._operators.get(key)
+        if op is None:
+            op = _stored_operator(self, key, p)
+        out = self._product(z, op)
+        # the raise is _check_finite's; a finite encode skips its call
+        return out if linalg._finite(out) else _check_finite(self.scheme, out)
 
     # the bilinear decomposition of the score, in blocks of the registry's
     # pattern width (the last one short when the width does not divide dim)

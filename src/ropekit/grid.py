@@ -13,22 +13,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _integer, _Record
+from .linalg import _integer, _read_only, _Record
 
 
 def _axis_coords(n: int, train_n: int) -> np.ndarray:
     """``np.linspace(-extent, extent, n)``, ``extent = pi * n / train_n``,
     by linspace's own steps (``k * step - extent``, the last set to
     ``extent``), without the argument handling that makes ``linspace``
-    about three times slower at grid sizes."""
+    about three times slower at grid sizes.  Read-only, so that a
+    ``PatchGrid`` keeps it uncopied."""
     # a single patch sits at the range midpoint
     if n == 1:
-        return np.zeros(1)
-    extent = np.pi * n / train_n
-    y = np.arange(n, dtype=float)
-    y *= 2 * extent / (n - 1)
-    y -= extent
-    y[-1] = extent
+        y = np.zeros(1)
+    else:
+        extent = np.pi * n / train_n
+        y = np.arange(n, dtype=float)
+        y *= 2 * extent / (n - 1)
+        y -= extent
+        y[-1] = extent
+    y.setflags(write=False)
     return y
 
 
@@ -37,7 +40,9 @@ class PatchGrid(_Record):
     """Immutable lattice of 2D positions, row-major with row 0 at the top.
 
     ``xs[j]`` is p_x of column j and ``ys[i]`` is p_y of row i, both
-    read-only; a square lattice at its own size holds one array as both.
+    read-only: a writeable axis it is given is copied and the copy frozen,
+    so the caller's array stays writeable.  A square lattice at its own
+    size holds one array as both.
     ``positions[i, j]`` is ``(p_x, p_y)`` for the patch in row i, column j,
     a read-only (rows, cols, 2) array built from the axes on its first read
     and then kept.  A value under ``_Record``'s rule: a copy shares no
@@ -52,8 +57,10 @@ class PatchGrid(_Record):
     ys: np.ndarray  # (rows,)
 
     def __post_init__(self):
-        self.xs.setflags(write=False)
-        self.ys.setflags(write=False)
+        if self.xs.flags.writeable or self.ys.flags.writeable:
+            xs = _read_only(self.xs)
+            object.__setattr__(self, "ys", xs if self.ys is self.xs else _read_only(self.ys))
+            object.__setattr__(self, "xs", xs)
 
     @cached_property
     def positions(self) -> np.ndarray:

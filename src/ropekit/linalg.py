@@ -77,6 +77,15 @@ def _integer(name: str, v, lo=-np.inf, hi=np.inf, what: str = "an integer") -> i
     return v if type(v) is int else int(v)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` when it is read-only, else a read-only copy of it: a record
+    freezes its own copy, never its caller's array."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 def _same(a, b) -> bool:
     """``_Record``'s equality of one field: arrays by ``np.array_equal``,
     tuples entry by entry, anything else by ``==``."""

@@ -92,6 +92,29 @@ def test_softmax_matches_two_loop_oracle():
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
+def test_default_scale_is_one_over_the_root_of_the_key_width_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for d in range(1, 258):
+        q, k, v = rng.standard_normal((3, 5, d))
+        want = A.softmax_attention(q, k, v, scale=1 / np.sqrt(d))
+        assert A.softmax_attention(q, k, v).tobytes() == want.tobytes()
+        weights = A.attention_weights(q, k, scale=1 / np.sqrt(d))
+        assert A.attention_weights(q, k).tobytes() == weights.tobytes()
+
+
+def test_pattern_freezes_a_copy_not_the_callers_values():
+    v = np.array([[0.0, 1.0]])
+    pattern = A.AttentionPattern(2, 1, v, "mixed", None)
+    assert v.flags.writeable and not pattern.values.flags.writeable
+    assert not np.shares_memory(v, pattern.values)
+    v[0, 0] = 7.0
+    assert pattern.values[0, 0] == 0.0
+    # render_pattern hands over values it has already frozen
+    frozen = np.array([[0.5, 1.0]])
+    frozen.flags.writeable = False
+    assert A.AttentionPattern(2, 1, frozen, "mixed", None).values is frozen
+
+
 def test_softmax_shape_mismatch():
     with pytest.raises(ValueError):
         A.softmax_attention(np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((2, 4)))
@@ -432,15 +455,21 @@ def test_pattern_rejects_batched_vectors():
 def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
     # a table scheme factors each pixel into a row and a column turn, made
     # as one turn of the stacked rows and columns, of the whole table or of
-    # one block; liere encodes the query at every pixel and the key once
+    # one block; liere encodes the query at every pixel and the key once,
+    # at one position, through the product its encoder fixed
     enc = PATTERN_ENCODERS[name]
-    turn, tokens = E._turn, []
+    turn, product, tokens = E._turn, enc._product, []
 
     def counted(enc, z, p, *block):
         tokens.append(int(np.prod(np.broadcast_shapes(np.shape(z)[:-1], np.shape(p)[:-1]))))
         return turn(enc, z, p, *block)
 
+    def counted_product(z, op):
+        tokens.append(int(np.prod(np.shape(z)[:-1])))
+        return product(z, op)
+
     monkeypatch.setattr(E, "_turn", counted)
+    monkeypatch.setitem(vars(enc), "_product", counted_product)
     rng = np.random.default_rng(16)
     zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
     for block in (None, 0):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import pickle
 import sys
@@ -1542,23 +1543,139 @@ def test_property_stored_operators_keep_every_encode_bit_for_bit(name, order, ca
 
 @pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
 def test_a_repeated_position_builds_once_and_turns_every_call(name, monkeypatch):
-    # a stored operator skips its build only: each encode still goes through
-    # _turn and the route's rotation (_encode_liere, or the registry's rotate)
+    # a stored operator skips its build only: each encode still takes the
+    # one-position route through the product its encoder fixed on
+    # construction, and never _turn, which turns batches of positions
     enc = _fresh(STORE_ENCODERS[name])
-    operator, turn, built, turned, routed = E._operator, E._turn, [], [], []
+    operator, product, built, turned, routed = E._operator, enc._product, [], [], []
     monkeypatch.setattr(E, "_operator", lambda *a: built.append(a) or operator(*a))
-    monkeypatch.setattr(E, "_turn", lambda *a: turned.append(a) or turn(*a))
-    if enc.table is None:
-        route = E._encode_liere
-        monkeypatch.setattr(E, "_encode_liere", lambda *a: routed.append(a) or route(*a))
-    else:
-        spec = E.SCHEMES[enc.scheme]
-        monkeypatch.setitem(E.SCHEMES, enc.scheme,
-                            spec._replace(rotate=lambda *a: routed.append(a) or spec.rotate(*a)))
+    monkeypatch.setattr(E, "_turn", lambda *a: turned.append(a))
+    monkeypatch.setitem(vars(enc), "_product", lambda *a: routed.append(a) or product(*a))
     z, p = np.linspace(-1.0, 1.0, enc.dim), np.full(enc.axes, 0.25)
     outs = [enc.encode(z, p) for _ in range(4)]
-    assert len(built) == 1 and len(turned) == len(routed) == 4
+    assert len(built) == 1 and len(routed) == 4 and not turned
     assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def _input_kinds(enc):
+    """Inputs of every kind that ``Encoder.encode`` takes at one position,
+    each with its canonical float64 C-order form, or None where it raises."""
+    rng = np.random.default_rng(89)
+    z = rng.integers(-4, 5, enc.dim) / 4.0  # exact in float32, int and bool casts
+    batch = rng.integers(-4, 5, (3, enc.dim)) / 4.0
+    p = rng.uniform(-2.0, 2.0, enc.axes)
+    wide = np.empty((enc.dim, 2))
+    wide[:, 0] = z
+    strided = wide[:, 0]
+    scalar = (z, p[:1]) if enc.axes == 1 else (None, None)  # one coordinate, or too few
+    kinds = {
+        "list": (z.tolist(), p.tolist(), z, p),
+        "tuple": (tuple(z), tuple(p), z, p),
+        "float32 tokens": (z.astype(np.float32), p, z, p),
+        "int tokens": (batch.astype(int), p, batch.astype(int).astype(float), p),
+        "bool tokens": (batch > 0, p, (batch > 0).astype(float), p),
+        "int position": (z, np.arange(1, enc.axes + 1), z, np.arange(1.0, enc.axes + 1)),
+        "F-order token batch": (np.asfortranarray(batch), p, batch, p),
+        "strided token view": (strided, p, z, p),
+        "ndarray subclass": (z.view(_Subclass), p.view(_Subclass), z, p),
+        "0-d position": (z, np.array(p[0]), *scalar),
+        "Python-float position": (z, float(p[0]), *scalar),
+        "(1, axes) position": (z, p[None], z, p[None]),
+        "token batch at one position": (batch, p, batch, p),
+        "wrong dim": (z[:-1], p, None, None),
+        "wrong axes count": (z, np.append(p, 0.5), None, None),
+        "complex tokens": (z.astype(complex), p, None, None),
+        "complex position": (z, p.astype(complex), None, None),
+        "None token entry": ([None, *z.tolist()[1:]], p, None, None),
+        "None position entry": (z, [None, *p.tolist()[1:]], None, None),
+    }
+    assert not strided.flags.c_contiguous and strided.flags.writeable
+    return kinds
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_every_input_kind_encodes_as_its_canonical_input_or_raises_as_inputs_does(name):
+    # each kind, at a store miss and then at a hit, gives the bytes of its
+    # canonical float64 C-order inputs encoded by another encoder, or the
+    # ValueError that _inputs, the one definition of conversion, raises
+    for kind, (z, p, zc, pc) in _input_kinds(STORE_ENCODERS[name]).items():
+        enc = _fresh(STORE_ENCODERS[name])
+        if zc is None:
+            with pytest.raises(ValueError) as want:
+                E._inputs(z, p, enc.dim, enc.axes)
+            for _ in range(2):
+                with pytest.raises(ValueError) as got:
+                    enc.encode(z, p)
+                assert str(got.value) == str(want.value), kind
+            assert not enc._operators, kind
+            continue
+        want = _fresh(enc).encode(zc, pc)
+        for _ in range(2):
+            out = enc.encode(z, p)
+            assert type(out) is np.ndarray and out.dtype == np.float64, kind
+            assert out.shape == want.shape and out.tobytes() == want.tobytes(), kind
+        # one position takes the store route, a position batch does not
+        assert list(enc._operators) == ([] if np.ndim(pc) > 1 else [np.asarray(pc).tobytes()]), kind
+
+
+@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+def test_the_entry_test_takes_only_what_inputs_returns_unchanged(name, monkeypatch):
+    # an input that skips _inputs is one _inputs returns as the same objects;
+    # every kind that needs converting, checking or is a batch of positions
+    # goes through _inputs
+    enc = _fresh(STORE_ENCODERS[name])
+    rng = np.random.default_rng(90)
+    p = rng.uniform(-2.0, 2.0, (2, enc.axes))
+    frozen = p[0].copy()
+    frozen.flags.writeable = False
+    taken = {
+        "token": (rng.standard_normal(enc.dim), p[0]),
+        "token batch": (rng.standard_normal((2, 3, enc.dim)), p[0]),
+        "empty batch": (np.empty((0, enc.dim)), p[1]),
+        "strided position": (rng.standard_normal(enc.dim), p.T[:, 0]),
+        "read-only position": (rng.standard_normal(enc.dim), frozen),
+    }
+    inputs, converted = E._inputs, []
+    monkeypatch.setattr(E, "_inputs", lambda *a: converted.append(a) or inputs(*a))
+    for kind, (z, pos) in taken.items():
+        enc.encode(z, pos)
+        assert not converted, kind
+        zz, pp = inputs(z, pos, enc.dim, enc.axes)
+        assert zz is z and pp is pos, kind
+    for kind, (z, pos, _, _) in _input_kinds(enc).items():
+        converted.clear()
+        try:
+            enc.encode(z, pos)
+        except ValueError:
+            pass
+        # a float64 C-order token batch at one position is canonical as it is
+        assert len(converted) == (kind != "token batch at one position"), kind
+
+
+def test_the_one_position_product_is_fixed_by_the_encoder_and_rebuilt_by_a_copy():
+    rng = np.random.default_rng(91)
+    encoders = dict(STORE_ENCODERS, **{"liere-commuting-17": E.make_encoder(
+        "liere", generators=V.commuting_generators(17, rng))})
+    for name, enc in encoders.items():
+        r = enc.reduction
+        if enc.table is not None:
+            assert enc._product is E.SCHEMES[enc.scheme].rotate, name
+        elif r is None or r.rows is not None:
+            assert enc._product is E._matrix_turn, name
+        else:
+            assert enc._product.func is E._reduced_turn and enc._product.args == (r.basis,), name
+        for dup in (copy.copy(enc), copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
+            assert dup == enc and hash(dup) == hash(enc) and "_product" not in repr(dup)
+            if isinstance(enc._product, functools.partial):
+                assert dup._product.func is enc._product.func and dup._product.args[0] is dup.reduction.basis
+            else:
+                assert dup._product is enc._product
+        if enc.table is not None:
+            assert "_product" not in E.encoder_to_config(enc)
 
 
 @pytest.mark.parametrize("name", sorted(STORE_ENCODERS))

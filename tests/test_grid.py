@@ -146,3 +146,27 @@ def test_grid_keeps_read_only_axes_and_builds_positions_once_on_first_read(size)
     for name in ("xs", "ys", "positions"):
         with pytest.raises(AttributeError):
             setattr(g, name, np.zeros(3))
+
+
+def test_direct_construction_freezes_copies_not_the_callers_axes():
+    xs, ys = np.linspace(-1.0, 1.0, 3), np.linspace(-2.0, 2.0, 2)
+    g = PatchGrid(2, 3, 2, 3, xs, ys)
+    assert xs.flags.writeable and ys.flags.writeable
+    assert not g.xs.flags.writeable and not g.ys.flags.writeable
+    assert not np.shares_memory(g.xs, xs) and not np.shares_memory(g.ys, ys)
+    np.testing.assert_array_equal(g.xs, xs)
+    np.testing.assert_array_equal(g.ys, ys)
+    xs[0] = 5.0  # the caller's own array, still its own to write
+    assert g.xs[0] == -1.0
+    # one writeable array given as both axes stays one array, frozen once
+    shared = np.linspace(-1.0, 1.0, 4)
+    g = PatchGrid(4, 4, 4, 4, shared, shared)
+    assert shared.flags.writeable and g.xs is g.ys and not g.xs.flags.writeable
+
+
+def test_make_grid_hands_over_read_only_axes_uncopied():
+    g = make_grid(16, 16)
+    assert g.xs is g.ys
+    frozen = np.linspace(-1.0, 1.0, 3)
+    frozen.flags.writeable = False
+    assert PatchGrid(1, 3, 1, 3, frozen, np.zeros(1)).xs is frozen

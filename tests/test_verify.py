@@ -439,17 +439,17 @@ def _patch_grad(monkeypatch, wrap):
     monkeypatch.setattr(V, "grad_frequencies", wrap(V.grad_frequencies))
 
 
-def _patch_turn(monkeypatch, wrap):
+def _patch_encode(monkeypatch, wrap):
     # past the encoders' finiteness test, which a NaN from a route would trip
-    monkeypatch.setattr(E, "_turn", wrap(E._turn))
+    monkeypatch.setattr(E.Encoder, "encode", wrap(E.Encoder.encode))
 
 
 NAN_CASES = {  # name: (patch that wraps one route to turn NaN once, run)
     "gradients": (_patch_grad, lambda: V.check_gradients(E.make_encoder("mixed", 16), 10, 0)),
-    "equivariance": (_patch_turn, lambda: V.check_equivariance(E.make_encoder("mixed", 16), 10, 0)),
-    "non-equivariance": (_patch_turn, lambda: V.check_non_equivariance(E.make_encoder("spherical", 12), 10, 0)),
+    "equivariance": (_patch_encode, lambda: V.check_equivariance(E.make_encoder("mixed", 16), 10, 0)),
+    "non-equivariance": (_patch_encode, lambda: V.check_non_equivariance(E.make_encoder("spherical", 12), 10, 0)),
     # the liere encoder's score against the per-position exponential
-    "reduction": (_patch_turn, lambda: V.run_checks(["reduction:liere-mixed"], seed=0)[0]),
+    "reduction": (_patch_encode, lambda: V.run_checks(["reduction:liere-mixed"], seed=0)[0]),
 }
 
 

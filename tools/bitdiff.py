@@ -16,6 +16,13 @@ The probes, every one on fixed draws:
   positions) encodes, of every table scheme at dims 12, 48 and 96 (and on
   a random dim-12 table), and of reduced (commuting) and exponential
   (random) liere at n = 5, 8, 16, 17 and 48;
+* one-position encodes of every input kind that ``Encoder.encode`` hands
+  to ``_inputs`` (lists, tuples, float32, int and bool tokens, an int
+  position, F-order and strided tokens, an ndarray subclass, 0-d and
+  Python-float positions, a ``(1, axes)`` position, a token batch, and the
+  kinds it rejects), each twice on a fresh encoder, a store miss and then
+  a hit, of every table scheme at dim 12 and of reduced and exponential
+  liere at n = 8 and 17;
 * the free functions ``rope1d``, ``trivial2d``, ``axial``, ``mixed``,
   ``spherical_fast`` and the ``spherical`` reference, per token and
   batched at dims 12 and 48 on their encoders' tables, ``uniform`` at two
@@ -83,6 +90,36 @@ def _generators(n: int, commuting: bool, rng: np.random.Generator) -> list:
         b[:n - n % 2, :n - n % 2] = np.kron(np.diag(rng.standard_normal(n // 2)), [[0.0, -1.0], [1.0, 0.0]])
         gens.append(q @ b @ q.T)
     return gens
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def _fallback_kinds(z, batch, p, strided) -> dict:
+    """Tokens and a position of every kind that ``Encoder.encode`` hands to
+    ``_inputs``, from a token ``z``, a token ``batch``, a position ``p``
+    and ``z`` as a strided view."""
+    return {
+        "list": (z.tolist(), p.tolist()),
+        "tuple": (tuple(z), tuple(p)),
+        "float32-tokens": (z.astype(np.float32), p),
+        "int-tokens": (batch.astype(int), p),
+        "bool-tokens": (batch > 0, p),
+        "int-position": (z, np.arange(1, len(p) + 1)),
+        "f-order-token-batch": (np.asfortranarray(batch), p),
+        "strided-token-view": (strided, p),
+        "ndarray-subclass": (z.view(_Subclass), p.view(_Subclass)),
+        "0-d-position": (z, np.array(p[0])),
+        "python-float-position": (z, float(p[0])),
+        "1-by-axes-position": (z, p[None]),
+        "token-batch-at-one-position": (batch, p),
+        "wrong-dim": (z[:-1], p),
+        "wrong-axes-count": (z, np.append(p, 0.5)),
+        "complex-tokens": (z.astype(complex), p),
+        "none-token-entry": ([None, *z.tolist()[1:]], p),
+        "none-position-entry": (z, [None, *p.tolist()[1:]]),
+    }
 
 
 def probe() -> dict:
@@ -211,6 +248,20 @@ def probe() -> dict:
         record(f"pickle.canonical-form.liere-{kind}.n17.frequencies",
                lambda: round_trip(canonical_form(gen)).frequencies)
         record(f"pickle.canonical-form.liere-{kind}.n17.basis", lambda: round_trip(canonical_form(gen)).basis)
+
+    # one-position encodes of every input kind that Encoder.encode converts
+    # or rejects through _inputs, each on a fresh encoder twice: a store
+    # miss, then a hit
+    for name in [f"{s}.d12" for s in tables] + [f"liere-{k}.n{n}" for k in ("reduced", "exponential") for n in (8, 17)]:
+        make = encoders[name]
+        dim, axes = make().dim, make().axes
+        z = rng.integers(-4, 5, dim) / 4.0  # exact in float32, int and bool casts
+        batch, p = rng.integers(-4, 5, (3, dim)) / 4.0, rng.uniform(-4.0, 4.0, axes)
+        wide = np.empty((dim, 2))
+        wide[:, 0] = z
+        for kind, (zk, pk) in _fallback_kinds(z, batch, p, wide[:, 0]).items():
+            enc = make()
+            record(f"fallback.{name}.{kind}", lambda: np.stack([enc.encode(zk, pk), enc.encode(zk, pk)]))
 
     for argv in (["verify"], ["verify", "--seed", "3"], ["verify", "--list"]):
         buf = io.StringIO()
