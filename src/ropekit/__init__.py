@@ -23,8 +23,8 @@ from .verify import (CheckReport, check_axial_separability, check_equivariance,
                      check_gradients, check_isometry, check_mixed_antidiagonal,
                      check_names, check_non_equivariance,
                      check_trivial_degeneracy, commuting_generators,
-                     locality_probe, reduce_liere_1d, reduce_liere_mixed,
-                     reduced_score, run_checks)
+                     locality_probe, reduce_liere, reduce_liere_1d,
+                     reduce_liere_mixed, reduced_score, run_checks)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "frequency_schedule", "grad_frequencies",
     "is_commuting", "liere", "locality_probe", "make_encoder", "make_grid",
     "matrix_exp", "matrix_exp_series", "mixed", "parse_config",
-    "reduce_liere_1d", "reduce_liere_mixed", "reduced_score",
+    "reduce_liere", "reduce_liere_1d", "reduce_liere_mixed", "reduced_score",
     "render_pattern", "rope1d", "run_checks", "score", "scored_pair",
     "softmax_attention", "spherical", "spherical_fast",
     "trivial2d", "uniform",

@@ -5,11 +5,12 @@ The pattern raster fixes the key at the origin and sweeps the query over a
 (height-1, width-1) is (pi, pi).  An optional block index restricts the
 score to one block's contribution (one coordinate pair, or one triple for
 the 3D-rotation scheme); per-block patterns sum to the combined pattern.
-A table-scheme raster is computed from one encoded query per row and one
+A table-scheme raster, and the combined raster of a liere encoder whose
+generators commute, is computed from one encoded query per row and one
 encoded key per column, in one turn of W + H tokens (see
-``render_pattern``), a liere raster from the query encoded at every pixel.
-A table scheme's block raster stacks and turns only the table block that
-holds its pattern block.
+``render_pattern``); any other liere raster from the query encoded at every
+pixel.  A table scheme's block raster stacks and turns only the table block
+that holds its pattern block.
 """
 
 from __future__ import annotations
@@ -122,10 +123,16 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     table block's coordinates, ``(width + height, block width)``, and turns
     them by the rotation routine ``encode`` uses: its pixels are bit for bit
     those of the combined raster's factors on the block.
-    liere generators need not commute, and a liere block is not invariant
-    under the rotation, so a liere encoder encodes the query at every pixel
-    and the key at the origin, in two encodes: stacked in one, the reduced
-    route's basis products round differently at the other batch shape.
+    A liere encoder whose generators commute (its ``reduction`` is not
+    None) is Mixed RoPE in its reduction's basis, so ``R(x, y) = R(x, 0)
+    R(0, y)`` holds for it too and its combined raster takes the same
+    factored route; there the basis products make each factor agree with
+    the token's own encode to rounding, not bit for bit.  Its block rasters,
+    and every raster of generators that do not commute, encode the query at
+    every pixel and the key at the origin, in two encodes: a block of
+    output coordinates is not invariant under ``R(x, 0)``, and stacked in
+    one encode the reduced route's basis products round differently at the
+    other batch shape.
     """
     width = _integer("width", width, 1, what="a positive integer")
     height = _integer("height", height, 1, what="a positive integer")
@@ -142,7 +149,7 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
             encodings._check_finite(encoder.scheme, z)
     grid = make_grid(height, width)
     sl = slice(None) if block is None else encoder.pattern_slice(block)
-    if encoder.table is None:
+    if encoder.table is None and (encoder.reduction is None or block is not None):
         q = encoder.encode(z_q, grid.positions[..., :encoder.axes])
         k = encoder.encode(z_k, (0.0,) * encoder.axes)
     else:

@@ -1,4 +1,4 @@
-"""Rotary position encodings over 1-D and 2-D positions.
+"""Rotary position encodings over 1-D, 2-D and M-D positions.
 
 All variants share one shape: split the token vector into small blocks, rotate
 each block by an angle (or Euler-angle pair) that is linear in the position,
@@ -9,13 +9,15 @@ axes:
 * ``trivial2d``   - pairs, angle ``w_d * (p_x + p_y)`` (degenerate on anti-diagonals)
 * ``axial``       - quadruples: an x-pair rotated by ``w_dx * p_x`` and a
                     y-pair rotated by ``w_dy * p_y``
-* ``mixed``       - pairs, angle ``w_dx * p_x + w_dy * p_y``
+* ``mixed``       - pairs, angle ``w_dx * p_x + w_dy * p_y`` (by default;
+                    a mixed table of M columns turns by ``sum_m w_dm * p_m``)
 * ``spherical``   - triples, yaw(``w_dx * p_x``) o roll(``w_dy * p_y``); the two
                     rotations do not commute
 * ``uniform``     - axial with one shared frequency (default 1)
 * ``liere``       - whole vector, ``exp(sum_m A_m p_m) @ z`` for learned skew
-                    generators ``A_m``; encoders of commuting generators
-                    apply it as pair rotations in one precomputed basis
+                    generators ``A_m``; an encoder of M commuting generators
+                    is Mixed RoPE on their M-column joint table in one
+                    precomputed basis (the paper's reduction theorem)
 
 A table scheme is Mixed RoPE on a pair table with some entries zero and turns
 by that table's pair form, angle terms ``(index, freqs)`` with angle ``j =
@@ -36,9 +38,11 @@ an encode turns by the table's form (a block raster, which stacks only its
 table block's coordinates, by that block's form, which the table builds on
 its first block raster; a reduced liere encoder by its joint table's, kept
 in its ``reduction``), and the free functions and ``grad_frequencies`` read
-their table's, so none of them builds an ``Encoder``.  ``Encoder`` itself
-holds every construction rule and default, and ``make_encoder`` forwards
-to it.  Encoders take tokens (..., dim) at positions (..., axes), the
+their table's, so none of them builds an ``Encoder``.  ``_reduce`` is the
+one reduction of commuting generators to that ``(table, basis)``: the
+encoder and ``verify.reduce_liere`` share it, at their own structure
+tolerances.  ``Encoder`` itself holds every construction rule and default,
+and ``make_encoder`` forwards to it.  Encoders take tokens (..., dim) at positions (..., axes), the
 leading shapes broadcasting; ``grad_frequencies`` takes the same shapes and
 differentiates the same products.  A turn depends on the position alone,
 never on the token, so it applies a position operator built by
@@ -133,9 +137,11 @@ def _is_table_scheme(scheme) -> bool:
 class FrequencyTable(linalg._Record):
     """Per-block, per-axis rotation frequencies in radians per unit position.
 
-    ``freqs`` has shape (blocks, axes).  The scheme tag records which encoder
-    family the table is meant for; the uniform scheme additionally requires a
-    single shared value.  The constructor derives ``pairs``, the table's
+    ``freqs`` has shape (blocks, axes): the registry's axes, save that a
+    mixed table takes any number M >= 1 (the joint table of M commuting
+    liere generators).  The scheme tag records which encoder family the
+    table is meant for; the uniform scheme additionally requires a single
+    shared value.  The constructor derives ``pairs``, the table's
     Mixed RoPE pair form, which every encode of the table turns by;
     ``block_pairs``, one form per table block, is built on first use.
     ``freqs`` is a read-only copy.  A value under ``linalg._Record``'s rule,
@@ -151,7 +157,8 @@ class FrequencyTable(linalg._Record):
         if not _is_table_scheme(self.scheme):
             raise ValueError(f"unknown frequency-table scheme {self.scheme!r}")
         f = linalg._as_real(self.freqs, "frequencies")
-        axes = SCHEMES[self.scheme].axes
+        # a mixed pair turns by the sum over any number of axes
+        axes = (f.shape[-1] or "M >= 1") if self.scheme == "mixed" and f.ndim == 2 else SCHEMES[self.scheme].axes
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] != axes:
             raise ValueError(f"{self.scheme} freqs must be a (blocks, {axes}) array, got shape {f.shape}")
         if not linalg._finite(f):
@@ -305,11 +312,18 @@ def _rotate_triples(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(scheme: str, p: np.ndarray) -> np.ndarray:
-    """Checked positions ``p`` of ``scheme`` as its table layout reads them:
-    a scheme with more axes than its layout (trivial2d on rope1d's table)
-    reads the coordinate sum ``p_x + p_y``, one rounding."""
-    return p[..., :1] + p[..., 1:] if SCHEMES[scheme].axes > SCHEMES[SCHEMES[scheme].table].axes else p
+def _fold(p: np.ndarray, table: FrequencyTable) -> np.ndarray:
+    """Checked positions ``p`` as ``table`` reads them: positions with more
+    axes than the table (trivial2d's on rope1d's table) are read as the
+    coordinate sum ``p_x + p_y``, one rounding."""
+    return p[..., :1] + p[..., 1:] if p.shape[-1] > table.axes else p
+
+
+def _axes(scheme: str, table: FrequencyTable) -> int:
+    """The position axes of ``scheme`` on ``table``: the table's own, save
+    for a scheme that folds its positions onto another layout (trivial2d's
+    two onto rope1d's one)."""
+    return table.axes if SCHEMES[scheme].table == scheme else SCHEMES[scheme].axes
 
 
 def _table_inputs(scheme: str, table: FrequencyTable, z, p):
@@ -317,9 +331,8 @@ def _table_inputs(scheme: str, table: FrequencyTable, z, p):
     fixes for ``scheme`` (what building the encoder would check), ``p``
     folded onto the layout's axes."""
     _check_table(scheme, table)
-    spec = SCHEMES[scheme]
-    z, p = _inputs(z, p, spec.block * table.blocks, spec.axes)
-    return z, _fold(scheme, p)
+    z, p = _inputs(z, p, SCHEMES[scheme].block * table.blocks, _axes(scheme, table))
+    return z, _fold(p, table)
 
 
 def _table_encode(scheme: str, z, p, table: FrequencyTable) -> np.ndarray:
@@ -418,12 +431,11 @@ def _rotation(p, gens) -> np.ndarray:
     return linalg._exp_skew(a)
 
 
-def _encode_liere(enc, z, op):
-    """Checked ``z`` turned by ``enc``'s operator ``op`` at a batch of
-    positions: a rotation matrix per position, or a reduced encoder's
-    phasors.  The encoder fixes the route, not ``op``'s dtype."""
-    r = enc.reduction
-    return (op @ z[..., None])[..., 0] if r is None else _reduced_turn(r.basis, z, op)
+def _encode_liere(r, z, op):
+    """Checked ``z`` turned by a liere operator ``op``: a rotation matrix
+    per position when the reduction ``r`` is None, else ``r``'s phasors,
+    turned in its basis.  The encoder fixes the route, not ``op``'s dtype."""
+    return (op @ z[..., None])[..., 0] if r is None else _liere_reduced(z @ r.basis, op, r.basis)
 
 
 def _matrix_turn(z, op):
@@ -433,18 +445,13 @@ def _matrix_turn(z, op):
     return op.dot(z) if z.ndim == 1 else (op @ z[..., None])[..., 0]
 
 
-def _reduced_turn(basis: np.ndarray, z, e):
-    """Checked ``z`` turned by a reduced liere encoder's phasors ``e``, in
-    its joint ``basis``."""
-    return _liere_reduced(z @ basis, e, basis)
-
-
 def _liere_reduced(y, e, basis: np.ndarray) -> np.ndarray:
-    """``liere`` for commuting generators through their joint ``(basis,
-    freqs)`` form, from ``y = z @ basis``: the pairs of ``y`` turn by the
-    phasors ``e`` of ``freqs``'s pair form, ``basis.T`` maps them back, and
-    an odd dim's last is fixed.  At ``y = basis`` and the conjugate
-    phasors this is the rotation matrix itself, ``basis @ R @ basis.T``."""
+    """``liere`` for commuting generators in their joint ``basis``, from
+    ``y = z @ basis``: the pairs of ``y`` turn by the phasors ``e`` of the
+    reduction's table, as that table's encoder turns them, ``basis.T`` maps
+    them back, and an odd dim's last is fixed.  At ``y = basis`` and the
+    conjugate phasors this is the rotation matrix itself, ``basis @ R @
+    basis.T``."""
     k2 = 2 * e.shape[-1]
     if k2 == len(basis):
         return _rotate_pairs(y, e) @ basis.T
@@ -453,30 +460,47 @@ def _liere_reduced(y, e, basis: np.ndarray) -> np.ndarray:
 
 
 class Reduction(NamedTuple):
-    """A liere encoder's commuting generators in their joint canonical form:
-    ``basis`` (F order, as ``linalg`` returns it) and ``freqs``, the pair
-    form of ``freqs``, and ``rows``, a C-order copy of ``basis`` whose rows'
-    pairs the one-position matrix build turns, kept up to dim
+    """A liere encoder's commuting generators as the reduction theorem
+    states them: ``table``, their joint ``FrequencyTable`` (rope1d for one
+    generator, an M-column mixed table for M of them), and ``basis`` (F
+    order, as ``linalg`` returns it), with ``exp(sum_m p_m A_m) = basis @
+    R(p) @ basis.T`` for ``R`` the table's rotation, which fixes an odd
+    dim's last coordinate; and ``rows``, a C-order copy of ``basis`` whose
+    rows' pairs the one-position matrix build turns, kept up to dim
     ``_MATRIX_MAX_DIM`` and None above it.  Every array is read-only."""
 
+    table: FrequencyTable
     basis: np.ndarray
-    freqs: np.ndarray
-    pairs: tuple
     rows: np.ndarray | None
 
 
+def _reduce(gens, struct_rtol: float) -> tuple:
+    """``(table, basis)`` of exactly skew generators that commute, from
+    their joint canonical form at ``struct_rtol``: a rope1d table for one
+    generator, a mixed one of a column per generator for more.  The one
+    reduction, which ``Encoder`` and ``verify.reduce_liere`` share.  A 1x1
+    generator has no rotation plane and raises ValueError, as do generators
+    that do not commute; RuntimeError when no combination shares a block
+    structure."""
+    if len(gens[0]) < 2:
+        raise ValueError(f"a {len(gens[0])}x{len(gens[0])} generator has no rotation plane to reduce")
+    basis, freqs = linalg._joint_canonical_form(gens, struct_rtol)
+    return FrequencyTable("rope1d" if len(gens) == 1 else "mixed", freqs), basis
+
+
 def _commuting_reduction(gens):
-    """The ``Reduction`` of pairwise-commuting skew generators, or None when
-    they do not commute or share no block structure."""
+    """The ``Reduction`` of exactly skew generators at
+    ``_REDUCED_STRUCT_RTOL``, or None when there is none: they do not
+    commute, share no block structure or have no rotation plane."""
     try:
-        basis, freqs = linalg._joint_canonical_form(gens, _REDUCED_STRUCT_RTOL)
+        table, basis = _reduce(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
     rows = np.ascontiguousarray(basis) if len(basis) <= _MATRIX_MAX_DIM else None
-    for a in (basis, freqs, rows):
+    for a in (basis, rows):
         if a is not None:
             a.flags.writeable = False
-    return Reduction(basis, freqs, _pair_form(freqs, 2), rows)
+    return Reduction(table, basis, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +579,8 @@ def grad_frequencies(scheme: str, z_q, z_k, p_q, p_k, table: FrequencyTable) -> 
 class Scheme(NamedTuple):
     """One scheme: coordinates per rotation block (which fixes its table's
     pair form) and per pattern block (the bilinear piece of a score that a
-    block raster shows), position axes, the FrequencyTable layout it reads,
+    block raster shows), position axes (a mixed encoder's by default: it
+    takes its table's count), the FrequencyTable layout it reads,
     ``rotate(z, phasors)`` on checked (..., dim) tokens, the frequency
     gradient ``grad(table, z_q, z_k, p_q, p_k)`` or None, whether
     its table's entries are one ``shared`` parameter, and whether its scores
@@ -596,26 +621,25 @@ def _spec(scheme) -> Scheme:
 
 def _operator(enc, p, block=None) -> np.ndarray:
     """``enc``'s position operator at checked positions ``p`` (..., axes):
-    the phasors of a table scheme's pair form (of table block ``block``'s
-    form when it is given), else for liere the rotation matrix of each
-    position.  A reduced liere encoder of dim at most ``_MATRIX_MAX_DIM``
-    builds one position's matrix ``basis @ R @ basis.T`` from its phasors
-    ``e`` as ``_liere_reduced(basis, e.conj(), basis)``: ``R`` multiplies
-    ``basis`` from the right, so each row's pairs turn by ``R``'s
-    transpose, the conjugate phasors.  The result is C-ordered, like the
-    exponential route's matrices.  The pair turn views a row's pairs as
-    complex numbers, so it reads the reduction's C-order ``rows``, kept
-    only up to that dim.  A batch, or one position at a larger dim, keeps
-    its phasors, so no (..., n, n) stack is built.  Any leading shape; only
-    the operator depends on the position."""
-    if enc.table is not None:
-        pairs = enc.table.pairs if block is None else enc.table.block_pairs[block]
-        return _phasors(_angles(pairs, _fold(enc.scheme, p)))
+    the phasors of its table's pair form (of table block ``block``'s form
+    when it is given), a reduced liere encoder's table being its
+    reduction's; else, for liere generators that do not commute, the
+    rotation matrix of each position.  A reduced liere encoder of dim at
+    most ``_MATRIX_MAX_DIM`` builds one position's matrix ``basis @ R @
+    basis.T`` from its phasors ``e`` as ``_liere_reduced(basis, e.conj(),
+    basis)``: ``R`` multiplies ``basis`` from the right, so each row's
+    pairs turn by ``R``'s transpose, the conjugate phasors.  The result is
+    C-ordered, like the exponential route's matrices.  The pair turn views
+    a row's pairs as complex numbers, so it reads the reduction's C-order
+    ``rows``, kept only up to that dim.  A batch, or one position at a
+    larger dim, keeps its phasors, so no (..., n, n) stack is built.  Any
+    leading shape; only the operator depends on the position."""
     r = enc.reduction
-    if r is None:
+    table = enc.table if r is None else r.table
+    if table is None:
         return _rotation(p, enc.generators)
-    e = _phasors(_angles(r.pairs, p))
-    if p.ndim > 1 or r.rows is None:
+    e = _phasors(_angles(table.pairs if block is None else table.block_pairs[block], _fold(p, table)))
+    if r is None or p.ndim > 1 or r.rows is None:
         return e
     return _liere_reduced(r.rows, e.conj(), r.basis)
 
@@ -646,7 +670,7 @@ def _one_position_product(enc) -> Callable:
     if enc.table is not None:
         return SCHEMES[enc.scheme].rotate
     r = enc.reduction
-    return _matrix_turn if r is None or r.rows is not None else partial(_reduced_turn, r.basis)
+    return _matrix_turn if r is None or r.rows is not None else partial(_encode_liere, r)
 
 
 def _turn(enc, z, p, block=None):
@@ -660,7 +684,7 @@ def _turn(enc, z, p, block=None):
     elementwise, so the result is bit for bit that block's slice of the
     whole encode."""
     op = _operator(enc, p, block)
-    out = _encode_liere(enc, z, op) if enc.table is None else SCHEMES[enc.scheme].rotate(z, op)
+    out = _encode_liere(enc.reduction, z, op) if enc.table is None else SCHEMES[enc.scheme].rotate(z, op)
     # the raise is _check_finite's; a finite encode skips its call
     return out if linalg._finite(out) else _check_finite(enc.scheme, out)
 
@@ -684,12 +708,15 @@ class Encoder(linalg._Record):
     ``generators`` only, stored antisymmetrised, and reads ``dim`` off them
     when it is None.  A parameter its scheme does not take raises
     ValueError.
-    The position-independent forms are derived on construction: ``axes``;
-    for liere with commuting generators ``reduction``, their ``Reduction``
-    (the ``(basis, freqs)`` joint canonical form, the pair form of ``freqs``
-    and, up to dim ``_MATRIX_MAX_DIM``, a C-order copy of the basis), so that
-    a batched ``encode`` costs two matrix products and a pair turn instead
-    of an exponential per position, and one position's rotation matrix
+    The position-independent forms are derived on construction: ``axes``
+    (a table encoder's from its table, so an M-column mixed table gives M;
+    trivial2d folds its two onto rope1d's one); for liere with commuting
+    generators ``reduction``, their ``Reduction`` (their joint
+    ``FrequencyTable`` and basis, from ``_reduce``, and up to dim
+    ``_MATRIX_MAX_DIM`` a C-order copy of the basis): the encoder is Mixed
+    RoPE on that table in that basis, so that a batched ``encode`` is the
+    table's own pair turn between two basis products instead of an
+    exponential per position, and one position's rotation matrix
     ``basis @ R @ basis.T`` (up to dim ``_MATRIX_MAX_DIM``; above it one
     position keeps the phasors too) needs no exponential; the two agree to
     rounding, not bit for bit.  A table encoder turns by its table's pair
@@ -763,7 +790,7 @@ class Encoder(linalg._Record):
         if self.table.blocks != self.dim // spec.block:
             raise ValueError(f"table has {self.table.blocks} blocks, "
                              f"{self.scheme} at dim {self.dim} needs {self.dim // spec.block}")
-        object.__setattr__(self, "axes", spec.axes)
+        object.__setattr__(self, "axes", _axes(self.scheme, self.table))
         object.__setattr__(self, "_product", _one_position_product(self))
 
     @property
@@ -860,10 +887,11 @@ def encoder_from_config(cfg: dict) -> Encoder:
     spec = _spec(scheme)
     if spec.table is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if "axes" in cfg and cfg["axes"] != spec.axes:
-        raise ValueError(f"{scheme} has {spec.axes} axes, config says {cfg['axes']}")
     table = FrequencyTable(spec.table, cfg["freqs"]) if "freqs" in cfg else None
-    return make_encoder(scheme, cfg["dim"], base=cfg.get("base"), table=table, uniform_freq=cfg.get("uniform_freq"))
+    enc = make_encoder(scheme, cfg["dim"], base=cfg.get("base"), table=table, uniform_freq=cfg.get("uniform_freq"))
+    if "axes" in cfg and cfg["axes"] != enc.axes:
+        raise ValueError(f"{scheme} has {enc.axes} axes, config says {cfg['axes']}")
+    return enc
 
 
 def dump_config(cfg: dict) -> str:

@@ -328,8 +328,10 @@ def joint_canonical_form(generators, struct_rtol: float = JOINT_STRUCT_RTOL):
     Returns ``(basis, freqs)`` with ``freqs`` of shape ``(n // 2, m)``, so
     ``exp(sum_m p_m A_m) = basis @ R(freqs @ p) @ basis.T`` where ``R``
     rotates consecutive coordinate pairs and fixes a trailing odd one.
-    Raises ValueError for mismatched shapes or non-commuting generators and
-    RuntimeError when no combination yields a shared block structure.
+    Raises ValueError for mismatched shapes or non-commuting generators
+    (naming the worst relative commutator and ``COMMUTE_RTOL``) and
+    RuntimeError when no combination yields a shared block structure
+    (naming the smallest off-block residual and its bound).
     """
     return _joint_canonical_form(_skew_generators(generators), struct_rtol)
 
@@ -338,23 +340,29 @@ def _joint_canonical_form(gens, struct_rtol: float):
     """``joint_canonical_form`` of a non-empty sequence of exactly skew
     generators of one shape, unvalidated."""
     n = gens[0].shape[0]
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            if not is_commuting(g, h):
-                raise ValueError("generators do not commute; no shared block structure exists")
+    pairs = [(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]]
+    if not all(is_commuting(g, h) for g, h in pairs):
+        # the worst ||[A_i, A_j]||_F / (||A_i||_F ||A_j||_F); a zero generator commutes
+        worst = max(float(np.linalg.norm(commutator(g, h))) / float(np.linalg.norm(g)) / float(np.linalg.norm(h))
+                    for g, h in pairs if np.linalg.norm(g) and np.linalg.norm(h))
+        raise ValueError(f"generators do not commute; no shared block structure exists: worst relative "
+                         f"commutator {worst:.3e} > COMMUTE_RTOL {COMMUTE_RTOL:.1e}")
     k = n // 2
     scale = max(1.0, *(float(np.linalg.norm(g)) for g in gens))
     in_block = np.zeros((n, n), dtype=bool)
     for d in range(k):
         in_block[2 * d:2 * d + 2, 2 * d:2 * d + 2] = True
 
+    residuals = []
     for gamma in _GAMMAS:
         basis = canonical_form(sum(gamma ** m * g for m, g in enumerate(gens))).basis
         blocks = [basis.T @ g @ basis for g in gens]
-        if all(np.max(np.abs(b[~in_block]), initial=0.0) <= struct_rtol * scale for b in blocks):
+        residuals.append(max(np.max(np.abs(b[~in_block]), initial=0.0) for b in blocks))
+        if residuals[-1] <= struct_rtol * scale:
             break
     else:
-        raise RuntimeError("no generic combination produced a shared block structure")
+        raise RuntimeError(f"no generic combination produced a shared block structure: smallest off-block "
+                           f"residual {min(residuals):.3e} > struct_rtol * scale = {struct_rtol * scale:.3e}")
 
     freqs = np.column_stack([np.diagonal(b, -1)[0::2] for b in blocks])
     live = np.abs(freqs) > ZERO_FREQ_RTOL * scale

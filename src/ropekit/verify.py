@@ -1,11 +1,11 @@
 """Mechanical property checks with measured residuals.
 
 Every check is a pure function of (trials, seed) returning a CheckReport;
-reports serialize as JSON lines.  The two reduction routines realize the
-equivalence theorems constructively: a one-axis generator reduces to plain
-rotary pairs with learned frequencies, and a commuting generator pair
-reduces to per-pair combined-angle rotations, both via a shared orthogonal
-block-diagonalizing basis.
+reports serialize as JSON lines.  ``reduce_liere`` realizes the equivalence
+theorem constructively, by the reduction a commuting liere encoder turns
+through: M commuting generators reduce to one shared orthogonal
+block-diagonalizing basis and an M-column mixed table (plain rotary pairs
+with learned frequencies for one generator).
 
 A check keeps only its trial kernel: ``_worst`` folds the kernel's residuals
 into the largest, and ``_report`` states the check's tolerance and kind and
@@ -24,9 +24,9 @@ from functools import partial
 import numpy as np
 
 from .attention import score, scored_pair
-from .encodings import (SCHEMES, Encoder, FrequencyTable, _table_encode, frequency_schedule, grad_frequencies,
-                        liere, make_encoder, spherical, spherical_fast)
-from .linalg import _as_real, _integer, _real_scalar, as_skew, block_diag_skew, joint_canonical_form
+from .encodings import (SCHEMES, Encoder, FrequencyTable, _reduce, _table_encode, frequency_schedule,
+                        grad_frequencies, liere, make_encoder, spherical, spherical_fast)
+from .linalg import JOINT_STRUCT_RTOL, _as_real, _integer, _real_scalar, _skew_generators, as_skew, block_diag_skew
 
 EQUIVARIANCE_TOL = 1e-9
 COUNTEREXAMPLE_TOL = 1e-4
@@ -88,11 +88,13 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 def commuting_generators(n: int, rng: np.random.Generator):
     """A random commuting generator pair: conjugated block-diagonal frequency
     matrices sharing one orthogonal eigenbasis (signed per-block frequencies)."""
+    return _commuting(n, rng, 2)
+
+
+def _commuting(n: int, rng: np.random.Generator, m: int) -> tuple:
+    """``m`` commuting generators drawn as ``commuting_generators`` draws two."""
     u = random_orthogonal(n, rng)
-    k = n // 2
-    ax = u @ block_diag_skew(rng.standard_normal(k), n) @ u.T
-    ay = u @ block_diag_skew(rng.standard_normal(k), n) @ u.T
-    return as_skew(ax, atol=1e-9), as_skew(ay, atol=1e-9)
+    return tuple(as_skew(u @ block_diag_skew(rng.standard_normal(n // 2), n) @ u.T, atol=1e-9) for _ in range(m))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -173,7 +175,7 @@ def reduced_score(z_q, z_k, p_q, p_k, table: FrequencyTable, basis: np.ndarray) 
     Pairs are consecutive coordinates of ``basis.T @ z``; a trailing unpaired
     coordinate (odd dimension) passes through unrotated.  The pairs turn
     by the table scheme's own route: rope1d tables use angle f*p; mixed
-    tables use f_x*p_x + f_y*p_y.
+    tables of M columns use sum_m f_m*p_m.
     """
     if table.scheme not in ("rope1d", "mixed"):
         raise ValueError(f"unsupported table scheme {table.scheme!r}")
@@ -187,26 +189,31 @@ def reduced_score(z_q, z_k, p_q, p_k, table: FrequencyTable, basis: np.ndarray) 
     return float(encode(z_q, p_q) @ encode(z_k, p_k))
 
 
-def reduce_liere_1d(a) -> tuple[FrequencyTable, np.ndarray]:
-    """Rewrite a one-axis generator as plain rotary pairs in a rotated basis.
+def reduce_liere(*generators) -> tuple[FrequencyTable, np.ndarray]:
+    """Rewrite M commuting skew generators as Mixed RoPE in a rotated basis.
 
-    Returns (table, basis) with exp(a*p) = basis @ pair-rotations @ basis.T,
-    so generator scores equal rope1d scores on basis-transformed inputs.
+    Returns ``(table, basis)`` with ``exp(sum_m p_m A_m) = basis @ R(p) @
+    basis.T``, ``R`` the pair rotations of ``table`` (a rope1d table for
+    one generator, an M-column mixed table for more; an odd dim's last
+    coordinate is fixed), so generator scores equal the table's scores on
+    basis-transformed inputs.  All generators are block-diagonalized by one
+    orthogonal basis at ``JOINT_STRUCT_RTOL``; each 2-plane is oriented so
+    that its first nonzero frequency is positive.  This is the reduction a
+    commuting liere encoder turns through, at its own tighter tolerance.
+    Raises ValueError for non-commuting generators and for a 1x1 generator,
+    which has no rotation plane.
     """
-    basis, freqs = joint_canonical_form([a])
-    return FrequencyTable("rope1d", freqs), basis
+    return _reduce(_skew_generators(generators), JOINT_STRUCT_RTOL)
+
+
+def reduce_liere_1d(a) -> tuple[FrequencyTable, np.ndarray]:
+    """``reduce_liere(a)``: one generator as plain rotary pairs."""
+    return reduce_liere(a)
 
 
 def reduce_liere_mixed(ax, ay) -> tuple[FrequencyTable, np.ndarray]:
-    """Joint reduction of a commuting generator pair to combined-angle pairs.
-
-    Both generators are block-diagonalized by one orthogonal basis; each
-    2-plane's orientation is gauged by the first generator's action (falling
-    back to the second on its kernel), making f_x >= 0 and f_y signed.
-    Raises ValueError for non-commuting inputs.
-    """
-    basis, freqs = joint_canonical_form([ax, ay])
-    return FrequencyTable("mixed", freqs), basis
+    """``reduce_liere(ax, ay)``: a commuting pair as combined-angle pairs."""
+    return reduce_liere(ax, ay)
 
 
 # The reduction checks take the generator side from ``liere`` (one exponential
@@ -224,11 +231,10 @@ def _reduction(gens, table, basis, enc, rng) -> float:
     return np.maximum(abs(lhs - rhs), abs(via_encoder - lhs))
 
 
-def _run_reduction(name, draw_generators, reduce, trials: int, seed: int, dim: int = 8,
-                   tuples: int = 20) -> CheckReport:
+def _run_reduction(name, draw_generators, trials: int, seed: int, dim: int = 8, tuples: int = 20) -> CheckReport:
     def trial(rng):
         gens = draw_generators(dim, rng)
-        table, basis = reduce(*gens)
+        table, basis = reduce_liere(*gens)
         enc = make_encoder("liere", generators=gens)
         return _worst(tuples, rng, partial(_reduction, gens, table, basis, enc))
 
@@ -444,10 +450,9 @@ _REGISTRY = {
     "separability:axial": (check_axial_separability, 100, True),
     "degeneracy:trivial2d": (check_trivial_degeneracy, 100, True),
     "degeneracy:mixed-contrast": (check_mixed_antidiagonal, 100, True),
-    "reduction:liere-1d": (partial(_run_reduction, "reduction:liere-1d",
-                                   lambda n, rng: (random_skew(n, rng),), reduce_liere_1d), 10, True),
-    "reduction:liere-mixed": (partial(_run_reduction, "reduction:liere-mixed",
-                                      commuting_generators, reduce_liere_mixed), 10, True),
+    "reduction:liere-1d": (partial(_run_reduction, "reduction:liere-1d", lambda n, rng: (random_skew(n, rng),)),
+                           10, True),
+    "reduction:liere-mixed": (partial(_run_reduction, "reduction:liere-mixed", commuting_generators), 10, True),
     **{f"gradients:{s}": (_on(check_gradients, _fixed(s, dim)), 100, True)
        for s, dim in _TABLE_CASES if SCHEMES[s].table == s},
     "fast-path:spherical": (check_fast_path, 1000, True),
@@ -459,6 +464,8 @@ _REGISTRY = {
     **{f"equivariance:{s}-positive": (_on(check_equivariance, _fixed(s, dim), f"equivariance:{s}-positive"),
                                       100, False)
        for s, dim in _NONABELIAN_SCHEMES},
+    # hidden until a benchmark change lists it: the reduction at M = 3
+    "reduction:liere-3axis": (partial(_run_reduction, "reduction:liere-3axis", partial(_commuting, m=3)), 10, False),
 }
 
 

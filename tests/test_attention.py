@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from ropekit import attention as A
 from ropekit import encodings as E
+from ropekit import verify as V
 from ropekit.encodings import FrequencyTable
 from ropekit.grid import make_grid
 
@@ -376,9 +377,22 @@ def _pattern_encoders():
 PATTERN_ENCODERS = _pattern_encoders()
 
 
-@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
-def test_pattern_matches_per_pixel_loop(name, monkeypatch):
-    enc = PATTERN_ENCODERS[name]
+def _commuting_raster_encoders():
+    rng = np.random.default_rng(19)
+    encoders = {f"liere-commuting-n{n}": E.make_encoder("liere", generators=V.commuting_generators(n, rng))
+                for n in (5, 8, 17)}
+    assert all(enc.reduction is not None for enc in encoders.values())
+    return encoders
+
+
+RASTER_ENCODERS = {**PATTERN_ENCODERS, **_commuting_raster_encoders()}
+
+
+@pytest.mark.parametrize("name, width, height", [pytest.param(name, 7, 5, id=name) for name in sorted(PATTERN_ENCODERS)]
+                         + [pytest.param(f"liere-commuting-n{n}", w, h, id=f"liere-commuting-n{n}-{w}x{h}")
+                            for n in (5, 8, 17) for w, h in ((1, 1), (7, 3), (64, 64))])
+def test_pattern_matches_per_pixel_loop(name, width, height, monkeypatch):
+    enc = RASTER_ENCODERS[name]
     rng = np.random.default_rng(15)
     zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
     encode = E.Encoder.encode
@@ -389,16 +403,15 @@ def test_pattern_matches_per_pixel_loop(name, monkeypatch):
         return encode(self, z, p)
 
     monkeypatch.setattr(E.Encoder, "encode", counted)
-    pos = make_grid(5, 7).positions
+    pos = make_grid(height, width).positions
+    eq = np.array([[encode(enc, zq, pos[i, j, :enc.axes]) for j in range(width)] for i in range(height)])
+    ek = encode(enc, zk, np.zeros(enc.axes))
     for block in [None, *range(enc.pattern_blocks)]:
         calls.clear()
-        pat = A.render_pattern(enc, zq, zk, 7, 5, block)
+        pat = A.render_pattern(enc, zq, zk, width, height, block)
         assert len(calls) <= 2
         sl = slice(None) if block is None else enc.pattern_slice(block)
-        ek = encode(enc, zk, np.zeros(enc.axes))[sl]
-        want = np.array([[encode(enc, zq, pos[i, j, :enc.axes])[sl] @ ek for j in range(7)]
-                         for i in range(5)])
-        assert np.max(np.abs(pat.values - want)) <= 1e-12
+        assert np.max(np.abs(pat.values - eq[..., sl] @ ek[sl])) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["mixed", "liere-random"])
@@ -455,8 +468,10 @@ def test_pattern_rejects_batched_vectors():
 def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
     # a table scheme factors each pixel into a row and a column turn, made
     # as one turn of the stacked rows and columns, of the whole table or of
-    # one block; liere encodes the query at every pixel and the key once,
-    # at one position, through the product its encoder fixed
+    # one block, and so does a commuting liere encoder's combined raster;
+    # its block rasters, and every raster of non-commuting liere, encode
+    # the query at every pixel and the key once, at one position, through
+    # the product the encoder fixed
     enc = PATTERN_ENCODERS[name]
     turn, product, tokens = E._turn, enc._product, []
 
@@ -475,7 +490,8 @@ def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
     for block in (None, 0):
         tokens.clear()
         A.render_pattern(enc, zq, zk, 7, 5, block)
-        assert tokens == ([7 * 5, 1] if enc.table is None else [7 + 5])
+        factored = enc.table is not None or enc.reduction is not None and block is None
+        assert tokens == ([7 + 5] if factored else [7 * 5, 1])
 
 
 @pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))
@@ -520,29 +536,46 @@ def test_combined_table_raster_is_one_encode(scheme, monkeypatch):
 @pytest.mark.parametrize("name", ["liere-commuting", "liere-random"])
 def test_liere_raster_is_the_product_of_two_encodes(name):
     # the query at every pixel and the key at the origin, each encoded on
-    # its own: stacked in one call the reduced route rounds differently
+    # its own: stacked in one call the reduced route rounds differently.
+    # A commuting encoder's combined raster factors instead (the next test)
     enc = PATTERN_ENCODERS[name]
     rng = np.random.default_rng(17)
     zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
     eq = enc.encode(zq, make_grid(5, 7).positions)
     ek = enc.encode(zk, np.zeros(enc.axes))
-    for block in [None, *range(enc.pattern_blocks)]:
+    for block in [*range(enc.pattern_blocks)] + ([None] if enc.reduction is None else []):
         sl = slice(None) if block is None else enc.pattern_slice(block)
         want = (eq[..., None, sl] @ ek[sl, None])[..., 0, 0]
         np.testing.assert_array_equal(A.render_pattern(enc, zq, zk, 7, 5, block).values, want)
 
 
+@pytest.mark.parametrize("name", sorted(n for n, enc in RASTER_ENCODERS.items() if enc.reduction is not None))
+def test_commuting_liere_combined_raster_is_the_vecdot_of_one_factor_encode(name):
+    # R(x, y) = R(x, 0) R(0, y) when the generators commute: pixel (r, c)
+    # is the query at (0, y_r) against the key at (-x_c, 0), both from one
+    # encode of the stacked W + H tokens, bit for bit
+    enc = RASTER_ENCODERS[name]
+    zq, zk = np.random.default_rng(20).standard_normal((2, enc.dim))
+    grid = make_grid(5, 7)
+    at = np.zeros((5 + 7, enc.axes))
+    at[:5, 1], at[5:, 0] = grid.ys, -grid.xs
+    f = enc.encode(np.vstack([np.tile(zq, (5, 1)), np.tile(zk, (7, 1))]), at)
+    np.testing.assert_array_equal(A.render_pattern(enc, zq, zk, 7, 5).values, np.vecdot(f[:5, None], f[5:]))
+
+
 @pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
 def test_table_raster_reads_the_lattice_axes_and_never_builds_its_positions(name, monkeypatch):
-    # the lattice is still made through make_grid, but a table raster reads
-    # its xs and ys only; a liere raster encodes the query at every position
+    # the lattice is still made through make_grid, but a table raster, and
+    # a commuting liere encoder's combined raster, reads its xs and ys only;
+    # any other liere raster encodes the query at every position
     enc = PATTERN_ENCODERS[name]
     grids = []
     monkeypatch.setattr(A, "make_grid", lambda *size: grids.append(make_grid(*size)) or grids[-1])
     for block in (None, *range(enc.pattern_blocks)):
         grids.clear()
         A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), 7, 3, block)
-        assert len(grids) == 1 and ("positions" in vars(grids[0])) == (enc.table is None)
+        per_pixel = enc.table is None and (enc.reduction is None or block is not None)
+        assert len(grids) == 1 and ("positions" in vars(grids[0])) == per_pixel
 
 
 TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)

@@ -353,7 +353,8 @@ def test_liere_encoder_three_commuting_generators_odd_dim():
     rng = np.random.default_rng(43)
     gens = _commuting_family(7, 3, rng)
     enc = E.make_encoder("liere", generators=gens)
-    assert enc.reduction is not None
+    table = enc.reduction.table
+    assert table.scheme == "mixed" and table.freqs.shape == (3, 3) and enc.axes == 3
     for _ in range(25):
         z = rng.standard_normal(7)
         p = rng.uniform(-np.pi, np.pi, 3)
@@ -363,13 +364,53 @@ def test_liere_encoder_three_commuting_generators_odd_dim():
         assert np.max(np.abs(out - E.liere(z, p, gens))) <= 1e-12
 
 
+def _theorem_encoders():
+    rng = np.random.default_rng(59)
+    encoders = {(m, n): E.make_encoder("liere", generators=_commuting_family(n, m, rng))
+                for m in (1, 2, 3) for n in (5, 8, 16, 17, 48)}
+    assert all(enc.reduction is not None for enc in encoders.values())
+    return encoders
+
+
+THEOREM_ENCODERS = _theorem_encoders()
+
+
+@seed(2111)
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(THEOREM_ENCODERS)), st.sampled_from([(1,), (7,), (2, 3), (256,)]),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_property_a_commuting_encoder_is_its_table_in_its_basis(key, lead, rs):
+    # the reduction theorem as the implementation: a batched encode is the
+    # tokens rotated into the basis, turned by the public rope1d or mixed
+    # on the reduction's table, and mapped back, an odd dim's last
+    # coordinate fixed, bit for bit; and the per-position exponential to
+    # 1e-12 of the token's norm (the off-block entries that the reduction
+    # drops reach 1e-12 at n = 48 and M = 3, so a token of norm 7 moves by
+    # up to about 3e-12 there)
+    enc = THEOREM_ENCODERS[key]
+    table, basis = enc.reduction.table, enc.reduction.basis
+    assert table.scheme == ("rope1d" if enc.axes == 1 else "mixed") and table.axes == enc.axes
+    rng = np.random.default_rng(rs)
+    z = rng.standard_normal(lead + (enc.dim,))
+    p = rng.uniform(-np.pi, np.pi, lead + (enc.axes,))
+    y, k2 = z @ basis, 2 * table.blocks
+    turned = (E.rope1d if table.scheme == "rope1d" else E.mixed)(y[..., :k2], p, table)
+    if k2 == enc.dim:
+        want = turned @ basis.T
+    else:
+        want = turned @ basis[:, :k2].T + y[..., k2:] @ basis[:, k2:].T
+    got = enc.encode(z, p)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(np.abs(got - E.liere(z, p, enc.generators)) <= 1e-12 * np.linalg.norm(z, axis=-1, keepdims=True))
+
+
 def test_liere_encoder_derives_its_reduction():
     rng = np.random.default_rng(53)
     gens = tuple(_commuting_family(6, 2, rng))
     direct = E.Encoder(scheme="liere", dim=6, generators=gens)
     built = E.make_encoder("liere", generators=gens)
-    np.testing.assert_array_equal(direct.reduction[0], built.reduction[0])
-    np.testing.assert_array_equal(direct.reduction[1], built.reduction[1])
+    assert direct.reduction.table == built.reduction.table
+    np.testing.assert_array_equal(direct.reduction.basis, built.reduction.basis)
     with pytest.raises(TypeError):
         E.Encoder(scheme="liere", dim=6, generators=gens, reduction=None)
 
@@ -664,7 +705,7 @@ def _ref_encode(enc, z, p):
     """``enc.encode`` through the real updates, and each entry's bound scale:
     the norm of its rotation block (the token for liere), at least 1."""
     if enc.scheme == "liere":
-        basis, freqs = enc.reduction[:2]
+        freqs, basis = enc.reduction.table.freqs, enc.reduction.basis
         y = z @ basis
         k2 = 2 * len(freqs)
         out = (_ref_rotate_pairs(y[..., :k2], _ref_angles(p, freqs.T)) @ basis[:, :k2].T
@@ -1276,6 +1317,44 @@ def test_config_dump_is_byte_stable():
     assert E.dump_config(E.parse_config(text)) == text
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_mixed_table_takes_its_axis_count_from_its_columns(m):
+    # pair j turns by sum_m freqs[j, m] p_m; the encoder, the free function,
+    # the gradient and the config all read the axis count off the table
+    rng = np.random.default_rng(97 + m)
+    table = FrequencyTable("mixed", rng.uniform(-2.0, 2.0, (3, m)))
+    enc = E.make_encoder("mixed", 6, table=table)
+    assert enc.axes == table.axes == m
+    z, p = rng.standard_normal((5, 6)), rng.uniform(-3.0, 3.0, (5, m))
+    want = (z.view(complex) * np.exp(1j * (p @ table.freqs.T))).view(float)
+    got = enc.encode(z, p)
+    assert got.tobytes() == E.mixed(z, p, table).tobytes()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match=f"expected positions with {m} coordinate"):
+        enc.encode(z, np.zeros((5, m + 1)))
+    zk, pk = rng.standard_normal((5, 6)), rng.uniform(-3.0, 3.0, (5, m))
+    grad = E.grad_frequencies("mixed", z, zk, p, pk, table)
+    assert grad.shape == (5, 3, m)
+    numeric = V.finite_difference_grad("mixed", z[0], zk[0], p[0], pk[0], table)
+    np.testing.assert_allclose(grad[0], numeric, rtol=1e-5, atol=1e-7)
+    cfg = E.encoder_to_config(enc)
+    assert cfg["axes"] == m and E.encoder_from_config(cfg) == enc
+    with pytest.raises(ValueError, match=f"mixed has {m} axes, config says {m + 1}"):
+        E.encoder_from_config({**cfg, "axes": m + 1})
+
+
+def test_table_shapes_other_than_a_mixed_tables_columns_stay_fixed():
+    with pytest.raises(ValueError, match=r"mixed freqs must be a \(blocks, M >= 1\) array"):
+        FrequencyTable("mixed", np.zeros((3, 0)))
+    for scheme, cols in (("rope1d", 2), ("axial", 3), ("spherical", 1), ("uniform", 3)):
+        with pytest.raises(ValueError, match=rf"{scheme} freqs must be a \(blocks, {E.SCHEMES[scheme].axes}\)"):
+            FrequencyTable(scheme, np.ones((3, cols)))
+    # trivial2d keeps its two position axes on rope1d's one-column table
+    enc = E.make_encoder("trivial2d", 8)
+    assert enc.axes == 2 and enc.table.axes == 1
+    assert E.make_encoder("mixed", 8).axes == E.make_encoder("mixed", 8).table.axes == 2
+
+
 def test_config_rejects_bad_inputs():
     with pytest.raises(ValueError):
         E.encoder_from_config({"scheme": "axial", "dim": 8, "base": 10.0, "freqs": [[1, 1]]})
@@ -1339,11 +1418,12 @@ def test_property_config_round_trip(scheme, blocks, param, base, uniform_freq, r
 @given(st.integers(1, 9), st.integers(1, 3), st.sampled_from([(), (4,), (2, 3)]),
        st.sampled_from([1.0, 1e3, 1e6]), st.integers(min_value=0, max_value=2**31 - 1))
 def test_property_zero_generators_fix_every_token(n, m, lead, scale, rs):
-    # zero generators commute: the encoder takes the reduced route, and it
-    # and the per-position exponential both return z to roundoff
+    # zero generators commute: the encoder takes the reduced route (a 1x1
+    # generator has no rotation plane, so the exponential one), and it and
+    # the per-position exponential both return z to roundoff
     gens = [np.zeros((n, n))] * m
     enc = E.make_encoder("liere", generators=gens)
-    assert enc.reduction is not None
+    assert (enc.reduction is None) == (n == 1)
     rng = np.random.default_rng(rs)
     z = scale * rng.standard_normal(lead + (n,))
     p = scale * rng.uniform(-1.0, 1.0, lead + (m,))
@@ -1667,11 +1747,11 @@ def test_the_one_position_product_is_fixed_by_the_encoder_and_rebuilt_by_a_copy(
         elif r is None or r.rows is not None:
             assert enc._product is E._matrix_turn, name
         else:
-            assert enc._product.func is E._reduced_turn and enc._product.args == (r.basis,), name
+            assert enc._product.func is E._encode_liere and enc._product.args == (r,), name
         for dup in (copy.copy(enc), copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
             assert dup == enc and hash(dup) == hash(enc) and "_product" not in repr(dup)
             if isinstance(enc._product, functools.partial):
-                assert dup._product.func is enc._product.func and dup._product.args[0] is dup.reduction.basis
+                assert dup._product.func is enc._product.func and dup._product.args[0] is dup.reduction
             else:
                 assert dup._product is enc._product
         if enc.table is not None:
@@ -1937,7 +2017,7 @@ def test_a_reduction_keeps_one_c_order_basis_up_to_the_matrix_dim(dim):
     assert r.rows.flags.c_contiguous and not r.rows.flags.writeable
     assert r.rows.tobytes() == np.ascontiguousarray(r.basis).tobytes()
     for p in rng.uniform(-3.0, 3.0, (5, 2)):
-        e = E._phasors(E._angles(r.pairs, p))
+        e = E._phasors(E._angles(r.table.pairs, p))
         want = E._liere_reduced(np.ascontiguousarray(r.basis), e.conj(), r.basis)
         assert E._operator(enc, p).tobytes() == want.tobytes()
 
@@ -2018,8 +2098,9 @@ def test_liere_encoder_arrays_are_read_only():
     commuting = E.make_encoder("liere", generators=_commuting_family(6, 2, rng))
     gens = [V.random_skew(5, rng), V.random_skew(5, rng)]
     random = E.make_encoder("liere", generators=gens)
-    arrays = [*commuting.generators, *commuting.reduction[:2], commuting.reduction.rows, *random.generators]
-    arrays += [f for _, f in commuting.reduction[2]]
+    r = commuting.reduction
+    arrays = [*commuting.generators, r.table.freqs, r.basis, r.rows, *random.generators]
+    arrays += [f for _, f in r.table.pairs]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] *= 2
@@ -2040,7 +2121,7 @@ def _own_arrays(obj):
         return [obj.freqs] + [a for term in obj.pairs for a in term if isinstance(a, np.ndarray)]
     arrays = list(obj.generators or ())
     if obj.reduction is not None:
-        arrays += [*obj.reduction[:2], *(f for _, f in obj.reduction[2])]
+        arrays += [obj.reduction.basis, *_own_arrays(obj.reduction.table)]
         arrays += [] if obj.reduction.rows is None else [obj.reduction.rows]
     return arrays + (_own_arrays(obj.table) if obj.table is not None else [])
 

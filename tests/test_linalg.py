@@ -1,5 +1,7 @@
 """Unit tests for skew-matrix utilities: brackets, canonical form, exponentials."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -262,6 +264,29 @@ def test_joint_canonical_form_three_commuting_generators():
 def test_joint_canonical_form_rejects_non_commuting():
     with pytest.raises(ValueError, match="do not commute"):
         linalg.joint_canonical_form([G_YAW, G_ROLL])
+
+
+def test_joint_canonical_form_refusals_carry_their_numbers():
+    # a commuting pair and a third generator that commutes with neither:
+    # the message names the worst relative commutator and COMMUTE_RTOL
+    rng = np.random.default_rng(37)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    pair = [linalg.as_skew(q @ block_diag(rng.standard_normal(3), 6) @ q.T, atol=1e-9) for _ in range(2)]
+    gens = pair + [random_skew(6, rng)]
+    with pytest.raises(ValueError, match="do not commute") as info:
+        linalg.joint_canonical_form(gens)
+    worst, rtol = map(float, re.search(r"commutator (\S+) > COMMUTE_RTOL (\S+)$", str(info.value)).groups())
+    want = max(np.linalg.norm(linalg.commutator(g, gens[2])) / (np.linalg.norm(g) * np.linalg.norm(gens[2]))
+               for g in pair)
+    assert worst == pytest.approx(want, rel=1e-3) and rtol == linalg.COMMUTE_RTOL < worst
+    # a structure bound below rounding: the smallest off-block residual over
+    # the generic combinations, at roundoff, against struct_rtol * scale
+    with pytest.raises(RuntimeError, match="no generic combination") as info:
+        linalg.joint_canonical_form(pair, 1e-30)
+    residual, bound = map(float, re.search(r"residual (\S+) > struct_rtol \* scale = (\S+)$",
+                                           str(info.value)).groups())
+    scale = max(1.0, *(np.linalg.norm(g) for g in pair))
+    assert bound == pytest.approx(1e-30 * scale, rel=1e-3) and bound < residual <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def test_reduce_1d_block_diagonal_input():
         assert abs(lhs - rhs) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["reduction:liere-1d", "reduction:liere-mixed"])
+@pytest.mark.parametrize("name", ["reduction:liere-1d", "reduction:liere-mixed", "reduction:liere-3axis"])
 def test_reduction_checks_catch_a_wrong_encoder(monkeypatch, name):
     # a reduced encoder that rotates the wrong way is still equivariant and a
     # flow; only the comparison with the per-position exponential sees it
@@ -174,6 +174,47 @@ def test_reduction_checks_catch_a_wrong_encoder(monkeypatch, name):
     monkeypatch.setattr(E, "_liere_reduced", backwards)
     (r,) = V.run_checks([name], seed=0)
     assert not r.passed and r.residual > 1e-3
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_1x1_generator_has_no_plane_to_reduce_and_encodes_to_its_token(m):
+    # the reduction names the generator size; the encoder takes the
+    # exponential route, and both routes return z bit for bit
+    gens = [np.zeros((1, 1))] * m
+    with pytest.raises(ValueError, match="a 1x1 generator has no rotation plane"):
+        V.reduce_liere(*gens)
+    with pytest.raises(ValueError, match="a 1x1 generator has no rotation plane"):
+        (V.reduce_liere_1d if m == 1 else V.reduce_liere_mixed)(*gens)
+    enc = E.make_encoder("liere", generators=gens)
+    assert enc.reduction is None
+    rng = np.random.default_rng(41)
+    z, p = rng.standard_normal((6, 1)), rng.uniform(-4.0, 4.0, (6, m))
+    for out in (enc.encode(z, p), E.liere(z, p, gens), np.stack([enc.encode(zi, pi) for zi, pi in zip(z, p)])):
+        assert out.tobytes() == z.tobytes()
+
+
+def test_reduce_liere_is_one_reduction_of_any_number_of_generators():
+    # the wrappers are reduce_liere itself; three generators give a
+    # three-column mixed table, the encoder's own reduction to rounding
+    rng = np.random.default_rng(43)
+    a = V.random_skew(6, rng)
+    pair = V.commuting_generators(6, rng)
+    for got, want in ((V.reduce_liere_1d(a), V.reduce_liere(a)), (V.reduce_liere_mixed(*pair), V.reduce_liere(*pair))):
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    assert V.reduce_liere(a)[0].scheme == "rope1d" and V.reduce_liere(*pair)[0].scheme == "mixed"
+    gens = V._commuting(7, rng, 3)
+    table, basis = V.reduce_liere(*gens)
+    assert table.scheme == "mixed" and table.freqs.shape == (3, 3) and basis.shape == (7, 7)
+    r = E.make_encoder("liere", generators=gens).reduction
+    np.testing.assert_allclose(r.table.freqs, table.freqs, atol=1e-12)
+    np.testing.assert_allclose(r.basis, basis, atol=1e-12)
+
+
+def test_the_3axis_reduction_check_is_hidden_and_passes():
+    assert "reduction:liere-3axis" not in V.check_names()
+    assert V.check_names(include_hidden=True)[-1] == "reduction:liere-3axis"
+    (r,) = V.run_checks(["reduction:liere-3axis"], seed=0)
+    assert r.passed and r.residual <= V.SCORE_EQUIV_TOL and r.trials == 10
 
 
 def test_reduce_1d_zero_generator():

@@ -14,8 +14,10 @@ The probes, every one on fixed draws:
 * per-token encodes, fresh and repeated (the second pass reads the store),
   batched, broadcast and empty (``(0, dim)`` tokens at ``(0, axes)``
   positions) encodes, of every table scheme at dims 12, 48 and 96 (and on
-  a random dim-12 table), and of reduced (commuting) and exponential
-  (random) liere at n = 5, 8, 16, 17 and 48;
+  a random dim-12 table), of reduced (commuting) and exponential
+  (random) liere at n = 5, 8, 16, 17 and 48, of reduced liere of three
+  commuting generators at n = 7, 16 and 17, and of a three-column mixed
+  table at dim 6;
 * one-position encodes of every input kind that ``Encoder.encode`` hands
   to ``_inputs`` (lists, tuples, float32, int and bool tokens, an int
   position, F-order and strided tokens, an ndarray subclass, 0-d and
@@ -28,8 +30,11 @@ The probes, every one on fixed draws:
   batched at dims 12 and 48 on their encoders' tables, ``uniform`` at two
   frequencies, and ``liere`` on both liere pairs at n = 5, 8 and 17;
 * combined and every block raster at 1x1, 7x3, 5x4, 16x16 and 64x64, of
-  every table scheme at dims 12 and 48 and of both liere encoders at n = 5
-  and 8;
+  every table scheme at dims 12 and 48, of both liere encoders at n = 5
+  and 8, and of reduced liere at n = 17 and 48;
+* the tables' frequencies and the bases of ``reduce_liere`` on one, two
+  and three commuting generators at n = 7 and 16 (under a tree without
+  ``reduce_liere``, ``joint_canonical_form``'s, the arrays it wraps);
 * ``make_grid(...).positions`` at (16, 16), (32, 32, 16, 16), (7, 5),
   (5, 7, 3, 2), (1, 9) and (9, 1);
 * ``attention_weights`` and ``softmax_attention`` at N = 64, d = 16 and on
@@ -37,7 +42,8 @@ The probes, every one on fixed draws:
 * ``grad_frequencies`` per token and batched, every table scheme at dims 12
   and 48;
 * config text of every table scheme, by default, by table and by base (or
-  uniform frequency), and after a round trip;
+  uniform frequency), and after a round trip, and of the three-column
+  mixed table;
 * a pickle round trip of each record: a table's frequencies, an
   encoder's encodes, a grid's positions, a pattern's values and the arrays
   of a canonical form at n = 17;
@@ -78,14 +84,15 @@ def _text(s: str) -> np.ndarray:
     return np.frombuffer(s.encode(), np.uint8)
 
 
-def _generators(n: int, commuting: bool, rng: np.random.Generator) -> list:
-    """Two skew n x n generators: block-diagonal in one random orthogonal
-    basis when ``commuting``, else with independent normal entries."""
+def _generators(n: int, commuting: bool, rng: np.random.Generator, count: int = 2) -> list:
+    """``count`` skew n x n generators: block-diagonal in one random
+    orthogonal basis when ``commuting``, else with independent normal
+    entries."""
     if not commuting:
-        return [u - u.T for u in (np.triu(rng.standard_normal((n, n)), k=1) for _ in range(2))]
+        return [u - u.T for u in (np.triu(rng.standard_normal((n, n)), k=1) for _ in range(count))]
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     gens = []
-    for _ in range(2):
+    for _ in range(count):
         b = np.zeros((n, n))
         b[:n - n % 2, :n - n % 2] = np.kron(np.diag(rng.standard_normal(n // 2)), [[0.0, -1.0], [1.0, 0.0]])
         gens.append(q @ b @ q.T)
@@ -124,10 +131,10 @@ def _fallback_kinds(z, batch, p, strided) -> dict:
 
 def probe() -> dict:
     """Every probe's name and output array, under the ``ropekit`` on the path."""
-    from ropekit import cli, encodings as E
+    from ropekit import cli, encodings as E, verify as V
     from ropekit.attention import attention_weights, render_pattern, softmax_attention
     from ropekit.grid import make_grid
-    from ropekit.linalg import canonical_form
+    from ropekit.linalg import canonical_form, joint_canonical_form
 
     out = {}
 
@@ -152,6 +159,9 @@ def probe() -> dict:
         for kind, commuting in (("reduced", True), ("exponential", False)):
             gens = _generators(n, commuting, rng)
             encoders[f"liere-{kind}.n{n}"] = lambda g=gens: E.make_encoder("liere", generators=g)
+    for n in (7, 16, 17):
+        gens = _generators(n, True, rng, 3)
+        encoders[f"liere-reduced-3axis.n{n}"] = lambda g=gens: E.make_encoder("liere", generators=g)
 
     for name, make in encoders.items():
         fresh = make()
@@ -186,6 +196,7 @@ def probe() -> dict:
 
     rasters = [f"{s}.d{d}" for d in (12, 48) for s in tables]
     rasters += [f"liere-{k}.n{n}" for k in ("reduced", "exponential") for n in (5, 8)]
+    rasters += [f"liere-reduced.n{n}" for n in (17, 48)]
     for name in rasters:
         enc = encoders[name]()
         zq, zk = rng.standard_normal((2, enc.dim))
@@ -193,6 +204,19 @@ def probe() -> dict:
             for block in (None, *range(enc.pattern_blocks)):
                 record(f"raster.{name}.{w}x{h}.{'all' if block is None else block}",
                        lambda: render_pattern(enc, zq, zk, w, h, block).values)
+
+    def reduction(gens):
+        if hasattr(V, "reduce_liere"):
+            table, basis = V.reduce_liere(*gens)
+            return table.freqs, basis
+        basis, freqs = joint_canonical_form(gens)
+        return freqs, basis
+
+    for n in (7, 16):
+        gens = _generators(n, True, rng, 3)
+        for m in (1, 2, 3):
+            record(f"reduce_liere.m{m}.n{n}.freqs", lambda: reduction(gens[:m])[0])
+            record(f"reduce_liere.m{m}.n{n}.basis", lambda: reduction(gens[:m])[1])
 
     for size in ((16, 16), (32, 32, 16, 16), (7, 5), (5, 7, 3, 2), (1, 9), (9, 1)):
         record(f"grid.{'x'.join(map(str, size))}", lambda: make_grid(*size).positions)
@@ -262,6 +286,21 @@ def probe() -> dict:
         for kind, (zk, pk) in _fallback_kinds(z, batch, p, wide[:, 0]).items():
             enc = make()
             record(f"fallback.{name}.{kind}", lambda: np.stack([enc.encode(zk, pk), enc.encode(zk, pk)]))
+
+    # a three-column mixed table, which a tree may refuse: its own draws,
+    # so a refusal moves no other probe
+    rng3 = np.random.default_rng(20261)
+    freqs, z, p = rng3.uniform(-2.0, 2.0, (3, 3)), rng3.standard_normal((6, 6)), rng3.uniform(-4.0, 4.0, (6, 3))
+
+    def mixed3():
+        return E.Encoder("mixed", 6, E.FrequencyTable("mixed", freqs))
+
+    record("encode.mixed.3-axis-table.d6.token", lambda: np.stack([mixed3().encode(z[i], p[i]) for i in range(6)]))
+    record("encode.mixed.3-axis-table.d6.batched", lambda: mixed3().encode(z, p))
+    record("free.mixed.3-axis-table.d6.batched", lambda: E.mixed(z, p, mixed3().table))
+    record("config.mixed.3-axis-table", lambda: _text(config(mixed3())))
+    record("config.mixed.3-axis-table.round-trip",
+           lambda: _text(config(E.encoder_from_config(E.parse_config(config(mixed3()))))))
 
     for argv in (["verify"], ["verify", "--seed", "3"], ["verify", "--list"]):
         buf = io.StringIO()
