@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import ENCODERS, TABLE_SCHEMES
 from hypothesis import given, seed, settings, strategies as st
 
 from ropekit import attention as A
@@ -361,22 +362,6 @@ def test_pattern_one_axis_encoder_sweeps_x_only():
     np.testing.assert_array_equal(pat.values, np.tile(pat.values[0], (5, 1)))
 
 
-def _pattern_encoders():
-    rng = np.random.default_rng(14)
-    encoders = {s: E.make_encoder(s, 12) for s, spec in E.SCHEMES.items() if spec.table}
-    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    blocks = [np.kron(np.diag(rng.standard_normal(3)), [[0.0, -1.0], [1.0, 0.0]]) for _ in range(2)]
-    encoders["liere-commuting"] = E.make_encoder("liere", generators=[q @ b @ q.T for b in blocks])
-    random = [np.triu(rng.standard_normal((5, 5)), k=1) for _ in range(2)]
-    encoders["liere-random"] = E.make_encoder("liere", generators=[g - g.T for g in random])
-    assert encoders["liere-commuting"].reduction is not None
-    assert encoders["liere-random"].reduction is None
-    return encoders
-
-
-PATTERN_ENCODERS = _pattern_encoders()
-
-
 def _commuting_raster_encoders():
     rng = np.random.default_rng(19)
     encoders = {f"liere-commuting-n{n}": E.make_encoder("liere", generators=V.commuting_generators(n, rng))
@@ -385,10 +370,10 @@ def _commuting_raster_encoders():
     return encoders
 
 
-RASTER_ENCODERS = {**PATTERN_ENCODERS, **_commuting_raster_encoders()}
+RASTER_ENCODERS = {**ENCODERS, **_commuting_raster_encoders()}
 
 
-@pytest.mark.parametrize("name, width, height", [pytest.param(name, 7, 5, id=name) for name in sorted(PATTERN_ENCODERS)]
+@pytest.mark.parametrize("name, width, height", [pytest.param(name, 7, 5, id=name) for name in sorted(ENCODERS)]
                          + [pytest.param(f"liere-commuting-n{n}", w, h, id=f"liere-commuting-n{n}-{w}x{h}")
                             for n in (5, 8, 17) for w, h in ((1, 1), (7, 3), (64, 64))])
 def test_pattern_matches_per_pixel_loop(name, width, height, monkeypatch):
@@ -417,7 +402,7 @@ def test_pattern_matches_per_pixel_loop(name, width, height, monkeypatch):
 @pytest.mark.parametrize("name", ["mixed", "liere-random"])
 @pytest.mark.parametrize("size", [(4.0, 4), (4, 2.5), (0, 4)])
 def test_pattern_rejects_sizes_that_are_not_whole_pixels(name, size):
-    enc = PATTERN_ENCODERS[name]
+    enc = ENCODERS[name]
     with pytest.raises(ValueError, match="pattern size|positive integer"):
         A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), *size)
 
@@ -427,7 +412,7 @@ def test_pattern_rejects_sizes_that_are_not_whole_pixels(name, size):
 def test_pattern_size_errors_name_width_and_height(name, bad):
     # the integer rule names the raster's own parameters, not make_grid's
     # cols and rows
-    enc = PATTERN_ENCODERS[name]
+    enc = ENCODERS[name]
     z = np.ones(enc.dim)
     with pytest.raises(ValueError, match="^width must be a positive integer"):
         A.render_pattern(enc, z, z, bad, 4)
@@ -438,12 +423,12 @@ def test_pattern_size_errors_name_width_and_height(name, bad):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the NaN or overflow first
-@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pattern_rejects_a_non_finite_vector_for_every_block(name, bad):
     # the combined raster and every block raster, whether or not the block
     # holds the bad entry: a block raster turns its own coordinates only
-    enc = PATTERN_ENCODERS[name]
+    enc = ENCODERS[name]
     z = np.linspace(-1.0, 1.0, enc.dim)
     zb = z.copy()
     zb[5 % enc.dim] = bad
@@ -464,64 +449,10 @@ def test_pattern_rejects_batched_vectors():
             A.render_pattern(enc, zq, zk, 4, 4)
 
 
-@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
-def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
-    # a table scheme factors each pixel into a row and a column turn, made
-    # as one turn of the stacked rows and columns, of the whole table or of
-    # one block, and so does a commuting liere encoder's combined raster;
-    # its block rasters, and every raster of non-commuting liere, encode
-    # the query at every pixel and the key once, at one position, through
-    # the product the encoder fixed
-    enc = PATTERN_ENCODERS[name]
-    turn, product, tokens = E._turn, enc._product, []
-
-    def counted(enc, z, p, *block):
-        tokens.append(int(np.prod(np.broadcast_shapes(np.shape(z)[:-1], np.shape(p)[:-1]))))
-        return turn(enc, z, p, *block)
-
-    def counted_product(z, op):
-        tokens.append(int(np.prod(np.shape(z)[:-1])))
-        return product(z, op)
-
-    monkeypatch.setattr(E, "_turn", counted)
-    monkeypatch.setitem(vars(enc), "_product", counted_product)
-    rng = np.random.default_rng(16)
-    zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
-    for block in (None, 0):
-        tokens.clear()
-        A.render_pattern(enc, zq, zk, 7, 5, block)
-        factored = enc.table is not None or enc.reduction is not None and block is None
-        assert tokens == ([7 + 5] if factored else [7 * 5, 1])
-
-
-@pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))
-def test_block_raster_turns_a_stack_of_its_table_block_alone(scheme, monkeypatch):
-    # the W + H stack holds the pattern block's table block only, made here
-    # at its final shape, so no input check runs a second time
-    enc = PATTERN_ENCODERS[scheme]
-    turn, inputs, calls = E._turn, E._inputs, []
-
-    def spy_turn(enc, z, p, *block):
-        calls.append((np.shape(z), np.shape(p), block))
-        return turn(enc, z, p, *block)
-
-    def spy_inputs(*args):
-        calls.append("_inputs")
-        return inputs(*args)
-
-    monkeypatch.setattr(E, "_turn", spy_turn)
-    monkeypatch.setattr(E, "_inputs", spy_inputs)
-    size = E.SCHEMES[scheme].block
-    for b in range(enc.pattern_blocks):
-        calls.clear()
-        A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), 7, 5, b)
-        assert calls == [((5 + 7, size), (5 + 7, enc.axes), (enc.pattern_slice(b).start // size,))]
-
-
-@pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))
+@pytest.mark.parametrize("scheme", TABLE_SCHEMES)
 def test_combined_table_raster_is_one_encode(scheme, monkeypatch):
     # Encoder.encode is the call a traced benchmark run counts
-    enc = PATTERN_ENCODERS[scheme]
+    enc = ENCODERS[scheme]
     encode, calls = E.Encoder.encode, []
 
     def counted(self, z, p):
@@ -538,7 +469,7 @@ def test_liere_raster_is_the_product_of_two_encodes(name):
     # the query at every pixel and the key at the origin, each encoded on
     # its own: stacked in one call the reduced route rounds differently.
     # A commuting encoder's combined raster factors instead (the next test)
-    enc = PATTERN_ENCODERS[name]
+    enc = ENCODERS[name]
     rng = np.random.default_rng(17)
     zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
     eq = enc.encode(zq, make_grid(5, 7).positions)
@@ -563,12 +494,12 @@ def test_commuting_liere_combined_raster_is_the_vecdot_of_one_factor_encode(name
     np.testing.assert_array_equal(A.render_pattern(enc, zq, zk, 7, 5).values, np.vecdot(f[:5, None], f[5:]))
 
 
-@pytest.mark.parametrize("name", sorted(PATTERN_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_table_raster_reads_the_lattice_axes_and_never_builds_its_positions(name, monkeypatch):
     # the lattice is still made through make_grid, but a table raster, and
     # a commuting liere encoder's combined raster, reads its xs and ys only;
     # any other liere raster encodes the query at every position
-    enc = PATTERN_ENCODERS[name]
+    enc = ENCODERS[name]
     grids = []
     monkeypatch.setattr(A, "make_grid", lambda *size: grids.append(make_grid(*size)) or grids[-1])
     for block in (None, *range(enc.pattern_blocks)):
@@ -576,9 +507,6 @@ def test_table_raster_reads_the_lattice_axes_and_never_builds_its_positions(name
         A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), 7, 3, block)
         per_pixel = enc.table is None and (enc.reduction is None or block is not None)
         assert len(grids) == 1 and ("positions" in vars(grids[0])) == per_pixel
-
-
-TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)
 
 
 @pytest.mark.parametrize("scheme", TABLE_SCHEMES)

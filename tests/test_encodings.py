@@ -2,15 +2,11 @@
 
 import copy
 import dataclasses
-import functools
 import itertools
-import pickle
-import sys
-import threading
-from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import COPIES, ENCODERS, TABLE_SCHEMES, commuting_family, encode_in_threads, input_kinds
 from hypothesis import example, given, seed, settings, strategies as st
 
 from ropekit import attention as A, encodings as E, linalg, verify as V
@@ -296,7 +292,7 @@ def test_liere_rejects_non_finite_inputs():
         with pytest.raises(ValueError, match="non-finite"):
             E.make_encoder("liere", generators=[np.where(t != 0, bad, t) - t.T])
     # finite positions whose angle overflows
-    commuting = E.make_encoder("liere", generators=_commuting_family(6, 2, rng))
+    commuting = E.make_encoder("liere", generators=commuting_family(6, 2, rng))
     assert commuting.reduction is not None
     with pytest.raises(ValueError, match="finite"):
         commuting.encode(np.ones(6), [1e308, 1e308])
@@ -335,23 +331,11 @@ def test_liere_accepts_a_generator_at_every_position():
         np.testing.assert_array_equal(direct.encode(z, [p, p]), E.liere(z, [p, p], [skew, G_ROLL]))
 
 
-def _commuting_family(n, count, rng):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    gens = []
-    for _ in range(count):
-        b = np.zeros((n, n))
-        for d, f in enumerate(rng.standard_normal(n // 2)):
-            b[2 * d, 2 * d + 1], b[2 * d + 1, 2 * d] = -f, f
-        a = q @ b @ q.T
-        gens.append(0.5 * (a - a.T))
-    return gens
-
-
 def test_liere_encoder_three_commuting_generators_odd_dim():
     from ropekit.linalg import matrix_exp_series
 
     rng = np.random.default_rng(43)
-    gens = _commuting_family(7, 3, rng)
+    gens = commuting_family(7, 3, rng)
     enc = E.make_encoder("liere", generators=gens)
     table = enc.reduction.table
     assert table.scheme == "mixed" and table.freqs.shape == (3, 3) and enc.axes == 3
@@ -366,7 +350,7 @@ def test_liere_encoder_three_commuting_generators_odd_dim():
 
 def _theorem_encoders():
     rng = np.random.default_rng(59)
-    encoders = {(m, n): E.make_encoder("liere", generators=_commuting_family(n, m, rng))
+    encoders = {(m, n): E.make_encoder("liere", generators=commuting_family(n, m, rng))
                 for m in (1, 2, 3) for n in (5, 8, 16, 17, 48)}
     assert all(enc.reduction is not None for enc in encoders.values())
     return encoders
@@ -406,7 +390,7 @@ def test_property_a_commuting_encoder_is_its_table_in_its_basis(key, lead, rs):
 
 def test_liere_encoder_derives_its_reduction():
     rng = np.random.default_rng(53)
-    gens = tuple(_commuting_family(6, 2, rng))
+    gens = tuple(commuting_family(6, 2, rng))
     direct = E.Encoder(scheme="liere", dim=6, generators=gens)
     built = E.make_encoder("liere", generators=gens)
     assert direct.reduction.table == built.reduction.table
@@ -498,22 +482,13 @@ def test_property_isometry(scheme, rs):
 # ---------------------------------------------------------------------------
 
 
-def _batch_encoders():
-    rng = np.random.default_rng(59)
-    encoders = {s: E.make_encoder(s, 12) for s, spec in E.SCHEMES.items() if spec.table}
-    encoders["liere-commuting"] = E.make_encoder("liere", generators=_commuting_family(7, 2, rng))
-    random = [np.triu(rng.standard_normal((5, 5)), k=1) for _ in range(2)]
-    encoders["liere-random"] = E.make_encoder("liere", generators=[g - g.T for g in random])
-    assert encoders["liere-commuting"].reduction is not None
-    assert encoders["liere-random"].reduction is None
-    return encoders
-
-
-BATCH_ENCODERS = _batch_encoders()
-
-
 def test_batch_encoders_cover_the_registry():
-    assert {enc.scheme for enc in BATCH_ENCODERS.values()} == set(E.SCHEMES)
+    assert {enc.scheme for enc in ENCODERS.values()} == set(E.SCHEMES)
+
+
+def test_store_encoders_cover_every_route():
+    routes = {(enc.scheme, enc.reduction is None, enc.dim % 2) for enc in ENCODERS.values()}
+    assert {(r, odd) for s, r, odd in routes if s == "liere"} == {(True, 1), (False, 1), (False, 0)}
 
 
 # A lead shape of more than 16384 pairs (256 KiB of complex phasors) for
@@ -521,7 +496,7 @@ def test_batch_encoders_cover_the_registry():
 # and swap the operands of a product, which for the fused complex product
 # changes its rounding.  It runs once per route, as an explicit example.
 LARGE_LEAD = (2, 2800)
-PHASOR_ROUTES = sorted(n for n, enc in BATCH_ENCODERS.items() if enc.table or enc.reduction)
+PHASOR_ROUTES = sorted(n for n, enc in ENCODERS.items() if enc.table or enc.reduction)
 
 
 def _large_lead_examples(names):
@@ -536,14 +511,14 @@ def _large_lead_examples(names):
 @settings(max_examples=150, deadline=None)
 @_large_lead_examples(PHASOR_ROUTES)
 @given(
-    st.sampled_from(sorted(BATCH_ENCODERS)),
+    st.sampled_from(sorted(ENCODERS)),
     st.sampled_from([(), (0,), (5,), (2, 3)]),
     st.booleans(),
     st.sampled_from([0.0, 1.0, np.pi, 1e3, 1e6]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_property_batched_encode_matches_per_token(name, lead, shared_z, scale, rs):
-    enc = BATCH_ENCODERS[name]
+    enc = ENCODERS[name]
     rng = np.random.default_rng(rs)
     z = rng.standard_normal((enc.dim,) if shared_z else lead + (enc.dim,))
     p = scale * rng.uniform(-1.0, 1.0, lead + (enc.axes,))
@@ -722,28 +697,17 @@ def _ref_encode(enc, z, p):
     return out, np.broadcast_to(scale, out.shape)
 
 
-def _reference_encoders():
-    rng = np.random.default_rng(61)
-    encoders = {name: enc for name, enc in BATCH_ENCODERS.items() if name != "liere-random"}
-    encoders["liere-commuting-even"] = E.make_encoder("liere", generators=_commuting_family(8, 2, rng))
-    assert encoders["liere-commuting-even"].reduction is not None
-    return encoders
-
-
-REFERENCE_ENCODERS = _reference_encoders()
-
-
 @seed(2039)
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(sorted(REFERENCE_ENCODERS)),
+    st.sampled_from(PHASOR_ROUTES),
     st.sampled_from([(), (5,), (2, 3)]),
     st.booleans(),
     st.floats(min_value=0.0, max_value=1e6),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_property_phasor_route_matches_real_rotations(name, lead, shared_z, scale, rs):
-    enc = REFERENCE_ENCODERS[name]
+    enc = ENCODERS[name]
     rng = np.random.default_rng(rs)
     z = rng.standard_normal((enc.dim,) if shared_z else lead + (enc.dim,))
     p = scale * rng.uniform(-1.0, 1.0, lead + (enc.axes,))
@@ -832,14 +796,14 @@ def test_a_table_builds_its_pair_form_once(monkeypatch):
 
 
 def test_single_token_shapes_and_scalar_position():
-    enc = BATCH_ENCODERS["rope1d"]
+    enc = ENCODERS["rope1d"]
     z = np.arange(12.0)
     assert enc.encode(z, 0.7).shape == (12,)
     np.testing.assert_array_equal(enc.encode(z, 0.7), enc.encode(z, [0.7]))
     with pytest.raises(ValueError):
         enc.encode(z[:10], 0.7)
     with pytest.raises(ValueError):
-        BATCH_ENCODERS["mixed"].encode(z, 0.7)
+        ENCODERS["mixed"].encode(z, 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,7 +1047,7 @@ def test_make_encoder_validation():
         E.make_encoder("uniform", 8, table=FrequencyTable.fixed("axial", 8))
 
 
-@pytest.mark.parametrize("scheme", sorted(s for s, spec in E.SCHEMES.items() if spec.table))
+@pytest.mark.parametrize("scheme", TABLE_SCHEMES)
 def test_encoder_dim_is_an_integer(scheme):
     # a whole float is refused too: its config would not round-trip
     for dim in (12.0, 12.5, True, np.float64(12.0)):
@@ -1254,7 +1218,7 @@ def test_make_encoder_antisymmetrises_each_liere_generator_once(monkeypatch):
     monkeypatch.setattr(linalg, "as_skew", counted)
     random = [np.triu(rng.standard_normal((16, 16)), k=1) for _ in range(2)]
     # a commuting pair adds one call: canonical_form of their combination
-    for gens, reduced in ((_commuting_family(16, 2, rng), True), ([g - g.T for g in random], False)):
+    for gens, reduced in ((commuting_family(16, 2, rng), True), ([g - g.T for g in random], False)):
         calls.clear()
         assert (E.make_encoder("liere", generators=gens).reduction is not None) == reduced
         assert calls == [(16, 16)] * (3 if reduced else 2)
@@ -1381,9 +1345,6 @@ def test_config_rejects_parameters_its_scheme_does_not_take(cfg, msg):
     # the same rule, and the same message, as make_encoder
     with pytest.raises(ValueError, match=msg):
         E.encoder_from_config(cfg)
-
-
-TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)
 
 
 @seed(2081)
@@ -1564,126 +1525,56 @@ def test_a_none_position_is_rejected_not_encoded_as_nan():
 
 
 # ---------------------------------------------------------------------------
-# the operator store: one operator per distinct single position
+# one position, repeated or batched: the same bits every time
 # ---------------------------------------------------------------------------
 
 
-STORE_ENCODERS = {**BATCH_ENCODERS, "liere-commuting-even": REFERENCE_ENCODERS["liere-commuting-even"]}
-
-
-def _fresh(enc):
-    """An encoder equal to ``enc`` with an empty store."""
-    table = None if enc.base is not None else enc.table
-    return E.Encoder(enc.scheme, enc.dim, table, enc.base, enc.generators)
-
-
-def _unstored(enc, z, p):
-    """``enc``'s encode of ``z`` at ``p`` with a store that takes nothing,
-    so every operator is built on the call."""
-    with mock.patch.object(E, "_STORE_BYTES", 0):
-        fresh = _fresh(enc)
-        out = fresh.encode(z, p)
-    assert not fresh._operators
-    return out
-
-
-def test_store_encoders_cover_every_route():
-    routes = {(enc.scheme, enc.reduction is None, enc.dim % 2) for enc in STORE_ENCODERS.values()}
-    assert {s for s, _, _ in routes} == set(E.SCHEMES)
-    assert {(r, odd) for s, r, odd in routes if s == "liere"} == {(True, 1), (False, 1), (False, 0)}
+def _reference(enc, z, p):
+    """What an encode of tokens ``z`` at one position ``p`` must give, bit
+    for bit: a batched encode of that one position, or for a reduced liere
+    encoder, whose single positions round apart from its batches, a fresh
+    copy's first encode."""
+    if enc.reduction is not None:
+        return copy.copy(enc).encode(z, p)
+    return enc.encode(np.asarray(z)[None], np.reshape(p, (1, enc.axes)))[0]
 
 
 @seed(2053)
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(sorted(STORE_ENCODERS)),
+    st.sampled_from(sorted(ENCODERS)),
     st.lists(st.integers(0, 5), min_size=1, max_size=24),
-    st.sampled_from([None, 0, 1, 3]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_property_stored_operators_keep_every_encode_bit_for_bit(name, order, capacity, rs):
+def test_property_stored_operators_keep_every_encode_bit_for_bit(name, order, rs):
     # six positions, two of them 0.0 and -0.0, visited in any order, so new
-    # positions interleave with stored ones; a capacity sizes the budget to
-    # that many operators, past which the rest are built on every call
-    enc = _fresh(STORE_ENCODERS[name])
+    # positions interleave with repeated ones
+    enc = copy.copy(ENCODERS[name])
     rng = np.random.default_rng(rs)
     pool = rng.uniform(-4.0, 4.0, (6, enc.axes))
     pool[0], pool[1] = 0.0, -0.0
     z = rng.standard_normal((len(order), enc.dim))
     z[::3, :2] = 0.0
-    entry = E._operator(enc, pool[0]).nbytes + pool[0].nbytes
-    budget = E._STORE_BYTES if capacity is None else capacity * entry
-    with mock.patch.object(E, "_STORE_BYTES", budget):
-        for zi, j in zip(z, order):
-            assert enc.encode(zi, pool[j]).tobytes() == _unstored(enc, zi, pool[j]).tobytes()
-    first = list(dict.fromkeys(order))[:capacity]
-    assert list(enc._operators) == [pool[j].tobytes() for j in first]
-    assert not any(op.flags.writeable for op in enc._operators.values())
+    for zi, j in zip(z, order):
+        assert enc.encode(zi, pool[j]).tobytes() == _reference(enc, zi, pool[j]).tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
-def test_a_repeated_position_builds_once_and_turns_every_call(name, monkeypatch):
-    # a stored operator skips its build only: each encode still takes the
-    # one-position route through the product its encoder fixed on
-    # construction, and never _turn, which turns batches of positions
-    enc = _fresh(STORE_ENCODERS[name])
-    operator, product, built, turned, routed = E._operator, enc._product, [], [], []
-    monkeypatch.setattr(E, "_operator", lambda *a: built.append(a) or operator(*a))
-    monkeypatch.setattr(E, "_turn", lambda *a: turned.append(a))
-    monkeypatch.setitem(vars(enc), "_product", lambda *a: routed.append(a) or product(*a))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
+def test_a_repeated_position_builds_once_and_turns_every_call(name):
+    enc = copy.copy(ENCODERS[name])
     z, p = np.linspace(-1.0, 1.0, enc.dim), np.full(enc.axes, 0.25)
-    outs = [enc.encode(z, p) for _ in range(4)]
-    assert len(built) == 1 and len(routed) == 4 and not turned
-    assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+    want = _reference(enc, z, p).tobytes()
+    assert all(enc.encode(z, p).tobytes() == want for _ in range(4))
 
 
-class _Subclass(np.ndarray):
-    pass
-
-
-def _input_kinds(enc):
-    """Inputs of every kind that ``Encoder.encode`` takes at one position,
-    each with its canonical float64 C-order form, or None where it raises."""
-    rng = np.random.default_rng(89)
-    z = rng.integers(-4, 5, enc.dim) / 4.0  # exact in float32, int and bool casts
-    batch = rng.integers(-4, 5, (3, enc.dim)) / 4.0
-    p = rng.uniform(-2.0, 2.0, enc.axes)
-    wide = np.empty((enc.dim, 2))
-    wide[:, 0] = z
-    strided = wide[:, 0]
-    scalar = (z, p[:1]) if enc.axes == 1 else (None, None)  # one coordinate, or too few
-    kinds = {
-        "list": (z.tolist(), p.tolist(), z, p),
-        "tuple": (tuple(z), tuple(p), z, p),
-        "float32 tokens": (z.astype(np.float32), p, z, p),
-        "int tokens": (batch.astype(int), p, batch.astype(int).astype(float), p),
-        "bool tokens": (batch > 0, p, (batch > 0).astype(float), p),
-        "int position": (z, np.arange(1, enc.axes + 1), z, np.arange(1.0, enc.axes + 1)),
-        "F-order token batch": (np.asfortranarray(batch), p, batch, p),
-        "strided token view": (strided, p, z, p),
-        "ndarray subclass": (z.view(_Subclass), p.view(_Subclass), z, p),
-        "0-d position": (z, np.array(p[0]), *scalar),
-        "Python-float position": (z, float(p[0]), *scalar),
-        "(1, axes) position": (z, p[None], z, p[None]),
-        "token batch at one position": (batch, p, batch, p),
-        "wrong dim": (z[:-1], p, None, None),
-        "wrong axes count": (z, np.append(p, 0.5), None, None),
-        "complex tokens": (z.astype(complex), p, None, None),
-        "complex position": (z, p.astype(complex), None, None),
-        "None token entry": ([None, *z.tolist()[1:]], p, None, None),
-        "None position entry": (z, [None, *p.tolist()[1:]], None, None),
-    }
-    assert not strided.flags.c_contiguous and strided.flags.writeable
-    return kinds
-
-
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_every_input_kind_encodes_as_its_canonical_input_or_raises_as_inputs_does(name):
-    # each kind, at a store miss and then at a hit, gives the bytes of its
-    # canonical float64 C-order inputs encoded by another encoder, or the
-    # ValueError that _inputs, the one definition of conversion, raises
-    for kind, (z, p, zc, pc) in _input_kinds(STORE_ENCODERS[name]).items():
-        enc = _fresh(STORE_ENCODERS[name])
+    # each kind, at a new position and then at a repeated one, gives the
+    # bytes of its canonical float64 C-order inputs encoded by another
+    # encoder, or the ValueError that _inputs, the one definition of
+    # conversion, raises
+    for kind, (z, p, zc, pc) in input_kinds(ENCODERS[name]).items():
+        enc = copy.copy(ENCODERS[name])
         if zc is None:
             with pytest.raises(ValueError) as want:
                 E._inputs(z, p, enc.dim, enc.axes)
@@ -1691,116 +1582,55 @@ def test_every_input_kind_encodes_as_its_canonical_input_or_raises_as_inputs_doe
                 with pytest.raises(ValueError) as got:
                     enc.encode(z, p)
                 assert str(got.value) == str(want.value), kind
-            assert not enc._operators, kind
             continue
-        want = _fresh(enc).encode(zc, pc)
+        want = copy.copy(enc).encode(zc, pc)
         for _ in range(2):
             out = enc.encode(z, p)
             assert type(out) is np.ndarray and out.dtype == np.float64, kind
             assert out.shape == want.shape and out.tobytes() == want.tobytes(), kind
-        # one position takes the store route, a position batch does not
-        assert list(enc._operators) == ([] if np.ndim(pc) > 1 else [np.asarray(pc).tobytes()]), kind
 
 
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
-def test_the_entry_test_takes_only_what_inputs_returns_unchanged(name, monkeypatch):
-    # an input that skips _inputs is one _inputs returns as the same objects;
-    # every kind that needs converting, checking or is a batch of positions
-    # goes through _inputs
-    enc = _fresh(STORE_ENCODERS[name])
-    rng = np.random.default_rng(90)
-    p = rng.uniform(-2.0, 2.0, (2, enc.axes))
-    frozen = p[0].copy()
-    frozen.flags.writeable = False
-    taken = {
-        "token": (rng.standard_normal(enc.dim), p[0]),
-        "token batch": (rng.standard_normal((2, 3, enc.dim)), p[0]),
-        "empty batch": (np.empty((0, enc.dim)), p[1]),
-        "strided position": (rng.standard_normal(enc.dim), p.T[:, 0]),
-        "read-only position": (rng.standard_normal(enc.dim), frozen),
-    }
-    inputs, converted = E._inputs, []
-    monkeypatch.setattr(E, "_inputs", lambda *a: converted.append(a) or inputs(*a))
-    for kind, (z, pos) in taken.items():
-        enc.encode(z, pos)
-        assert not converted, kind
-        zz, pp = inputs(z, pos, enc.dim, enc.axes)
-        assert zz is z and pp is pos, kind
-    for kind, (z, pos, _, _) in _input_kinds(enc).items():
-        converted.clear()
-        try:
-            enc.encode(z, pos)
-        except ValueError:
-            pass
-        # a float64 C-order token batch at one position is canonical as it is
-        assert len(converted) == (kind != "token batch at one position"), kind
-
-
-def test_the_one_position_product_is_fixed_by_the_encoder_and_rebuilt_by_a_copy():
-    rng = np.random.default_rng(91)
-    encoders = dict(STORE_ENCODERS, **{"liere-commuting-17": E.make_encoder(
-        "liere", generators=V.commuting_generators(17, rng))})
-    for name, enc in encoders.items():
-        r = enc.reduction
-        if enc.table is not None:
-            assert enc._product is E.SCHEMES[enc.scheme].rotate, name
-        elif r is None or r.rows is not None:
-            assert enc._product is E._matrix_turn, name
-        else:
-            assert enc._product.func is E._encode_liere and enc._product.args == (r,), name
-        for dup in (copy.copy(enc), copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
-            assert dup == enc and hash(dup) == hash(enc) and "_product" not in repr(dup)
-            if isinstance(enc._product, functools.partial):
-                assert dup._product.func is enc._product.func and dup._product.args[0] is dup.reduction
-            else:
-                assert dup._product is enc._product
-        if enc.table is not None:
-            assert "_product" not in E.encoder_to_config(enc)
-
-
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_signed_zero_positions_keep_operators_of_their_own(name):
-    enc = _fresh(STORE_ENCODERS[name])
+    enc = copy.copy(ENCODERS[name])
     z = np.zeros(enc.dim)
     z[1::2] = np.linspace(-1.0, 1.0, enc.dim // 2)
     for p in ([0.0] * enc.axes, [-0.0] * enc.axes, [0.0] * enc.axes, [-0.0] * enc.axes):
-        assert enc.encode(z, p).tobytes() == _unstored(enc, z, p).tobytes()
-    assert len(enc._operators) == 2
+        assert enc.encode(z, p).tobytes() == _reference(enc, z, p).tobytes()
 
 
 def test_a_scalar_position_shares_the_key_of_its_one_coordinate():
-    enc = _fresh(STORE_ENCODERS["rope1d"])
+    enc = copy.copy(ENCODERS["rope1d"])
     z = np.linspace(-1.0, 1.0, enc.dim)
     for p in (0.5, [0.5], np.float32(0.5), np.array(0.5)):
-        assert enc.encode(z, p).tobytes() == _unstored(enc, z, p).tobytes()
-    assert list(enc._operators) == [np.array([0.5]).tobytes()]
+        assert enc.encode(z, p).tobytes() == _reference(enc, z, p).tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_a_token_batch_at_one_position_stores_one_operator(name):
-    enc = _fresh(STORE_ENCODERS[name])
+    enc = copy.copy(ENCODERS[name])
     z = np.random.default_rng(67).standard_normal((2, 5, enc.dim))
     p = np.full(enc.axes, -1.5)
-    want = _unstored(enc, z, p)
+    want = _reference(enc, z, p)
     assert want.shape == z.shape
     for _ in range(2):
         assert enc.encode(z, p).tobytes() == want.tobytes()
-    assert len(enc._operators) == 1
 
 
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_batched_positions_store_nothing(name):
-    enc = _fresh(STORE_ENCODERS[name])
+    # a batch of positions, of four or of one, equals its per-token encodes:
+    # bit for bit for a table scheme and exponential liere, to rounding on
+    # the reduced route
+    enc = copy.copy(ENCODERS[name])
     rng = np.random.default_rng(68)
     z, p = rng.standard_normal(enc.dim), rng.uniform(-3.0, 3.0, (4, enc.axes))
-    enc.encode(z, p)
-    enc.encode(z, p[:1])
-    enc.encode(z[None], p[None, 0])
-    assert not enc._operators
-    if enc.table is not None:
-        for block in (None, 0):
-            A.render_pattern(enc, z, z, 5, 4, block)
-        assert not enc._operators
+    for got, at in ((enc.encode(z, p), p), (enc.encode(z, p[:1]), p[:1]), (enc.encode(z[None], p[None, 0]), p[:1])):
+        want = np.stack([enc.encode(z, q) for q in at])
+        if enc.reduction is None:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 NON_FINITE_POSITIONS = [np.nan, np.inf, -np.inf]
@@ -1808,10 +1638,10 @@ NON_FINITE_POSITIONS = [np.nan, np.inf, -np.inf]
 OVERFLOWING = {"mixed": [1e308, 1e308], "trivial2d": [1e308, 1e308], "liere-random": [1e308, 1e308]}
 
 
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_a_non_finite_operator_is_never_stored(name):
-    # every route raises on every call, and the store keeps nothing
-    enc = _fresh(STORE_ENCODERS[name])
+    # every route raises on every call
+    enc = copy.copy(ENCODERS[name])
     z = np.linspace(-1.0, 1.0, enc.dim)
     positions = [np.full(enc.axes, bad) for bad in NON_FINITE_POSITIONS]
     positions += [OVERFLOWING[name]] if name in OVERFLOWING else []
@@ -1819,15 +1649,14 @@ def test_a_non_finite_operator_is_never_stored(name):
         for _ in range(3):
             with pytest.raises(ValueError, match="finite|overflows"), np.errstate(invalid="ignore", over="ignore"):
                 enc.encode(z, p)
-    assert not enc._operators
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy reports the NaN or overflow first
-@pytest.mark.parametrize("name", sorted(STORE_ENCODERS))
+@pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_a_non_finite_token_raises_on_every_route(name):
-    # at a stored position (one lookup, one product, one test), at a new
-    # one, in a token batch and at a batch of positions
-    enc = _fresh(STORE_ENCODERS[name])
+    # at a repeated position, at a new one, in a token batch and at a batch
+    # of positions
+    enc = copy.copy(ENCODERS[name])
     rng = np.random.default_rng(88)
     z, p = rng.standard_normal((3, enc.dim)), rng.uniform(-2.0, 2.0, (3, enc.axes))
     enc.encode(z[0], p[0])
@@ -1837,10 +1666,8 @@ def test_a_non_finite_token_raises_on_every_route(name):
         for args in ((zb[1], p[0]), (zb[1], p[1]), (zb, p[0]), (zb, p), (zb[1], p)):
             with pytest.raises(ValueError, match="encoding must be finite"):
                 enc.encode(*args)
-    assert list(enc._operators) == [p[0].tobytes(), p[1].tobytes()]
 
 
-TABLE_SCHEMES = sorted(s for s, spec in E.SCHEMES.items() if spec.table)
 FREE_TABLE_FUNCTIONS = {**FREE_FUNCTIONS, "uniform": lambda z, p, table: E.uniform(z, p, table.freqs[0, 0])}
 
 
@@ -1877,8 +1704,6 @@ def test_every_table_route_rejects_a_non_finite_token_position_or_angle(scheme):
                 A.render_pattern(enc, zb, z[1], 5, 4, block)
             with pytest.raises(ValueError, match="encoding must be finite"):
                 A.render_pattern(enc, z[1], zb, 5, 4, block)
-    # only the finite position of a bad token is kept
-    assert list(enc._operators) == [p[2].tobytes()]
     if scheme == "spherical":
         for zc, pc in cases:
             with pytest.raises(ValueError, match="finite"):
@@ -1928,7 +1753,7 @@ def test_make_encoder_is_the_encoder_plus_uniform_freq(scheme):
         assert default == E.make_encoder(scheme, 12) and default.table == FrequencyTable.fixed(spec.table, 12)
         assert default.base == (None if spec.shared else E.DEFAULT_BASE)
     given = {"base": 50.0, "table": FrequencyTable.fixed(spec.table or "rope1d", 12), "uniform_freq": 2.0,
-             "generators": _commuting_family(12, 2, np.random.default_rng(91))}
+             "generators": commuting_family(12, 2, np.random.default_rng(91))}
     for dim in (12, None):
         for chosen in itertools.product((False, True), repeat=len(given)):
             kw = {name: value for (name, value), on in zip(given.items(), chosen) if on}
@@ -1947,101 +1772,12 @@ def test_make_encoder_is_the_encoder_plus_uniform_freq(scheme):
                 assert type(made) is type(direct) and made == direct, (dim, chosen, made, direct)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: E.make_encoder("rope1d", 16384),
-    lambda: E.make_encoder("liere", generators=[V.random_skew(128, np.random.default_rng(s)) for s in (72, 73)]),
-], ids=["rope1d-16384", "liere-random-128"])
-def test_a_full_store_stays_within_its_bytes(make):
-    # one operator and key here take 128 KiB and 8 or 16 bytes, so fifteen
-    # fit in the 2 MiB budget and the other five are built on every call
-    enc = make()
-    z = np.random.default_rng(74).standard_normal(enc.dim)
-    positions = np.random.default_rng(75).uniform(-3.0, 3.0, (20, enc.axes))
-    for rep in range(2):
-        for p in positions:
-            assert enc.encode(z, p).tobytes() == _unstored(enc, z, p).tobytes()
-        if rep == 0:
-            kept = dict(enc._operators)
-    assert len(kept) == 15 and all(enc._operators[k] is op for k, op in kept.items())
-    assert list(enc._operators) == [p.tobytes() for p in positions[:15]]
-    assert sum(op.nbytes + len(k) for k, op in enc._operators.items()) <= E._STORE_BYTES
-
-
-LIERE_STORE_ENCODERS = sorted(n for n, enc in STORE_ENCODERS.items() if enc.scheme == "liere")
-
-
-@pytest.mark.parametrize("name", LIERE_STORE_ENCODERS)
-def test_a_stored_liere_operator_is_its_read_only_rotation_matrix(name):
-    enc = _fresh(STORE_ENCODERS[name])
-    z, p = np.linspace(-1.0, 1.0, enc.dim), np.full(enc.axes, 0.75)
-    out = enc.encode(z, p)
-    (op,) = enc._operators.values()
-    assert op.shape == (enc.dim, enc.dim) and op.dtype == np.float64 and not op.flags.writeable
-    rotation = linalg.matrix_exp(sum(c * g for c, g in zip(p, enc.generators)))
-    assert np.max(np.abs(op - rotation)) <= V.FAST_PATH_TOL
-    assert out.tobytes() == (op @ z).tobytes()
-
-
-@pytest.mark.parametrize("route", ["reduced", "exponential"])
-def test_a_stored_liere_hit_is_dot_bit_for_bit_matmul(route):
-    # a hit multiplies with ndarray.dot, np.dot's routine without its
-    # dispatch; it must give the bits of op @ z, one BLAS gemv either way
-    dims = range(2, E._MATRIX_MAX_DIM + 1) if route == "reduced" else [*range(1, 40), 48, 64, 96, 128]
-    for n in dims:
-        rng = np.random.default_rng(1000 + n)
-        gens = (V.commuting_generators(n, rng) if route == "reduced"
-                else [V.random_skew(n, rng), V.random_skew(n, rng)])
-        enc = E.make_encoder("liere", generators=gens)
-        if n > 2:  # any two skew generators of size 1 or 2 commute
-            assert (enc.reduction is None) == (route == "exponential")
-        z, p = rng.standard_normal((50, n)), rng.uniform(-3.0, 3.0, 2)
-        enc.encode(z[0], p)
-        (op,) = enc._operators.values()
-        assert op.shape == (n, n)
-        for zi in z:
-            want = (op @ zi).tobytes()
-            assert np.dot(op, zi).tobytes() == op.dot(zi).tobytes() == want
-            assert enc.encode(zi, p).tobytes() == want
-
-
-@pytest.mark.parametrize("dim", [2, 5, 8, 16, 17, 48])
-def test_a_reduction_keeps_one_c_order_basis_up_to_the_matrix_dim(dim):
-    # a one-position miss builds basis @ R @ basis.T from the kept C-order
-    # rows, the bits of a build from a fresh C-order copy of the basis
-    rng = np.random.default_rng(84 + dim)
-    enc = E.make_encoder("liere", generators=V.commuting_generators(dim, rng))
-    r = enc.reduction
-    if dim > E._MATRIX_MAX_DIM:
-        assert r.rows is None
-        return
-    assert r.rows.flags.c_contiguous and not r.rows.flags.writeable
-    assert r.rows.tobytes() == np.ascontiguousarray(r.basis).tobytes()
-    for p in rng.uniform(-3.0, 3.0, (5, 2)):
-        e = E._phasors(E._angles(r.table.pairs, p))
-        want = E._liere_reduced(np.ascontiguousarray(r.basis), e.conj(), r.basis)
-        assert E._operator(enc, p).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("name", LIERE_STORE_ENCODERS)
-def test_a_stored_liere_hit_builds_no_phasors_and_no_pair_turn(name, monkeypatch):
-    enc = _fresh(STORE_ENCODERS[name])
-    rng = np.random.default_rng(80)
-    z, p = rng.standard_normal((3, enc.dim)), rng.uniform(-2.0, 2.0, enc.axes)
-    first = [enc.encode(zi, p) for zi in z]
-    calls = []
-    for fn in ("_liere_reduced", "_phasors", "_rotation"):
-        monkeypatch.setattr(E, fn, lambda *a, fn=fn: calls.append(fn))
-    assert all(enc.encode(zi, p).tobytes() == want.tobytes() for zi, want in zip(z, first))
-    assert enc.encode(z, p).shape == z.shape and not calls
-
-
 @pytest.mark.parametrize("dim", [5, 7, 8, 16, 17])
 def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
-    # up to _MATRIX_MAX_DIM one position turns by basis @ R @ basis.T, a
-    # batch by its phasors: the two round differently, so they agree to
-    # rounding, not bit for bit; above it one position keeps the phasors
+    # one position and a batch round differently, so they agree to
+    # rounding, not bit for bit
     rng = np.random.default_rng(81 + dim)
-    gens = _commuting_family(dim, 2, rng)
+    gens = commuting_family(dim, 2, rng)
     enc = E.make_encoder("liere", generators=gens)
     assert enc.reduction is not None
     z, p = rng.standard_normal((20, dim)), rng.uniform(-np.pi, np.pi, (20, 2))
@@ -2050,43 +1786,16 @@ def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
         one = enc.encode(zi, pi)
         assert np.max(np.abs(one - E.liere(zi, pi, gens))) <= V.FAST_PATH_TOL
         assert np.max(np.abs(one - bi)) <= 1e-12
-    matrix = dim <= E._MATRIX_MAX_DIM
-    assert all((op.dtype == np.float64) == matrix for op in enc._operators.values())
-    assert all(op.shape == ((dim, dim) if matrix else (dim // 2,)) for op in enc._operators.values())
-
-
-@pytest.mark.parametrize("dim, fit, route", [(16, 1016, "reduced"), (16, 1016, "exponential"), (17, 14563, "reduced")])
-def test_a_full_store_holds_matrices_up_to_the_matrix_dim(dim, fit, route):
-    # a two-coordinate key takes 16 bytes; a float64 n x n matrix 8 n^2, so
-    # the 2 MiB store holds 1016 of them at n = 16; above _MATRIX_MAX_DIM a
-    # reduced encoder keeps its n // 2 complex phasors, 16 (n // 2) bytes
-    # (the exponential route at n = 128 is test_a_full_store_stays_within_its_bytes)
-    rng = np.random.default_rng(83)
-    if route == "reduced":
-        gens = V.commuting_generators(dim, rng)
-    else:
-        gens = [V.random_skew(dim, rng), V.random_skew(dim, rng)]
-    enc = E.make_encoder("liere", generators=gens)
-    assert (enc.reduction is None) == (route == "exponential")
-    op_bytes = 8 * dim * dim if dim <= E._MATRIX_MAX_DIM else 16 * (dim // 2)
-    assert fit == E._STORE_BYTES // (op_bytes + 16)
-    z = rng.standard_normal(dim)
-    for p in rng.uniform(-3.0, 3.0, (fit + 3, 2)):
-        enc.encode(z, p)
-    assert len(enc._operators) == fit
-    assert all(op.nbytes == op_bytes for op in enc._operators.values())
 
 
 def test_the_store_leaves_equality_hash_repr_and_config_alone():
-    for name, enc in STORE_ENCODERS.items():
-        enc, empty = _fresh(enc), _fresh(enc)
+    for enc in ENCODERS.values():
+        enc, empty = copy.copy(enc), copy.copy(enc)
         before = repr(enc), hash(enc)
         for p in np.random.default_rng(76).uniform(-2.0, 2.0, (5, enc.axes)):
             enc.encode(np.ones(enc.dim), p)
-        assert len(enc._operators) == 5
         assert enc == empty and hash(enc) == hash(empty) == before[1]
         assert repr(enc) == repr(empty) == before[0]
-        assert "_operators" not in repr(enc)
         if enc.table is not None:
             assert E.encoder_to_config(enc) == E.encoder_to_config(empty)
 
@@ -2095,11 +1804,11 @@ def test_liere_encoder_arrays_are_read_only():
     # an in-place edit would leave the reduction and every stored operator
     # stale; the caller's own generators stay writeable and apart
     rng = np.random.default_rng(77)
-    commuting = E.make_encoder("liere", generators=_commuting_family(6, 2, rng))
+    commuting = E.make_encoder("liere", generators=commuting_family(6, 2, rng))
     gens = [V.random_skew(5, rng), V.random_skew(5, rng)]
     random = E.make_encoder("liere", generators=gens)
     r = commuting.reduction
-    arrays = [*commuting.generators, r.table.freqs, r.basis, r.rows, *random.generators]
+    arrays = [*commuting.generators, r.table.freqs, r.basis, *random.generators]
     arrays += [f for _, f in r.table.pairs]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -2112,9 +1821,6 @@ def test_liere_encoder_arrays_are_read_only():
     assert E.liere(z, p, random.generators).tobytes() == before[1].tobytes()
 
 
-COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}
-
-
 def _own_arrays(obj):
     """The arrays an encoder or a table keeps read-only."""
     if isinstance(obj, FrequencyTable):
@@ -2122,23 +1828,20 @@ def _own_arrays(obj):
     arrays = list(obj.generators or ())
     if obj.reduction is not None:
         arrays += [obj.reduction.basis, *_own_arrays(obj.reduction.table)]
-        arrays += [] if obj.reduction.rows is None else [obj.reduction.rows]
     return arrays + (_own_arrays(obj.table) if obj.table is not None else [])
 
 
 @pytest.mark.parametrize("kind", sorted(COPIES))
 def test_copies_rebuild_read_only_with_a_store_of_their_own(kind):
     rng = np.random.default_rng(79)
-    for name, enc in STORE_ENCODERS.items():
-        enc = _fresh(enc)
+    for enc in ENCODERS.values():
+        enc = copy.copy(enc)
         z, p = rng.standard_normal(enc.dim), rng.uniform(-2.0, 2.0, enc.axes)
         before = enc.encode(z, p)
         dup = COPIES[kind](enc)
         assert dup == enc and hash(dup) == hash(enc) and repr(dup) == repr(enc)
-        assert dup._operators == {} and len(enc._operators) == 1
         assert _own_arrays(dup) and not any(a.flags.writeable for a in _own_arrays(dup))
         assert dup.encode(z, p).tobytes() == before.tobytes()
-        assert dup._operators is not enc._operators and len(enc._operators) == 1
         if enc.table is not None:
             table = COPIES[kind](enc.table)
             assert table == enc.table and not any(a.flags.writeable for a in _own_arrays(table))
@@ -2176,7 +1879,7 @@ def test_copies_keep_a_subnormal_generator_bit_for_bit(kind):
 
 
 def test_replace_rebuilds_an_equal_encoder():
-    for enc in STORE_ENCODERS.values():
+    for enc in ENCODERS.values():
         assert dataclasses.replace(enc) == enc
     mixed = E.make_encoder("mixed", 8)
     assert dataclasses.replace(mixed, base=50.0, table=None) == E.make_encoder("mixed", 8, base=50.0)
@@ -2188,36 +1891,15 @@ def test_replace_rebuilds_an_equal_encoder():
 
 def test_threads_sharing_an_encoder_get_the_unstored_bits():
     # more threads than cores, switching often, on one encoder per route:
-    # misses race on the store, and every encode must still equal the
-    # route's unstored build, every stored operator its own position's
-    interval = sys.getswitchinterval()
+    # first encodes of a position race, and every encode must still equal
+    # a fresh copy's
     rng = np.random.default_rng(78)
-    try:
-        sys.setswitchinterval(1e-5)
-        for name in ("mixed", "spherical", "liere-commuting", "liere-random"):
-            enc = _fresh(STORE_ENCODERS[name])
-            pool = rng.uniform(-3.0, 3.0, (12, enc.axes))
-            z = rng.standard_normal(enc.dim)
-            want = [_unstored(enc, z, p).tobytes() for p in pool]
-            got = [[] for _ in range(4)]
-
-            def work(out, order):
-                for j in order:
-                    out.append((j, enc.encode(z, pool[j]).tobytes()))
-
-            threads = [threading.Thread(target=work, args=(got[t], np.random.default_rng(t).integers(0, 12, 150)))
-                       for t in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert all(len(out) == 150 for out in got)
-            assert all(b == want[j] for out in got for j, b in out)
-            for key, op in enc._operators.items():
-                assert op.tobytes() == E._operator(enc, np.frombuffer(key)).tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    for name in ("mixed", "spherical", "liere-commuting", "liere-random"):
+        enc = copy.copy(ENCODERS[name])
+        pool = rng.uniform(-3.0, 3.0, (12, enc.axes))
+        z = rng.standard_normal(enc.dim)
+        want = [copy.copy(enc).encode(z, p).tobytes() for p in pool]
+        assert all(b == want[j] for out in encode_in_threads(enc, z, pool) for j, b in out)
 
 
 SCHEME_ENTRIES = {  # name: call taking the scheme
