@@ -115,16 +115,16 @@ def _cmd_bench(args) -> int:
     include_liere = args.include_liere or args.dim <= _BENCH_LIERE_DIM_CAP
     jobs = _bench_callables(args.dim, include_liere, rng)
     n_tok = args.batch * args.tokens
-    vecs = rng.standard_normal((n_tok, args.dim))
-    positions = rng.uniform(-np.pi, np.pi, (n_tok, 2))
+    vecs = rng.standard_normal((n_tok, args.dim)).reshape(args.batch, args.tokens, args.dim)
+    positions = rng.uniform(-np.pi, np.pi, (n_tok, 2)).reshape(args.batch, args.tokens, 2)
     print("scheme,median_ns_per_token,iqr")
     for name, fn, axes in jobs:
-        pos = positions[:, :axes]
+        # each rep is one batched encode of every token
+        pos = np.ascontiguousarray(positions[..., :axes])
         per_rep = []
         for _ in range(args.reps):
             t0 = time.perf_counter_ns()
-            for i in range(n_tok):
-                fn(vecs[i], pos[i])
+            fn(vecs, pos)
             per_rep.append((time.perf_counter_ns() - t0) / n_tok)
         q25, med, q75 = np.percentile(per_rep, (25, 50, 75))
         print(f"{name},{med:.1f},{q75 - q25:.1f}")

@@ -109,6 +109,12 @@ def _random_liere(rng: np.random.Generator) -> Encoder:
     return make_encoder("liere", generators=(random_skew(8, rng), random_skew(8, rng)))
 
 
+def _mixed_3axis(rng: np.random.Generator) -> Encoder:
+    """A dim-16 mixed encoder of three distinct table columns, the
+    frequency schedule times 1, 0.5 and 0.25; it draws nothing."""
+    return make_encoder("mixed", 16, table=FrequencyTable("mixed", np.outer(frequency_schedule(8), [1.0, 0.5, 0.25])))
+
+
 # ---------------------------------------------------------------------------
 # the residual fold and the verdict
 # ---------------------------------------------------------------------------
@@ -309,8 +315,11 @@ def finite_difference_grad(scheme, z_q, z_k, p_q, p_k, table: FrequencyTable,
 def _gradient(encoder, rng) -> float:
     z_q = rng.standard_normal(encoder.dim)
     z_k = rng.standard_normal(encoder.dim)
-    p_q = rng.uniform(-np.pi, np.pi, 2)
-    p_k = rng.uniform(-np.pi, np.pi, 2)
+    # a position draws at least two coordinates, a one-axis encoder keeping
+    # the first, so one- and two-axis encoders share one seeded stream
+    draw = max(2, encoder.axes)
+    p_q = rng.uniform(-np.pi, np.pi, draw)[:encoder.axes]
+    p_k = rng.uniform(-np.pi, np.pi, draw)[:encoder.axes]
     if encoder.axes == 1:
         p_q, p_k = p_q[0], p_k[0]
     analytic = grad_frequencies(encoder.scheme, z_q, z_k, p_q, p_k, encoder.table)
@@ -464,8 +473,10 @@ _REGISTRY = {
     **{f"equivariance:{s}-positive": (_on(check_equivariance, _fixed(s, dim), f"equivariance:{s}-positive"),
                                       100, False)
        for s, dim in _NONABELIAN_SCHEMES},
-    # hidden until a benchmark change lists it: the reduction at M = 3
+    # hidden until a benchmark change lists them: the reduction and mixed
+    # equivariance at M = 3
     "reduction:liere-3axis": (partial(_run_reduction, "reduction:liere-3axis", partial(_commuting, m=3)), 10, False),
+    "equivariance:mixed-3axis": (_on(check_equivariance, _mixed_3axis, "equivariance:mixed-3axis"), 200, False),
 }
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ropekit import encodings as E
 from ropekit.cli import main
 
 
@@ -278,6 +279,24 @@ def test_bench_tiny_run_csv(capsys):
                      "uniform", "liere"]
     assert all(float(r[1]) > 0 for r in rows)
     assert all(len(r) == 3 for r in rows)
+
+
+def test_bench_encodes_each_rep_in_one_batch(capsys, monkeypatch):
+    # a row is reps calls of Encoder.encode, each of batch x tokens tokens
+    encode, calls = E.Encoder.encode, []
+
+    def counted(self, z, p):
+        calls.append((self.scheme, np.shape(z), np.shape(p)))
+        return encode(self, z, p)
+
+    monkeypatch.setattr(E.Encoder, "encode", counted)
+    code, out, _ = run_cli(["bench", "--batch", "2", "--tokens", "3", "--dim", "12", "--reps", "4"], capsys)
+    assert code == 0
+    want = []
+    for name in [line.split(",")[0] for line in out.strip().split("\n")[1:]]:
+        axes = 2 if name == "liere" else E.make_encoder(name, 12).axes
+        want += [(name, (2, 3, 12), (2, 3, axes))] * 4
+    assert len(want) == 7 * 4 and calls == want
 
 
 def test_bench_liere_row_times_the_reduced_encoder():

@@ -16,6 +16,8 @@ from ropekit.encodings import FrequencyTable
 from ropekit.linalg import canonical_form, is_commuting
 
 SCORE_TOL = 1e-8
+# a mixed table of three distinct columns: M = 3 position axes
+MIXED_3AXIS = FrequencyTable("mixed", np.random.default_rng(3).uniform(0.1, 2.0, (8, 3)))
 
 
 def test_check_report_json_fields():
@@ -77,17 +79,20 @@ def test_shift_residual_zero_shift():
     assert V.shift_residual(enc, zq, zk, (0.1, 0.2), (0.5, -0.3), (0.0, 0.0)) == 0.0
 
 
-@pytest.mark.parametrize("scheme,dim", [("rope1d", 16), ("trivial2d", 16),
-                                        ("axial", 16), ("mixed", 16), ("uniform", 16)])
-def test_equivariance_passes(scheme, dim):
-    r = V.check_equivariance(E.make_encoder(scheme, dim), trials=50, seed=0)
+@pytest.mark.parametrize("scheme,dim,table", [("rope1d", 16, None), ("trivial2d", 16, None), ("axial", 16, None),
+                                              ("mixed", 16, None), ("uniform", 16, None),
+                                              pytest.param("mixed", 16, MIXED_3AXIS, id="mixed-3axis")])
+def test_equivariance_passes(scheme, dim, table):
+    r = V.check_equivariance(E.make_encoder(scheme, dim, table=table), trials=50, seed=0)
     assert r.passed and r.residual <= 1e-9
     assert r.name == f"equivariance:{scheme}"
 
 
-def test_equivariance_liere_commuting():
+@pytest.mark.parametrize("m", [2, 3])
+def test_equivariance_liere_commuting(m):
     rng = np.random.default_rng(4)
-    enc = E.make_encoder("liere", generators=V.commuting_generators(8, rng))
+    enc = E.make_encoder("liere", generators=V._commuting(8, rng, m))
+    assert enc.axes == m and enc.reduction is not None
     r = V.check_equivariance(enc, trials=20, seed=0)
     assert r.passed
 
@@ -212,9 +217,18 @@ def test_reduce_liere_is_one_reduction_of_any_number_of_generators():
 
 def test_the_3axis_reduction_check_is_hidden_and_passes():
     assert "reduction:liere-3axis" not in V.check_names()
-    assert V.check_names(include_hidden=True)[-1] == "reduction:liere-3axis"
+    assert V.check_names(include_hidden=True)[-2:] == ["reduction:liere-3axis", "equivariance:mixed-3axis"]
     (r,) = V.run_checks(["reduction:liere-3axis"], seed=0)
     assert r.passed and r.residual <= V.SCORE_EQUIV_TOL and r.trials == 10
+
+
+def test_the_3axis_mixed_equivariance_check_is_hidden_and_passes():
+    # three distinct columns, so every position axis turns the pairs its own way
+    enc = V._mixed_3axis(None)
+    assert enc.axes == 3 and len({col.tobytes() for col in enc.table.freqs.T}) == 3
+    assert "equivariance:mixed-3axis" not in V.check_names()
+    (r,) = V.run_checks(["equivariance:mixed-3axis"], seed=0)
+    assert r.passed and r.residual <= V.EQUIVARIANCE_TOL and r.trials == 200
 
 
 def test_reduce_1d_zero_generator():
@@ -356,10 +370,11 @@ def test_mixed_antidiagonal_contrast():
     assert r.passed and r.residual > 1e-3
 
 
-@pytest.mark.parametrize("scheme,dim", [("rope1d", 16), ("axial", 16), ("mixed", 16),
-                                        ("spherical", 12), ("uniform", 16)])
-def test_gradient_checks_pass(scheme, dim):
-    r = V.check_gradients(E.make_encoder(scheme, dim), trials=25, seed=0)
+@pytest.mark.parametrize("scheme,dim,table", [("rope1d", 16, None), ("axial", 16, None), ("mixed", 16, None),
+                                              ("spherical", 12, None), ("uniform", 16, None),
+                                              pytest.param("mixed", 16, MIXED_3AXIS, id="mixed-3axis")])
+def test_gradient_checks_pass(scheme, dim, table):
+    r = V.check_gradients(E.make_encoder(scheme, dim, table=table), trials=25, seed=0)
     assert r.passed and r.residual <= 1e-5
     assert r.name == f"gradients:{scheme}"
 
