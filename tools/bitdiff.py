@@ -32,6 +32,10 @@ The probes, every one on fixed draws:
 * combined and every block raster at 1x1, 7x3, 5x4, 16x16 and 64x64, of
   every table scheme at dims 12 and 48, of both liere encoders at n = 5
   and 8, and of reduced liere at n = 17 and 48;
+* combined and every block raster at 1x1, 7x3 and 16x16 of every table
+  scheme on learned dim-12 tables, drawn from U(-4, 4) and, where the
+  table has a y column, again with that column zero, the query holding
+  exact zeros of both signs;
 * the tables' frequencies and the bases of ``reduce_liere`` on one, two
   and three commuting generators at n = 7 and 16 (under a tree without
   ``reduce_liere``, ``joint_canonical_form``'s, the arrays it wraps);
@@ -301,6 +305,26 @@ def probe() -> dict:
     record("config.mixed.3-axis-table", lambda: _text(config(mixed3())))
     record("config.mixed.3-axis-table.round-trip",
            lambda: _text(config(E.encoder_from_config(E.parse_config(config(mixed3()))))))
+
+    # rasters of learned tables, some frequencies and query entries zero:
+    # their own draws, so they move no other probe
+    rng4 = np.random.default_rng(20262)
+    for scheme in tables:
+        spec = E.SCHEMES[scheme]
+        freqs = rng4.uniform(-4.0, 4.0, (12 // spec.block, E.SCHEMES[spec.table].axes))
+        if spec.shared:
+            freqs[:] = freqs[0, 0]
+        learned = {"learned": freqs}
+        if not spec.shared and freqs.shape[1] == 2:
+            learned["zero-y"] = np.column_stack([freqs[:, 0], np.zeros(len(freqs))])
+        for kind, f in learned.items():
+            enc = E.Encoder(scheme, 12, E.FrequencyTable(spec.table, f))
+            zq, zk = rng4.standard_normal((2, 12))
+            zq[::5], zq[2::5] = 0.0, -0.0
+            for w, h in ((1, 1), (7, 3), (16, 16)):
+                for block in (None, *range(enc.pattern_blocks)):
+                    record(f"raster.{scheme}.{kind}-table.d12.{w}x{h}.{'all' if block is None else block}",
+                           lambda: render_pattern(enc, zq, zk, w, h, block).values)
 
     for argv in (["verify"], ["verify", "--seed", "3"], ["verify", "--list"]):
         buf = io.StringIO()
