@@ -9,8 +9,8 @@ A table-scheme raster, and the combined raster of a liere encoder whose
 generators commute, is computed from one encoded query per row and one
 encoded key per column, in one turn of W + H tokens (see
 ``render_pattern``); any other liere raster from the query encoded at every
-pixel.  A table scheme's block raster stacks and turns only the table block
-that holds its pattern block.
+pixel.  A table scheme's block raster stacks and turns only its own
+pattern block's coordinates.
 """
 
 from __future__ import annotations
@@ -118,11 +118,10 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
     and product is elementwise, so each factor is bit for bit the token's
     own encode, and the pixels are one ``np.vecdot`` of the rows with the
     columns: each is the dot product ``score`` takes of its two factors.
-    A pattern block (a pair, an axial quadruple's pair or a spherical
-    triple) lies in one table block, so a block raster stacks only that
-    table block's coordinates, ``(width + height, block width)``, and turns
-    them by the rotation routine ``encode`` uses: its pixels are bit for bit
-    those of the combined raster's factors on the block.
+    A block raster stacks only its pattern block's coordinates (a pair, or
+    a spherical triple), ``(width + height, pattern width)``, and turns
+    them by that block's planes of the table's pair form: its pixels are
+    bit for bit those of the combined raster's factors on the block.
     A liere encoder whose generators commute (its ``reduction`` is not
     None) is Mixed RoPE in its reduction's basis, so ``R(x, y) = R(x, 0)
     R(0, y)`` holds for it too and its combined raster takes the same
@@ -149,9 +148,13 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
             encodings._check_finite(encoder.scheme, z)
     grid = make_grid(height, width)
     sl = slice(None) if block is None else encoder.pattern_slice(block)
+    # one dot product per pixel, not one matrix product: each pixel is the
+    # dot product that scoring its two factors alone would compute, so equal
+    # factors give exactly equal pixels
     if encoder.table is None and (encoder.reduction is None or block is not None):
         q = encoder.encode(z_q, grid.positions[..., :encoder.axes])
         k = encoder.encode(z_k, (0.0,) * encoder.axes)
+        values = np.vecdot(q[..., sl], k[..., sl])
     else:
         # the query at each row's (0, y_r) stacked over the key at each
         # column's (-x_c, 0); a one-axis encoder has no y factor, so its
@@ -159,20 +162,10 @@ def render_pattern(encoder: Encoder, z_q, z_k, width: int, height: int,
         at = np.zeros((height + width, encoder.axes))
         at[:height, 1:] = grid.ys[:, None]
         at[height:, 0] = -grid.xs
-        if block is None:
-            own, size = 0, encoder.dim
-        else:  # only the table block holding the pattern block, from its first coordinate
-            size = encodings.SCHEMES[encoder.scheme].block
-            own = sl.start - sl.start % size
-            sl = slice(sl.start - own, sl.stop - own)
-        z = np.empty((height + width, size))
-        z[:height], z[height:] = z_q[own:own + size], z_k[own:own + size]
-        f = encoder.encode(z, at) if block is None else encodings._turn(encoder, z, at, own // size)
-        q, k = f[:height, None], f[height:]
-    # one dot product per pixel, not one matrix product: each pixel is the
-    # dot product that scoring its two factors alone would compute, so equal
-    # factors give exactly equal pixels
-    values = np.vecdot(q[..., sl], k[..., sl])
+        z = np.empty((height + width, len(z_q[sl])))
+        z[:height], z[height:] = z_q[sl], z_k[sl]
+        f = encoder.encode(z, at) if block is None else encodings._pattern_turn(encoder, z, at, block)
+        values = np.vecdot(f[:height, None], f[height:])
     if not _finite(values):
         raise ValueError("pattern values must be finite")
     values.setflags(write=False)  # so the pattern keeps it, uncopied

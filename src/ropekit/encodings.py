@@ -34,13 +34,13 @@ turns and differentiates as rope1d at that sum.  A turn is the pair ``a +
 ib`` times the unit phasor ``exp(1j * theta)``; a spherical triple is two,
 made in place on one copy of the tokens.
 ``SCHEMES``, the one registry, holds each scheme's block width and rotation;
-an encode turns by the table's form (a block raster, which stacks only its
-table block's coordinates, by that block's form, which the table builds on
-its first block raster; a reduced liere encoder by its joint table's, kept
-in its ``reduction``), and the free functions and ``grad_frequencies`` read
-their table's, so none of them builds an ``Encoder``.  ``_reduce`` is the
-one reduction of commuting generators to that ``(table, basis)``: the
-encoder and ``verify.reduce_liere`` share it, at their own structure
+an encode turns by the table's form (a reduced liere encoder by its joint
+table's, kept in its ``reduction``), a block raster by that form's planes
+of its own pattern block, cut on the call (``_pattern_turn``), and the free
+functions and ``grad_frequencies`` read their table's, so none of them
+builds an ``Encoder``.  ``_reduce`` is the one reduction of commuting
+generators to that ``(table, basis)``, an encoder's whole ``Reduction``:
+the encoder and ``verify.reduce_liere`` share it, at their own structure
 tolerances.  ``Encoder`` itself holds every construction rule and default,
 and ``make_encoder`` forwards to it.  Encoders take tokens (..., dim) at positions (..., axes), the
 leading shapes broadcasting; ``grad_frequencies`` takes the same shapes and
@@ -60,11 +60,10 @@ position of shape ``(axes,)`` skip ``_inputs``, which converts and checks
 every other input), one store lookup, the product the encoder fixed on
 construction (the registry's ``rotate``, liere's ``ndarray.dot`` with its
 matrix, or a reduced encoder's phasor turn above ``_MATRIX_MAX_DIM``) and
-one finiteness test of the output.  A batch of positions, and a block
-raster, go through ``_turn``, which builds the operator on every call and
-stores nothing.  The finiteness test ends every encode, the free
-functions' too: a NaN or inf token or position, or an angle that
-overflows, raises ValueError.
+one finiteness test of the output.  A batch of positions goes through
+``_turn``, which builds the operator on every call and stores nothing.
+The finiteness test ends every encode, the free functions' too: a NaN or
+inf token or position, or an angle that overflows, raises ValueError.
 ``spherical``, the triple route's reference, keeps the paper's definition:
 per triple, the ordered product of two so(3) generator exponentials taken
 by ``linalg``, no phasors.
@@ -74,7 +73,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -142,11 +141,10 @@ class FrequencyTable(linalg._Record):
     liere generators).  The scheme tag records which encoder family the
     table is meant for; the uniform scheme additionally requires a single
     shared value.  The constructor derives ``pairs``, the table's
-    Mixed RoPE pair form, which every encode of the table turns by;
-    ``block_pairs``, one form per table block, is built on first use.
-    ``freqs`` is a read-only copy.  A value under ``linalg._Record``'s rule,
-    by its scheme and ``freqs``: neither pair form enters equality, hashing
-    or the repr.
+    Mixed RoPE pair form, which every encode of the table turns by, and a
+    block raster by views of it.  ``freqs`` is a read-only copy.  A value
+    under ``linalg._Record``'s rule, by its scheme and ``freqs``: the pair
+    form enters neither equality, hashing nor the repr.
     """
 
     scheme: str
@@ -169,12 +167,6 @@ class FrequencyTable(linalg._Record):
         f.flags.writeable = False
         object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "pairs", _pair_form(f, SCHEMES[self.scheme].block))
-
-    @cached_property
-    def block_pairs(self) -> tuple:
-        """One pair form per table block, for the block rasters: built on
-        the first one, then kept."""
-        return tuple(_pair_form(row, SCHEMES[self.scheme].block) for row in self.freqs[:, None])
 
     @property
     def blocks(self) -> int:
@@ -463,15 +455,12 @@ class Reduction(NamedTuple):
     """A liere encoder's commuting generators as the reduction theorem
     states them: ``table``, their joint ``FrequencyTable`` (rope1d for one
     generator, an M-column mixed table for M of them), and ``basis`` (F
-    order, as ``linalg`` returns it), with ``exp(sum_m p_m A_m) = basis @
-    R(p) @ basis.T`` for ``R`` the table's rotation, which fixes an odd
-    dim's last coordinate; and ``rows``, a C-order copy of ``basis`` whose
-    rows' pairs the one-position matrix build turns, kept up to dim
-    ``_MATRIX_MAX_DIM`` and None above it.  Every array is read-only."""
+    order, as ``linalg`` returns it, and read-only), with ``exp(sum_m p_m
+    A_m) = basis @ R(p) @ basis.T`` for ``R`` the table's rotation, which
+    fixes an odd dim's last coordinate."""
 
     table: FrequencyTable
     basis: np.ndarray
-    rows: np.ndarray | None
 
 
 def _reduce(gens, struct_rtol: float) -> tuple:
@@ -496,11 +485,8 @@ def _commuting_reduction(gens):
         table, basis = _reduce(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
-    rows = np.ascontiguousarray(basis) if len(basis) <= _MATRIX_MAX_DIM else None
-    for a in (basis, rows):
-        if a is not None:
-            a.flags.writeable = False
-    return Reduction(table, basis, rows)
+    basis.flags.writeable = False
+    return Reduction(table, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -619,29 +605,29 @@ def _spec(scheme) -> Scheme:
     return spec
 
 
-def _operator(enc, p, block=None) -> np.ndarray:
+def _operator(enc, p) -> np.ndarray:
     """``enc``'s position operator at checked positions ``p`` (..., axes):
-    the phasors of its table's pair form (of table block ``block``'s form
-    when it is given), a reduced liere encoder's table being its
-    reduction's; else, for liere generators that do not commute, the
-    rotation matrix of each position.  A reduced liere encoder of dim at
+    the phasors of its table's pair form, a reduced liere encoder's table
+    being its reduction's; else, for liere generators that do not commute,
+    the rotation matrix of each position.  A reduced liere encoder of dim at
     most ``_MATRIX_MAX_DIM`` builds one position's matrix ``basis @ R @
     basis.T`` from its phasors ``e`` as ``_liere_reduced(basis, e.conj(),
     basis)``: ``R`` multiplies ``basis`` from the right, so each row's
     pairs turn by ``R``'s transpose, the conjugate phasors.  The result is
     C-ordered, like the exponential route's matrices.  The pair turn views
-    a row's pairs as complex numbers, so it reads the reduction's C-order
-    ``rows``, kept only up to that dim.  A batch, or one position at a
-    larger dim, keeps its phasors, so no (..., n, n) stack is built.  Any
-    leading shape; only the operator depends on the position."""
+    a row's pairs as complex numbers, so it reads a C-order copy of the
+    basis, made on the call: the build runs once per stored position.  A
+    batch, or one position at a larger dim, keeps its phasors, so no (...,
+    n, n) stack is built.  Any leading shape; only the operator depends on
+    the position."""
     r = enc.reduction
     table = enc.table if r is None else r.table
     if table is None:
         return _rotation(p, enc.generators)
-    e = _phasors(_angles(table.pairs if block is None else table.block_pairs[block], _fold(p, table)))
-    if r is None or p.ndim > 1 or r.rows is None:
+    e = _phasors(_angles(table.pairs, _fold(p, table)))
+    if r is None or p.ndim > 1 or len(r.basis) > _MATRIX_MAX_DIM:
         return e
-    return _liere_reduced(r.rows, e.conj(), r.basis)
+    return _liere_reduced(np.ascontiguousarray(r.basis), e.conj(), r.basis)
 
 
 def _stored_operator(enc, key: bytes, p) -> np.ndarray:
@@ -670,22 +656,37 @@ def _one_position_product(enc) -> Callable:
     if enc.table is not None:
         return SCHEMES[enc.scheme].rotate
     r = enc.reduction
-    return _matrix_turn if r is None or r.rows is not None else partial(_encode_liere, r)
+    return _matrix_turn if r is None or len(r.basis) <= _MATRIX_MAX_DIM else partial(_encode_liere, r)
 
 
-def _turn(enc, z, p, block=None):
-    """The rotation routine of a batch of positions, behind ``Encoder.encode``
-    and the block rasters: checked tokens ``z`` at positions ``p`` (...,
-    axes) turned by ``enc``'s operator, built on the call, a table scheme's
-    through the registry's ``rotate``, a liere encoder's through
-    ``_encode_liere``, and the result held to one finiteness test.  With a
-    table block index ``block``, ``z`` holds only that block's coordinates
-    and turns by that block's pair form; every angle, phasor and product is
-    elementwise, so the result is bit for bit that block's slice of the
-    whole encode."""
-    op = _operator(enc, p, block)
+def _turn(enc, z, p):
+    """The rotation routine of a batch of positions, behind ``Encoder.encode``:
+    checked tokens ``z`` at positions ``p`` (..., axes) turned by ``enc``'s
+    operator, built on the call, a table scheme's through the registry's
+    ``rotate``, a liere encoder's through ``_encode_liere``, and the result
+    held to one finiteness test."""
+    op = _operator(enc, p)
     out = _encode_liere(enc.reduction, z, op) if enc.table is None else SCHEMES[enc.scheme].rotate(z, op)
     # the raise is _check_finite's; a finite encode skips its call
+    return out if linalg._finite(out) else _check_finite(enc.scheme, out)
+
+
+def _pattern_turn(enc, z, p, b):
+    """A table encoder's block raster factors: checked tokens ``z`` (...,
+    pattern width) holding only the coordinates of pattern block ``b``,
+    turned at positions ``p`` (..., axes) by that block's planes of the
+    table's pair form, cut from it as views on the call, and held to one
+    finiteness test.  A pair is plane ``b`` (of a two-coordinate block's
+    table, or an axial quadruple's x- or y-pair); a spherical triple is
+    planes ``2b`` and ``2b + 1``, its yaw and roll.  Every angle, phasor
+    and product is elementwise, so the result is bit for bit that block's
+    slice of the whole encode."""
+    k = SCHEMES[enc.scheme].pattern - 1  # planes per pattern block
+    planes = slice(k * b, k * b + k)
+    # a two-coordinate block's term picks its position column by a slice,
+    # the same for every plane; a wider block's one term, an axis per plane
+    pairs = tuple((index if type(index) is slice else index[planes], f[planes]) for index, f in enc.table.pairs)
+    out = SCHEMES[enc.scheme].rotate(z, _phasors(_angles(pairs, _fold(p, enc.table))))
     return out if linalg._finite(out) else _check_finite(enc.scheme, out)
 
 
@@ -712,8 +713,7 @@ class Encoder(linalg._Record):
     (a table encoder's from its table, so an M-column mixed table gives M;
     trivial2d folds its two onto rope1d's one); for liere with commuting
     generators ``reduction``, their ``Reduction`` (their joint
-    ``FrequencyTable`` and basis, from ``_reduce``, and up to dim
-    ``_MATRIX_MAX_DIM`` a C-order copy of the basis): the encoder is Mixed
+    ``FrequencyTable`` and basis, from ``_reduce``): the encoder is Mixed
     RoPE on that table in that basis, so that a batched ``encode`` is the
     table's own pair turn between two basis products instead of an
     exponential per position, and one position's rotation matrix
@@ -721,7 +721,7 @@ class Encoder(linalg._Record):
     position keeps the phasors too) needs no exponential; the two agree to
     rounding, not bit for bit.  A table encoder turns by its table's pair
     form, so building one on an existing table derives nothing.  The
-    generators and the ``reduction`` arrays are read-only.
+    generators and the ``reduction``'s basis are read-only.
 
     The rotation depends on the position only, so an encode of one token
     batch at one position keeps that position's operator (the phasors, or

@@ -525,6 +525,35 @@ def test_table_raster_pixel_is_the_score_of_its_own_row_and_column_factors(schem
         got = A.render_pattern(enc, zq, zk, width, height, block).values
         want = np.array([[A.score(r[sl], c[sl]) for c in cols] for r in rows])
         assert got.tobytes() == want.tobytes(), block
+# every table scheme on a learned table, and again with a zero y column
+# where the table has a y column
+LEARNED_TABLES = [pytest.param(s, False, id=s) for s in TABLE_SCHEMES] + [
+    pytest.param(s, True, id=f"{s}-zero-y") for s in TABLE_SCHEMES
+    if not E.SCHEMES[s].shared and E.SCHEMES[E.SCHEMES[s].table].axes == 2]
+
+
+@pytest.mark.parametrize("scheme, zero_y", LEARNED_TABLES)
+def test_block_raster_reads_only_its_pattern_block(scheme, zero_y):
+    # other finite entries outside the pattern block leave its raster's
+    # bytes unchanged
+    spec = E.SCHEMES[scheme]
+    rng = np.random.default_rng(21)
+    freqs = rng.uniform(-4.0, 4.0, (12 // spec.block, E.SCHEMES[spec.table].axes))
+    if spec.shared:
+        freqs[:] = freqs[0, 0]
+    elif zero_y:
+        freqs[:, 1] = 0.0
+    enc = E.Encoder(scheme, 12, FrequencyTable(spec.table, freqs))
+    zq, zk, other_q, other_k = rng.standard_normal((4, 12))
+    for block in range(enc.pattern_blocks):
+        sl = enc.pattern_slice(block)
+        yq, yk = other_q.copy(), other_k.copy()
+        yq[sl], yk[sl] = zq[sl], zk[sl]
+        for width, height in ((1, 1), (7, 3)):
+            want = A.render_pattern(enc, zq, zk, width, height, block).values
+            assert A.render_pattern(enc, yq, yk, width, height, block).values.tobytes() == want.tobytes(), block
+
+
 RASTER_SIZES = st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
                          st.tuples(st.integers(1, 12), st.just(1)),
                          st.tuples(st.integers(1, 12), st.integers(1, 12)))

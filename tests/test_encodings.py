@@ -752,9 +752,8 @@ FREE_FUNCTIONS = {"rope1d": E.rope1d, "trivial2d": E.trivial2d, "axial": E.axial
 
 
 def test_a_table_builds_its_pair_form_once(monkeypatch):
-    # a table's constructor builds its form, and its first block raster one
-    # form per table block; encoders, encodes, gradients and the free
-    # functions only read them
+    # a table's constructor builds its form; encoders, encodes, gradients,
+    # rasters and the free functions only read it
     built = []
     pair_form = E._pair_form
     monkeypatch.setattr(E, "_pair_form", lambda freqs, block: built.append(block) or pair_form(freqs, block))
@@ -775,16 +774,9 @@ def test_a_table_builds_its_pair_form_once(monkeypatch):
             E.spherical(z, p, enc.table)
         if E.SCHEMES[s].grad is not None:
             E.grad_frequencies(s, z, zk, p, pk, enc.table)
-        A.render_pattern(enc, z[0], zk[0], 5, 4)
+        for block in (None, 0, enc.pattern_blocks - 1):
+            A.render_pattern(enc, z[0], zk[0], 5, 4, block)
     assert built == []
-    for s, enc in encoders.items():
-        zq, zk = rng.standard_normal((2, 24))
-        A.render_pattern(enc, zq, zk, 5, 4, block=0)
-        assert len(built) == enc.table.blocks
-        A.render_pattern(enc, zq, zk, 5, 4, block=enc.pattern_blocks - 1)
-        A.render_pattern(enc, zq, zk, 5, 4)
-        assert len(built) == enc.table.blocks
-        built.clear()
     # a uniform encode at a frequency builds that frequency's table
     E.uniform(z, p, 2.0)
     assert built == [4]

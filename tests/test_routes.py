@@ -12,8 +12,10 @@ other.  It pins:
   ``_inputs``, and ``Encoder._product`` (``_one_position_product``: the
   registry's ``rotate``, ``_matrix_turn`` or ``_encode_liere``);
 - a reduced liere encoder's single-position rotation matrix up to
-  ``_MATRIX_MAX_DIM``, built by ``_operator`` from ``Reduction.rows``;
-- ``_turn``, the batched route that the rasters take.
+  ``_MATRIX_MAX_DIM``, built by ``_operator`` from a C-order copy of
+  ``Reduction.basis``;
+- ``_turn``, the batched route that the combined rasters take, and
+  ``_pattern_turn``, a table scheme's block raster's turn.
 
 Deleting these routes deletes this module with them.  Each test here
 whose name a test in another module shares is the route half of that
@@ -264,8 +266,8 @@ def test_copies_rebuild_read_only_with_a_store_of_their_own(kind):
         assert dup._operators == {} and len(enc._operators) == 1
         dup.encode(z, p)
         assert dup._operators is not enc._operators and len(enc._operators) == 1
-        if enc.reduction is not None and enc.reduction.rows is not None:
-            assert not dup.reduction.rows.flags.writeable
+        if enc.reduction is not None:
+            assert not dup.reduction.basis.flags.writeable
 
 
 def test_threads_sharing_an_encoder_get_the_unstored_bits():
@@ -327,7 +329,7 @@ def test_the_one_position_product_is_fixed_by_the_encoder_and_rebuilt_by_a_copy(
         r = enc.reduction
         if enc.table is not None:
             assert enc._product is E.SCHEMES[enc.scheme].rotate, name
-        elif r is None or r.rows is not None:
+        elif r is None or len(r.basis) <= E._MATRIX_MAX_DIM:
             assert enc._product is E._matrix_turn, name
         else:
             assert enc._product.func is E._encode_liere and enc._product.args == (r,), name
@@ -381,20 +383,17 @@ def test_a_stored_liere_hit_is_dot_bit_for_bit_matmul(route):
 
 
 @pytest.mark.parametrize("dim", [2, 5, 8, 16, 17, 48])
-def test_a_reduction_keeps_one_c_order_basis_up_to_the_matrix_dim(dim):
-    # a one-position miss builds basis @ R @ basis.T from the kept C-order
-    # rows, the bits of a build from a fresh C-order copy of the basis
+def test_a_one_position_miss_turns_a_c_order_copy_of_the_basis_up_to_the_matrix_dim(dim):
+    # a reduction is its table and basis: a one-position miss builds basis
+    # @ R @ basis.T from a C-order copy of the basis made on the call; above
+    # _MATRIX_MAX_DIM it keeps the phasors
     rng = np.random.default_rng(84 + dim)
     enc = E.make_encoder("liere", generators=V.commuting_generators(dim, rng))
     r = enc.reduction
-    if dim > E._MATRIX_MAX_DIM:
-        assert r.rows is None
-        return
-    assert r.rows.flags.c_contiguous and not r.rows.flags.writeable
-    assert r.rows.tobytes() == np.ascontiguousarray(r.basis).tobytes()
+    assert r._fields == ("table", "basis") and not r.basis.flags.writeable
     for p in rng.uniform(-3.0, 3.0, (5, 2)):
         e = E._phasors(E._angles(r.table.pairs, p))
-        want = E._liere_reduced(np.ascontiguousarray(r.basis), e.conj(), r.basis)
+        want = e if dim > E._MATRIX_MAX_DIM else E._liere_reduced(np.ascontiguousarray(r.basis), e.conj(), r.basis)
         assert E._operator(enc, p).tobytes() == want.tobytes()
 
 
@@ -425,30 +424,29 @@ def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
 
 
 def test_liere_encoder_arrays_are_read_only():
-    rows = E.make_encoder("liere", generators=commuting_family(6, 2, np.random.default_rng(77))).reduction.rows
+    basis = E.make_encoder("liere", generators=commuting_family(6, 2, np.random.default_rng(77))).reduction.basis
     with pytest.raises(ValueError, match="read-only"):
-        rows[...] *= 2
+        basis[...] *= 2
 
 
 # ---------------------------------------------------------------------------
-# _turn: the route of a batch of positions and of the rasters
+# _turn and _pattern_turn: the routes of a batch of positions and of the rasters
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(ENCODERS))
 def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
-    # a table scheme factors each pixel into a row and a column turn, made
-    # as one turn of the stacked rows and columns, of the whole table or of
-    # one block, and so does a commuting liere encoder's combined raster;
-    # its block rasters, and every raster of non-commuting liere, encode
-    # the query at every pixel and the key once, at one position, through
-    # the product the encoder fixed
+    # a table scheme's combined raster factors each pixel into a row and a
+    # column turn, made as one turn of the stacked rows and columns, and so
+    # does a commuting liere encoder's; every raster of non-commuting liere
+    # encodes the query at every pixel and the key once, at one position,
+    # through the product the encoder fixed
     enc = copy.copy(ENCODERS[name])
     turn, product, tokens = E._turn, enc._product, []
 
-    def counted(enc, z, p, *block):
+    def counted(enc, z, p):
         tokens.append(int(np.prod(np.broadcast_shapes(np.shape(z)[:-1], np.shape(p)[:-1]))))
-        return turn(enc, z, p, *block)
+        return turn(enc, z, p)
 
     def counted_product(z, op):
         tokens.append(int(np.prod(np.shape(z)[:-1])))
@@ -458,32 +456,30 @@ def test_pattern_encodes_width_plus_height_tokens(name, monkeypatch):
     monkeypatch.setitem(vars(enc), "_product", counted_product)
     rng = np.random.default_rng(16)
     zq, zk = rng.standard_normal(enc.dim), rng.standard_normal(enc.dim)
-    for block in (None, 0):
-        tokens.clear()
-        A.render_pattern(enc, zq, zk, 7, 5, block)
-        factored = enc.table is not None or enc.reduction is not None and block is None
-        assert tokens == ([7 + 5] if factored else [7 * 5, 1])
+    A.render_pattern(enc, zq, zk, 7, 5)
+    factored = enc.table is not None or enc.reduction is not None
+    assert tokens == ([7 + 5] if factored else [7 * 5, 1])
 
 
 @pytest.mark.parametrize("scheme", TABLE_SCHEMES)
-def test_block_raster_turns_a_stack_of_its_table_block_alone(scheme, monkeypatch):
-    # the W + H stack holds the pattern block's table block only, made here
-    # at its final shape, so no input check runs a second time
+def test_block_raster_turns_a_stack_of_its_pattern_block_alone(scheme, monkeypatch):
+    # the W + H stack holds the pattern block's own coordinates only, the
+    # query's rows over the key's columns, made here at its final shape, so
+    # no input check runs a second time
     enc = ENCODERS[scheme]
-    turn, inputs, calls = E._turn, E._inputs, []
+    pattern_turn, inputs, calls = E._pattern_turn, E._inputs, []
 
-    def spy_turn(enc, z, p, *block):
-        calls.append((np.shape(z), np.shape(p), block))
-        return turn(enc, z, p, *block)
+    def spy_pattern_turn(enc, z, p, b):
+        calls.append((z.copy(), np.shape(p), b))
+        return pattern_turn(enc, z, p, b)
 
-    def spy_inputs(*args):
-        calls.append("_inputs")
-        return inputs(*args)
-
-    monkeypatch.setattr(E, "_turn", spy_turn)
-    monkeypatch.setattr(E, "_inputs", spy_inputs)
-    size = E.SCHEMES[scheme].block
+    monkeypatch.setattr(E, "_pattern_turn", spy_pattern_turn)
+    monkeypatch.setattr(E, "_inputs", lambda *a: calls.append("_inputs") or inputs(*a))
+    zq, zk = np.arange(1.0, enc.dim + 1), -np.arange(1.0, enc.dim + 1)
     for b in range(enc.pattern_blocks):
         calls.clear()
-        A.render_pattern(enc, np.ones(enc.dim), np.ones(enc.dim), 7, 5, b)
-        assert calls == [((5 + 7, size), (5 + 7, enc.axes), (enc.pattern_slice(b).start // size,))]
+        A.render_pattern(enc, zq, zk, 7, 5, b)
+        sl = enc.pattern_slice(b)
+        ((z, shape, block),) = calls
+        assert (shape, block) == ((5 + 7, enc.axes), b)
+        np.testing.assert_array_equal(z, np.vstack([np.tile(zq[sl], (5, 1)), np.tile(zk[sl], (7, 1))]))
