@@ -616,7 +616,7 @@ def _operator(enc, p) -> np.ndarray:
     pairs turn by ``R``'s transpose, the conjugate phasors.  The result is
     C-ordered, like the exponential route's matrices.  The pair turn views
     a row's pairs as complex numbers, so it reads a C-order copy of the
-    basis, made on the call: the build runs once per stored position.  A
+    basis, made on the call, which a stored position makes only once.  A
     batch, or one position at a larger dim, keeps its phasors, so no (...,
     n, n) stack is built.  Any leading shape; only the operator depends on
     the position."""
