@@ -52,7 +52,8 @@ The probes, every one on fixed draws:
   encoder's encodes, a grid's positions, a pattern's values and the arrays
   of a canonical form at n = 17;
 * the output and exit code of default ``ropekit verify``, of
-  ``verify --seed 3`` and of ``verify --list``.
+  ``verify --seed 3``, of ``verify --list`` and of ``verify --only NAME``
+  for each hidden check the tree registers.
 
 A probe that raises records its error text, so an error that appears or
 goes away shows as a moved array.  No digest file is kept: BLAS bits can
@@ -326,7 +327,11 @@ def probe() -> dict:
                     record(f"raster.{scheme}.{kind}-table.d12.{w}x{h}.{'all' if block is None else block}",
                            lambda: render_pattern(enc, zq, zk, w, h, block).values)
 
-    for argv in (["verify"], ["verify", "--seed", "3"], ["verify", "--list"]):
+    # each hidden check by its name in this tree's registry, so a renamed or
+    # re-seeded hidden row shows against the parent
+    hidden = [n for n in V.check_names(include_hidden=True) if n not in V.check_names()]
+    for argv in (["verify"], ["verify", "--seed", "3"], ["verify", "--list"],
+                 *(["verify", "--only", n] for n in hidden)):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(argv)
