@@ -340,15 +340,17 @@ def _joint_canonical_form(gens, struct_rtol: float):
     """``joint_canonical_form`` of a non-empty sequence of exactly skew
     generators of one shape, unvalidated."""
     n = gens[0].shape[0]
-    pairs = [(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]]
-    if not all(is_commuting(g, h) for g, h in pairs):
-        # the worst ||[A_i, A_j]||_F / (||A_i||_F ||A_j||_F); a zero generator commutes
-        worst = max(float(np.linalg.norm(commutator(g, h))) / float(np.linalg.norm(g)) / float(np.linalg.norm(h))
-                    for g, h in pairs if np.linalg.norm(g) and np.linalg.norm(h))
+    norms = [float(np.linalg.norm(g)) for g in gens]
+    # (||A_i||_F, ||A_j||_F, ||[A_i, A_j]||_F) of each pair, decided by is_commuting's
+    # inequality; a zero generator commutes
+    pairs = [(norms[i], norms[j], float(np.linalg.norm(commutator(g, h))))
+             for i, g in enumerate(gens) for j, h in enumerate(gens[i + 1:], i + 1)]
+    if not all(na == 0.0 or nb == 0.0 or nc <= COMMUTE_RTOL * na * nb for na, nb, nc in pairs):
+        worst = max(nc / na / nb for na, nb, nc in pairs if na and nb)
         raise ValueError(f"generators do not commute; no shared block structure exists: worst relative "
                          f"commutator {worst:.3e} > COMMUTE_RTOL {COMMUTE_RTOL:.1e}")
     k = n // 2
-    scale = max(1.0, *(float(np.linalg.norm(g)) for g in gens))
+    scale = max(1.0, *norms)
     in_block = np.zeros((n, n), dtype=bool)
     for d in range(k):
         in_block[2 * d:2 * d + 2, 2 * d:2 * d + 2] = True

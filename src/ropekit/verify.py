@@ -18,7 +18,7 @@ fails both kinds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -155,18 +155,16 @@ def _shift(encoder, rng) -> float:
     return shift_residual(encoder, z_q, z_k, p_q, p_k, s)
 
 
-def check_equivariance(encoder, trials: int = 200, seed: int = 0,
-                       name: str | None = None) -> CheckReport:
+def check_equivariance(encoder, trials: int = 200, seed: int = 0) -> CheckReport:
     """Attention scores must be invariant under a common position shift."""
     worst = _worst(trials, _rng(seed), partial(_shift, encoder))
-    return _report(name or f"equivariance:{encoder.scheme}", worst, EQUIVARIANCE_TOL, trials, seed)
+    return _report(f"equivariance:{encoder.scheme}", worst, EQUIVARIANCE_TOL, trials, seed)
 
 
-def check_non_equivariance(encoder, trials: int = 100, seed: int = 0,
-                           name: str | None = None) -> CheckReport:
+def check_non_equivariance(encoder, trials: int = 100, seed: int = 0) -> CheckReport:
     """Passes when some trial violates shift-invariance beyond the threshold."""
     worst = _worst(trials, _rng(seed), partial(_shift, encoder))
-    return _report(name or f"non-equivariance:{encoder.scheme}", worst, COUNTEREXAMPLE_TOL, trials, seed,
+    return _report(f"non-equivariance:{encoder.scheme}", worst, COUNTEREXAMPLE_TOL, trials, seed,
                    counterexample=True)
 
 
@@ -237,14 +235,16 @@ def _reduction(gens, table, basis, enc, rng) -> float:
     return np.maximum(abs(lhs - rhs), abs(via_encoder - lhs))
 
 
-def _run_reduction(name, draw_generators, trials: int, seed: int, dim: int = 8, tuples: int = 20) -> CheckReport:
+def _run_reduction(draw_generators, trials: int, seed: int) -> CheckReport:
+    """Dim-8 generator tuples ``draw_generators(8, rng)``, each held to 20
+    random score pairs; ``run_checks`` names the report by its row."""
     def trial(rng):
-        gens = draw_generators(dim, rng)
+        gens = draw_generators(8, rng)
         table, basis = reduce_liere(*gens)
         enc = make_encoder("liere", generators=gens)
-        return _worst(tuples, rng, partial(_reduction, gens, table, basis, enc))
+        return _worst(20, rng, partial(_reduction, gens, table, basis, enc))
 
-    return _report(name, _worst(trials, _rng(seed), trial), SCORE_EQUIV_TOL, trials, seed)
+    return _report("reduction", _worst(trials, _rng(seed), trial), SCORE_EQUIV_TOL, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +430,10 @@ def locality_probe(encoder, max_shift: float, samples: int, draws: int = 32,
 # ---------------------------------------------------------------------------
 
 
-def _on(check, build_encoder, name=None):
+def _on(check, build_encoder):
     """Registry runner: ``check`` on the encoder ``build_encoder(rng)``, with
-    ``rng`` seeded like the check; the report is named ``name`` when given."""
-    def run(trials, seed):
-        enc = build_encoder(_rng(seed))
-        return check(enc, trials, seed) if name is None else check(enc, trials, seed, name=name)
-
-    return run
+    ``rng`` seeded like the check."""
+    return lambda trials, seed: check(build_encoder(_rng(seed)), trials, seed)
 
 
 def _fixed(scheme, dim):
@@ -445,23 +441,22 @@ def _fixed(scheme, dim):
     return lambda rng: make_encoder(scheme, dim)
 
 
-# name -> (runner(trials, seed), default trials, included in default run); the per-scheme
-# lines follow SCHEMES' order, so a new scheme's lines append and no seed offset moves
+# name -> (runner(trials, seed), default trials, included in default run); the key is
+# the one place a check's name is written, as run_checks names each report by it.  The
+# per-scheme lines follow SCHEMES' order, so a new scheme's lines append and no seed
+# offset moves
 _REGISTRY = {
     **{f"equivariance:{s}": (_on(check_equivariance, _fixed(s, dim)), 200, True)
        for s, dim in _ABELIAN_SCHEMES},
-    "equivariance:liere-commuting": (
-        _on(check_equivariance, _commuting_liere, "equivariance:liere-commuting"), 200, True),
+    "equivariance:liere-commuting": (_on(check_equivariance, _commuting_liere), 200, True),
     **{f"non-equivariance:{s}": (_on(check_non_equivariance, _fixed(s, dim)), 100, True)
        for s, dim in _NONABELIAN_SCHEMES},
-    "non-equivariance:liere-random": (
-        _on(check_non_equivariance, _random_liere, "non-equivariance:liere-random"), 100, True),
+    "non-equivariance:liere-random": (_on(check_non_equivariance, _random_liere), 100, True),
     "separability:axial": (check_axial_separability, 100, True),
     "degeneracy:trivial2d": (check_trivial_degeneracy, 100, True),
     "degeneracy:mixed-contrast": (check_mixed_antidiagonal, 100, True),
-    "reduction:liere-1d": (partial(_run_reduction, "reduction:liere-1d", lambda n, rng: (random_skew(n, rng),)),
-                           10, True),
-    "reduction:liere-mixed": (partial(_run_reduction, "reduction:liere-mixed", commuting_generators), 10, True),
+    "reduction:liere-1d": (partial(_run_reduction, lambda n, rng: (random_skew(n, rng),)), 10, True),
+    "reduction:liere-mixed": (partial(_run_reduction, commuting_generators), 10, True),
     **{f"gradients:{s}": (_on(check_gradients, _fixed(s, dim)), 100, True)
        for s, dim in _TABLE_CASES if SCHEMES[s].table == s},
     "fast-path:spherical": (check_fast_path, 1000, True),
@@ -470,13 +465,12 @@ _REGISTRY = {
     "flow:spherical-counterexample": (check_flow_counterexample, 100, True),
     # deliberate demonstrations: asserting shift-invariance of a
     # non-commutative scheme fails; excluded from default runs
-    **{f"equivariance:{s}-positive": (_on(check_equivariance, _fixed(s, dim), f"equivariance:{s}-positive"),
-                                      100, False)
+    **{f"equivariance:{s}-positive": (_on(check_equivariance, _fixed(s, dim)), 100, False)
        for s, dim in _NONABELIAN_SCHEMES},
     # hidden until a benchmark change lists them: the reduction and mixed
     # equivariance at M = 3
-    "reduction:liere-3axis": (partial(_run_reduction, "reduction:liere-3axis", partial(_commuting, m=3)), 10, False),
-    "equivariance:mixed-3axis": (_on(check_equivariance, _mixed_3axis, "equivariance:mixed-3axis"), 200, False),
+    "reduction:liere-3axis": (partial(_run_reduction, partial(_commuting, m=3)), 10, False),
+    "equivariance:mixed-3axis": (_on(check_equivariance, _mixed_3axis), 200, False),
 }
 
 
@@ -491,7 +485,7 @@ def run_checks(names=None, seed: int = 0) -> list[CheckReport]:
     ``names`` is a sequence of check names, not one string; ``seed`` is a
     non-negative integer.  Each check's stream is keyed by seed + its fixed
     registry index, so a subset run reproduces exactly the reports of the
-    full run.
+    full run.  Each report is named by its check's registry key.
     """
     seed = _integer("seed", seed, 0, what="a non-negative integer")
     if isinstance(names, str):
@@ -504,5 +498,5 @@ def run_checks(names=None, seed: int = 0) -> list[CheckReport]:
     reports = []
     for n in names:
         runner, default_trials, _ = _REGISTRY[n]
-        reports.append(runner(default_trials, seed + index[n]))
+        reports.append(replace(runner(default_trials, seed + index[n]), name=n))
     return reports

@@ -307,6 +307,16 @@ def test_bench_liere_row_times_the_reduced_encoder():
     assert fn.__self__.scheme == "liere" and fn.__self__.reduction is not None
 
 
+@pytest.mark.parametrize("flag", [[], ["--include-liere"]])
+def test_bench_times_liere_above_its_dim_cap_only_when_asked(capsys, flag):
+    # dim 258 is just above _BENCH_LIERE_DIM_CAP, where a liere row costs
+    # seconds at the larger dims the cap guards against
+    code, out, _ = run_cli(["bench", "--batch", "1", "--tokens", "1", "--dim", "258", "--reps", "1", *flag], capsys)
+    assert code == 0
+    names = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+    assert names == ["rope1d", "trivial2d", "mixed", "spherical"] + ["liere"] * len(flag)
+
+
 def test_bench_skips_incompatible_dims(capsys):
     # dim 10: spherical (needs /3) and axial/uniform (need /4) cannot run
     code, out, err = run_cli(["bench", "--batch", "1", "--tokens", "2",

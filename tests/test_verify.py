@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -559,6 +560,17 @@ def test_run_checks_subset_matches_full_run():
     sub = V.run_checks(["separability:axial", "degeneracy:trivial2d"], seed=3)
     for r in sub:
         assert r == full[r.name]
+
+
+def test_run_checks_names_each_report_by_its_registry_key(monkeypatch):
+    # the key is the one place a check's name is written: a runner whose
+    # report is named otherwise still reports under its row's key
+    key = "equivariance:liere-commuting"
+    runner, trials, shown = V._REGISTRY[key]
+    monkeypatch.setitem(V._REGISTRY, key, (lambda t, s: replace(runner(t, s), name="other"), trials, shown))
+    (report,) = V.run_checks([key])
+    assert report.name == key
+    assert report.passed and report.trials == trials
 
 
 def test_run_checks_deterministic():
