@@ -39,9 +39,9 @@ table's, kept in its ``reduction``), a block raster by that form's planes
 of its own pattern block, cut on the call (``_pattern_turn``), and the free
 functions and ``grad_frequencies`` read their table's, so none of them
 builds an ``Encoder``.  ``_reduce`` is the one reduction of commuting
-generators to that ``(table, basis)``, an encoder's whole ``Reduction``:
-the encoder and ``verify.reduce_liere`` share it, at their own structure
-tolerances.  ``Encoder`` itself holds every construction rule and default,
+generators to that ``(table, basis)``, and the one builder of a
+``Reduction``: the encoder and ``verify.reduce_liere`` share it, at their
+own structure tolerances.  ``Encoder`` itself holds every construction rule and default,
 and ``make_encoder`` forwards to it.  Encoders take tokens (..., dim) at positions (..., axes), the
 leading shapes broadcasting; ``grad_frequencies`` takes the same shapes and
 differentiates the same products.  A turn depends on the position alone,
@@ -452,8 +452,9 @@ def _liere_reduced(y, e, basis: np.ndarray) -> np.ndarray:
 
 
 class Reduction(NamedTuple):
-    """A liere encoder's commuting generators as the reduction theorem
-    states them: ``table``, their joint ``FrequencyTable`` (rope1d for one
+    """Commuting generators as the reduction theorem states them, a liere
+    encoder's ``reduction`` and ``verify.reduce_liere``'s result alike:
+    ``table``, their joint ``FrequencyTable`` (rope1d for one
     generator, an M-column mixed table for M of them), and ``basis`` (F
     order, as ``linalg`` returns it, and read-only), with ``exp(sum_m p_m
     A_m) = basis @ R(p) @ basis.T`` for ``R`` the table's rotation, which
@@ -463,30 +464,29 @@ class Reduction(NamedTuple):
     basis: np.ndarray
 
 
-def _reduce(gens, struct_rtol: float) -> tuple:
-    """``(table, basis)`` of exactly skew generators that commute, from
+def _reduce(gens, struct_rtol: float) -> Reduction:
+    """The ``Reduction`` of exactly skew generators that commute, from
     their joint canonical form at ``struct_rtol``: a rope1d table for one
-    generator, a mixed one of a column per generator for more.  The one
-    reduction, which ``Encoder`` and ``verify.reduce_liere`` share.  A 1x1
-    generator has no rotation plane and raises ValueError, as do generators
-    that do not commute; RuntimeError when no combination shares a block
-    structure."""
+    generator, a mixed one of a column per generator for more, and the
+    basis made read-only.  The one place a ``Reduction`` is built, which
+    ``Encoder`` and ``verify.reduce_liere`` share.  A 1x1 generator has no
+    rotation plane and raises ValueError, as do generators that do not
+    commute; RuntimeError when no combination shares a block structure."""
     if len(gens[0]) < 2:
         raise ValueError(f"a {len(gens[0])}x{len(gens[0])} generator has no rotation plane to reduce")
     basis, freqs = linalg._joint_canonical_form(gens, struct_rtol)
-    return FrequencyTable("rope1d" if len(gens) == 1 else "mixed", freqs), basis
+    basis.flags.writeable = False
+    return Reduction(FrequencyTable("rope1d" if len(gens) == 1 else "mixed", freqs), basis)
 
 
 def _commuting_reduction(gens):
-    """The ``Reduction`` of exactly skew generators at
-    ``_REDUCED_STRUCT_RTOL``, or None when there is none: they do not
-    commute, share no block structure or have no rotation plane."""
+    """``_reduce`` of exactly skew generators at ``_REDUCED_STRUCT_RTOL``,
+    or None when there is none: they do not commute, share no block
+    structure or have no rotation plane."""
     try:
-        table, basis = _reduce(gens, _REDUCED_STRUCT_RTOL)
+        return _reduce(gens, _REDUCED_STRUCT_RTOL)
     except (ValueError, RuntimeError):
         return None
-    basis.flags.writeable = False
-    return Reduction(table, basis)
 
 
 # ---------------------------------------------------------------------------

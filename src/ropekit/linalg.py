@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 SKEW_ATOL = 1e-12          # construction-time antisymmetry tolerance
-COMMUTE_RTOL = 1e-9        # default relative tolerance for is_commuting
+COMMUTE_RTOL = 1e-9        # relative commutator bound of is_commuting and the joint form
 ZERO_FREQ_RTOL = 1e-10     # lam <= ZERO_FREQ_RTOL * max(1, ||A||_F) counts as a zero mode
 JOINT_STRUCT_RTOL = 1e-6   # off-block bound (relative) for a joint canonical form
 _FLOAT64 = np.dtype(float)
@@ -197,8 +197,8 @@ def commutator(a, b) -> np.ndarray:
     return 0.5 * (c - c.T)
 
 
-def is_commuting(a, b, rel_tol: float = COMMUTE_RTOL) -> bool:
-    """True when ``||[a, b]||_F <= rel_tol * ||a||_F * ||b||_F``.
+def is_commuting(a, b) -> bool:
+    """True when ``||[a, b]||_F <= COMMUTE_RTOL * ||a||_F * ||b||_F``.
 
     A zero matrix commutes with everything, so either factor having zero norm
     short-circuits to True.
@@ -207,7 +207,7 @@ def is_commuting(a, b, rel_tol: float = COMMUTE_RTOL) -> bool:
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         return True
-    return float(np.linalg.norm(commutator(a, b))) <= rel_tol * na * nb
+    return float(np.linalg.norm(commutator(a, b))) <= COMMUTE_RTOL * na * nb
 
 
 def block_diag_skew(freqs, n: int) -> np.ndarray:
@@ -314,13 +314,13 @@ def canonical_form(a) -> CanonicalForm:
     return CanonicalForm(frequencies=freqs, basis=cols, zero_modes=zero_modes)
 
 
-def joint_canonical_form(generators, struct_rtol: float = JOINT_STRUCT_RTOL):
+def joint_canonical_form(generators):
     """One orthogonal basis block-diagonalising pairwise-commuting skew generators.
 
     The canonical form of a generic combination ``sum_m gamma**m A_m`` is
     tried for each ``gamma`` in ``_GAMMAS``; the first whose basis leaves
-    every ``basis.T @ A_m @ basis`` block diagonal to ``struct_rtol`` times
-    the largest generator norm (at least 1) is kept.  Each 2-plane is
+    every ``basis.T @ A_m @ basis`` block diagonal to ``JOINT_STRUCT_RTOL``
+    times the largest generator norm (at least 1) is kept.  Each 2-plane is
     oriented so that its first frequency above the zero threshold is
     positive, and planes are sorted by descending frequencies, first
     generator first.
@@ -333,12 +333,13 @@ def joint_canonical_form(generators, struct_rtol: float = JOINT_STRUCT_RTOL):
     RuntimeError when no combination yields a shared block structure
     (naming the smallest off-block residual and its bound).
     """
-    return _joint_canonical_form(_skew_generators(generators), struct_rtol)
+    return _joint_canonical_form(_skew_generators(generators), JOINT_STRUCT_RTOL)
 
 
 def _joint_canonical_form(gens, struct_rtol: float):
     """``joint_canonical_form`` of a non-empty sequence of exactly skew
-    generators of one shape, unvalidated."""
+    generators of one shape, unvalidated, at the structure bound
+    ``struct_rtol`` (a reduced encoder takes a tighter one)."""
     n = gens[0].shape[0]
     norms = [float(np.linalg.norm(g)) for g in gens]
     # (||A_i||_F, ||A_j||_F, ||[A_i, A_j]||_F) of each pair, decided by is_commuting's
@@ -429,11 +430,11 @@ def _exp_skew(a: np.ndarray) -> np.ndarray:
     return (vt.swapaxes(-1, -2) * np.cos(s)[..., None, :] + u * np.sin(s)[..., None, :]) @ vt
 
 
-def matrix_exp_series(a, term_tol: float = 1e-16) -> np.ndarray:
+def matrix_exp_series(a) -> np.ndarray:
     """Scaling-and-squaring Taylor route for exp(a); independent of canonical_form.
 
     The argument is halved ``s = max(0, ceil(log2 ||a||_F))`` times, the Taylor
-    series is summed until a term's Frobenius norm drops below ``term_tol``,
+    series is summed until a term's Frobenius norm drops below 1e-16,
     and the result is squared ``s`` times.  Each squaring doubles the
     rounding error, so the result is orthogonal only to about ``eps *
     ||a||_F`` (1e-10 at 1e6): it is no rotation past ``||a||_F`` of about
@@ -458,7 +459,7 @@ def matrix_exp_series(a, term_tol: float = 1e-16) -> np.ndarray:
     while k <= 80:
         term = term @ b / k
         result = result + term
-        if float(np.linalg.norm(term)) < term_tol:
+        if float(np.linalg.norm(term)) < 1e-16:
             break
         k += 1
     for _ in range(s):

@@ -85,7 +85,7 @@ def test_criterion_03_equivariance_suite():
 
 
 def test_criterion_04_axial_separability():
-    r = V.check_axial_separability(trials=100, seed=4, dim=16)
+    r = V.check_axial_separability(trials=100, seed=4)
     assert r.passed and r.residual <= 1e-10, r
     print(f"criterion 4: PASS - axial separability residual {r.residual:.2e}")
 

@@ -124,7 +124,7 @@ def test_commutator_dimension_mismatch():
 
 
 def test_is_commuting_yaw_roll_false():
-    assert not linalg.is_commuting(G_YAW, G_ROLL, rel_tol=1e-9)
+    assert not linalg.is_commuting(G_YAW, G_ROLL)
 
 
 def test_is_commuting_zero_matrix_true():
@@ -266,7 +266,7 @@ def test_joint_canonical_form_rejects_non_commuting():
         linalg.joint_canonical_form([G_YAW, G_ROLL])
 
 
-def test_joint_canonical_form_refusals_carry_their_numbers():
+def test_joint_canonical_form_refusals_carry_their_numbers(monkeypatch):
     # a commuting pair and a third generator that commutes with neither:
     # the message names the worst relative commutator and COMMUTE_RTOL
     rng = np.random.default_rng(37)
@@ -281,8 +281,9 @@ def test_joint_canonical_form_refusals_carry_their_numbers():
     assert worst == pytest.approx(want, rel=1e-3) and rtol == linalg.COMMUTE_RTOL < worst
     # a structure bound below rounding: the smallest off-block residual over
     # the generic combinations, at roundoff, against struct_rtol * scale
+    monkeypatch.setattr(linalg, "JOINT_STRUCT_RTOL", 1e-30)
     with pytest.raises(RuntimeError, match="no generic combination") as info:
-        linalg.joint_canonical_form(pair, 1e-30)
+        linalg.joint_canonical_form(pair)
     residual, bound = map(float, re.search(r"residual (\S+) > struct_rtol \* scale = (\S+)$",
                                            str(info.value)).groups())
     scale = max(1.0, *(np.linalg.norm(g) for g in pair))

@@ -424,9 +424,21 @@ def test_a_single_position_reduced_encode_agrees_with_liere_and_the_batch(dim):
 
 
 def test_liere_encoder_arrays_are_read_only():
-    basis = E.make_encoder("liere", generators=commuting_family(6, 2, np.random.default_rng(77))).reduction.basis
-    with pytest.raises(ValueError, match="read-only"):
-        basis[...] *= 2
+    # a one-position miss turns a C-order copy of the read-only basis and
+    # stores a read-only operator; the basis is neither written nor aliased
+    rng = np.random.default_rng(77)
+    enc = E.make_encoder("liere", generators=commuting_family(6, 2, rng))
+    basis = enc.reduction.basis
+    before = basis.tobytes()
+    with mock.patch.object(E, "_liere_reduced", wraps=E._liere_reduced) as spy:
+        enc.encode(rng.standard_normal(6), [0.3, -0.7])
+    (y, _, b), _ = spy.call_args
+    assert b is basis and y.flags.c_contiguous and not np.shares_memory(y, basis)
+    (op,) = enc._operators.values()
+    for a in (basis, op):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] *= 2
+    assert basis.tobytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_equivariance_passes(scheme, dim, table):
 @pytest.mark.parametrize("m", [2, 3])
 def test_equivariance_liere_commuting(m):
     rng = np.random.default_rng(4)
-    enc = E.make_encoder("liere", generators=V._commuting(8, rng, m))
+    enc = E.make_encoder("liere", generators=V.commuting_generators(8, rng, m))
     assert enc.axes == m and enc.reduction is not None
     r = V.check_equivariance(enc, trials=20, seed=0)
     assert r.passed
@@ -201,19 +201,21 @@ def test_a_1x1_generator_has_no_plane_to_reduce_and_encodes_to_its_token(m):
 
 def test_reduce_liere_is_one_reduction_of_any_number_of_generators():
     # the wrappers are reduce_liere itself; three generators give a
-    # three-column mixed table, the encoder's own reduction to rounding
+    # three-column mixed table, the encoder's own Reduction (here bit for
+    # bit; the two structure bounds can pick different bases in general)
     rng = np.random.default_rng(43)
     a = V.random_skew(6, rng)
     pair = V.commuting_generators(6, rng)
     for got, want in ((V.reduce_liere_1d(a), V.reduce_liere(a)), (V.reduce_liere_mixed(*pair), V.reduce_liere(*pair))):
         assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
     assert V.reduce_liere(a)[0].scheme == "rope1d" and V.reduce_liere(*pair)[0].scheme == "mixed"
-    gens = V._commuting(7, rng, 3)
-    table, basis = V.reduce_liere(*gens)
+    gens = V.commuting_generators(7, rng, 3)
+    reduction = V.reduce_liere(*gens)
+    table, basis = reduction
+    assert isinstance(reduction, E.Reduction) and not basis.flags.writeable
     assert table.scheme == "mixed" and table.freqs.shape == (3, 3) and basis.shape == (7, 7)
     r = E.make_encoder("liere", generators=gens).reduction
-    np.testing.assert_allclose(r.table.freqs, table.freqs, atol=1e-12)
-    np.testing.assert_allclose(r.basis, basis, atol=1e-12)
+    assert r.table == table and r.basis.tobytes() == basis.tobytes()
 
 
 def test_the_3axis_reduction_check_is_hidden_and_passes():

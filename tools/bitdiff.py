@@ -37,8 +37,7 @@ The probes, every one on fixed draws:
   table has a y column, again with that column zero, the query holding
   exact zeros of both signs;
 * the tables' frequencies and the bases of ``reduce_liere`` on one, two
-  and three commuting generators at n = 7 and 16 (under a tree without
-  ``reduce_liere``, ``joint_canonical_form``'s, the arrays it wraps);
+  and three commuting generators at n = 7 and 16;
 * ``make_grid(...).positions`` at (16, 16), (32, 32, 16, 16), (7, 5),
   (5, 7, 3, 2), (1, 9) and (9, 1);
 * ``attention_weights`` and ``softmax_attention`` at N = 64, d = 16 and on
@@ -139,7 +138,7 @@ def probe() -> dict:
     from ropekit import cli, encodings as E, verify as V
     from ropekit.attention import attention_weights, render_pattern, softmax_attention
     from ropekit.grid import make_grid
-    from ropekit.linalg import canonical_form, joint_canonical_form
+    from ropekit.linalg import canonical_form
 
     out = {}
 
@@ -210,18 +209,11 @@ def probe() -> dict:
                 record(f"raster.{name}.{w}x{h}.{'all' if block is None else block}",
                        lambda: render_pattern(enc, zq, zk, w, h, block).values)
 
-    def reduction(gens):
-        if hasattr(V, "reduce_liere"):
-            table, basis = V.reduce_liere(*gens)
-            return table.freqs, basis
-        basis, freqs = joint_canonical_form(gens)
-        return freqs, basis
-
     for n in (7, 16):
         gens = _generators(n, True, rng, 3)
         for m in (1, 2, 3):
-            record(f"reduce_liere.m{m}.n{n}.freqs", lambda: reduction(gens[:m])[0])
-            record(f"reduce_liere.m{m}.n{n}.basis", lambda: reduction(gens[:m])[1])
+            record(f"reduce_liere.m{m}.n{n}.freqs", lambda: V.reduce_liere(*gens[:m])[0].freqs)
+            record(f"reduce_liere.m{m}.n{n}.basis", lambda: V.reduce_liere(*gens[:m])[1])
 
     for size in ((16, 16), (32, 32, 16, 16), (7, 5), (5, 7, 3, 2), (1, 9), (9, 1)):
         record(f"grid.{'x'.join(map(str, size))}", lambda: make_grid(*size).positions)
